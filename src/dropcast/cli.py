@@ -15,20 +15,17 @@ from pathlib import Path
 from . import eda as eda_ops
 from . import report as report_ops
 from .errors import DropcastError
-from .experiments import (
-    DEFAULT_SEEDS,
-    RunConfig,
-    evaluate_single,
-    run_ablation,
-    run_baseline,
-)
+from .experiments import DEFAULT_SEEDS, RunConfig, evaluate_cells, load_binary, run_ablation
 from .fixture import generate_fixture
 from .ingest import FeatureGroup, default_manifest_path, load_dataset, load_manifest, to_binary
 from .metrics import forest_importance
 from .models import GRID_MODEL_ORDER, HyperParams, ModelKind
 from .models.serialize import save_model
-from .preprocess import exclude_group, split
+from .preprocess import exclude_group
 from .svg import emit_roc_svg
+
+# Unused here; bound only because the trace in perfbench/spans.py patches these names.
+from .experiments import evaluate_single, run_baseline, split  # noqa: F401
 
 _MODEL_CODES = {kind.value: kind for kind in ModelKind}
 
@@ -60,27 +57,59 @@ def _add_data_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--delimiter", default=";", help="CSV delimiter (default ';')")
 
 
+def _seed_list(text: str) -> tuple[int, ...]:
+    """Comma-separated, distinct, non-negative integer seeds."""
+    try:
+        seeds = tuple(int(s) for s in text.split(",") if s.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}") from None
+    if not seeds:
+        raise argparse.ArgumentTypeError("at least one seed is needed")
+    if min(seeds) < 0:
+        raise argparse.ArgumentTypeError(f"seeds must be non-negative: {text!r}")
+    if len(set(seeds)) != len(seeds):
+        raise argparse.ArgumentTypeError(f"repeated seed: {text!r}")
+    return seeds
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--seeds",
+        type=_seed_list,
         default=",".join(str(s) for s in DEFAULT_SEEDS),
         help="comma-separated split seeds (default 42,43,44,45,46)",
     )
     parser.add_argument("--test-fraction", type=float, default=0.2)
+    parser.add_argument("--threads", type=_positive_int, default=1, help="forest worker threads")
+    _add_hyper_flags(parser)
+
+
+def _add_model_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--model",
         choices=[*sorted(_MODEL_CODES), "all"],
         default="all",
         help="classifier to run (default all four)",
     )
+
+
+def _add_exclude_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--exclude",
         choices=[g.value for g in FeatureGroup],
         default=None,
         help="drop all columns of one feature group before training",
     )
-    parser.add_argument("--threads", type=int, default=1, help="forest worker threads")
-    _add_hyper_flags(parser)
 
 
 def _add_hyper_flags(parser: argparse.ArgumentParser) -> None:
@@ -106,6 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="train models, write ROC CSVs and a JSON report")
     _add_data_flags(p_train)
     _add_run_flags(p_train)
+    _add_model_flag(p_train)
+    _add_exclude_flag(p_train)
     p_train.add_argument("--out", default=".", help="output directory")
     p_train.add_argument("--save-models", action="store_true",
                          help="also write each trained model in the text format")
@@ -113,17 +144,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_roc = sub.add_parser("roc", help="train and plot all ROC curves into one SVG")
     _add_data_flags(p_roc)
     _add_run_flags(p_roc)
+    _add_model_flag(p_roc)
+    _add_exclude_flag(p_roc)
     p_roc.add_argument("--out", default=".", help="output directory")
 
+    # The grid excludes every group in turn, so ablate takes no --exclude.
     p_ablate = sub.add_parser("ablate", help="run the feature-group exclusion grid")
     _add_data_flags(p_ablate)
     _add_run_flags(p_ablate)
+    _add_model_flag(p_ablate)
     p_ablate.add_argument("--out", default=".", help="output directory")
+    p_ablate.set_defaults(exclude=None)
 
+    # Importance is read off the random forest, so it takes no --model.
     p_imp = sub.add_parser("importance", help="random-forest feature importance")
     _add_data_flags(p_imp)
     _add_run_flags(p_imp)
+    _add_exclude_flag(p_imp)
     p_imp.add_argument("--out", default=".", help="output directory")
+    p_imp.set_defaults(model=ModelKind.RANDOM_FOREST.value)
 
     p_fix = sub.add_parser("fixture", help="generate a synthetic records file")
     p_fix.add_argument("--rows", type=int, required=True)
@@ -135,7 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> RunConfig:
-    seeds = tuple(int(s) for s in str(args.seeds).split(",") if s.strip())
     models = GRID_MODEL_ORDER if args.model == "all" else (_MODEL_CODES[args.model],)
     hp = HyperParams(
         tree_max_depth=args.tree_max_depth,
@@ -151,7 +189,7 @@ def _config_from_args(args) -> RunConfig:
         delimiter=args.delimiter,
         excluded_group=FeatureGroup(args.exclude) if args.exclude else None,
         models=models,
-        seeds=seeds,
+        seeds=args.seeds,
         test_fraction=args.test_fraction,
         hyperparams=hp,
         threads=args.threads,
@@ -162,10 +200,6 @@ def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _manifest_version(config: RunConfig) -> str:
-    return load_manifest(config.manifest_path).version_tag
 
 
 def _cmd_eda(args) -> int:
@@ -195,32 +229,20 @@ def _cmd_eda(args) -> int:
 def _cmd_train(args, command: str = "train") -> int:
     out = _out_dir(args)
     config = _config_from_args(args)
-    reports = run_baseline(config)
-    for rep in reports:
+    binary, manifest_version = load_binary(config)
+    reports = []
+    for model, rep in evaluate_cells(binary, (config.excluded_group,), config):
         report_ops.write_roc_csv(rep.curve, out / report_ops.roc_csv_name(rep.model_kind.label, rep.seed))
+        if getattr(args, "save_models", False):
+            save_model(model, out / f"model_{rep.model_kind.value}_seed{rep.seed}.txt")
+        reports.append(rep)
     doc = report_ops.build_run_document(
-        command, config, _manifest_version(config), reports, include_curves=True
+        command, config, manifest_version, reports, include_curves=True
     )
     report_ops.write_json(doc, out / "report.json")
-    if getattr(args, "save_models", False):
-        _save_models(args, config, out)
     if command == "roc":
         emit_roc_svg(reports, out / "roc.svg")
     return 0
-
-
-def _save_models(args, config: RunConfig, out: Path) -> None:
-    manifest = load_manifest(config.manifest_path)
-    binary = to_binary(load_dataset(config.data_path, manifest, delimiter=config.delimiter))
-    if config.excluded_group is not None:
-        binary = exclude_group(binary, config.excluded_group)
-    for kind in config.models:
-        for seed in config.seeds:
-            indices = split(binary.n_rows, config.test_fraction, seed)
-            model, _ = evaluate_single(binary, indices, kind, config.hyperparams,
-                                       excluded_group=config.excluded_group,
-                                       threads=config.threads)
-            save_model(model, out / f"model_{kind.value}_seed{seed}.txt")
 
 
 def _cmd_ablate(args) -> int:
@@ -233,47 +255,34 @@ def _cmd_ablate(args) -> int:
     report_ops.write_ablation_csv(ablation, out / "ablation.csv")
 
     # Baseline-column curves for the first seed, one per model.
-    first_seed_config = RunConfig(
-        data_path=config.data_path,
-        manifest_path=config.manifest_path,
-        delimiter=config.delimiter,
-        models=config.models,
-        seeds=(config.seeds[0],),
-        test_fraction=config.test_fraction,
-        hyperparams=config.hyperparams,
-        threads=config.threads,
-    )
-    baseline_reports = run_baseline(first_seed_config)
-    emit_roc_svg(baseline_reports, out / "roc.svg")
+    first_baseline = [
+        r for r in ablation.runs if r.excluded_group is None and r.seed == config.seeds[0]
+    ]
+    emit_roc_svg(first_baseline, out / "roc.svg")
     return 0
 
 
 def _cmd_importance(args) -> int:
     out = _out_dir(args)
     config = _config_from_args(args)
-    manifest = load_manifest(config.manifest_path)
-    binary = to_binary(load_dataset(config.data_path, manifest, delimiter=config.delimiter))
+    binary, manifest_version = load_binary(config)
     if config.excluded_group is not None:
         binary = exclude_group(binary, config.excluded_group)
-
-    entries_per_seed = []
-    for seed in config.seeds:
-        indices = split(binary.n_rows, config.test_fraction, seed)
-        model, _ = evaluate_single(
-            binary, indices, ModelKind.RANDOM_FOREST, config.hyperparams,
-            excluded_group=config.excluded_group, threads=config.threads,
-        )
-        entries_per_seed.append(forest_importance(model, binary.column_names))
+    # The exclusion is applied above, so the cells use every column left.
+    per_seed = [
+        forest_importance(model, binary.column_names)
+        for model, _ in evaluate_cells(binary, (None,), config)
+    ]
 
     # Average the per-seed importance vectors for the CSV.
     combined: dict[str, float] = {name: 0.0 for name in binary.column_names}
-    for report in entries_per_seed:
+    for report in per_seed:
         for name, value in report.entries:
-            combined[name] += value / len(entries_per_seed)
+            combined[name] += value / len(per_seed)
     ranked = sorted(combined.items(), key=lambda item: (-item[1], item[0]))
     report_ops.write_importance_csv(ranked, out / "importance.csv")
 
-    doc = report_ops.build_run_document("importance", config, manifest.version_tag, [])
+    doc = report_ops.build_run_document("importance", config, manifest_version, [])
     doc["importance"] = [
         {"feature": name, "importance": float(v)} for name, v in ranked
     ]

@@ -8,13 +8,14 @@ across all five columns so the feature subset is the only varying
 factor.
 
 Reported grids are means over seeds. Two standard deviations appear in
-reports, both sample-style (n-1): across the four models within a
-column, and across seeds within a cell; they answer different questions
-and are labeled accordingly.
+reports, both sample-style (n-1): across the models within a column,
+and across seeds within a cell; they answer different questions and are
+labeled accordingly. Either is zero when there is a single sample.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -84,18 +85,7 @@ class AblationReport:
     column_std: np.ndarray  # sample std of the model cells per column
     manifest_version: str
     seeds: tuple[int, ...]
-    runs: tuple["RunScore", ...]
-
-
-@dataclass(frozen=True)
-class RunScore:
-    """One cell contribution: a single (model, column, seed) evaluation."""
-
-    model_label: str
-    column_label: str
-    seed: int
-    auc: float
-    accuracy: float
+    runs: tuple[RocReport, ...]  # one per (column, model, seed), columns outermost
 
 
 def evaluate_single(
@@ -141,76 +131,73 @@ def evaluate_single(
     return model, report
 
 
-def _load_binary(config: RunConfig) -> tuple[BinaryDataset, str]:
+def load_binary(config: RunConfig) -> tuple[BinaryDataset, str]:
+    """The Dropout/Graduate table and the manifest's version tag."""
     manifest = load_manifest(config.manifest_path)
     dataset = load_dataset(config.data_path, manifest, delimiter=config.delimiter)
     return to_binary(dataset), manifest.version_tag
 
 
+def evaluate_cells(
+    binary: BinaryDataset,
+    columns: Iterable[FeatureGroup | None],
+    config: RunConfig,
+) -> Iterator[tuple[TrainedModel, RocReport]]:
+    """Yield (model, report) per (column, model, seed), columns outermost.
+
+    A column is the group to exclude, or None for all features. Every
+    column reuses the same split per seed, so the feature subset is the
+    only factor that varies. Each model is handed over as soon as it is
+    trained; the caller keeps or drops it.
+    """
+    splits = [split(binary.n_rows, config.test_fraction, seed) for seed in config.seeds]
+    for group in columns:
+        dataset = binary if group is None else exclude_group(binary, group)
+        for kind in config.models:
+            for indices in splits:
+                yield evaluate_single(
+                    dataset, indices, kind, config.hyperparams,
+                    excluded_group=group, threads=config.threads,
+                )
+
+
 def run_baseline(config: RunConfig) -> list[RocReport]:
     """One report per (model, seed); honors config.excluded_group."""
-    binary, _ = _load_binary(config)
-    if config.excluded_group is not None:
-        binary = exclude_group(binary, config.excluded_group)
-    reports = []
-    for kind in config.models:
-        for seed in config.seeds:
-            indices = split(binary.n_rows, config.test_fraction, seed)
-            _, report = evaluate_single(
-                binary, indices, kind, config.hyperparams,
-                excluded_group=config.excluded_group, threads=config.threads,
-            )
-            reports.append(report)
-    return reports
+    binary, _ = load_binary(config)
+    return [report for _, report in evaluate_cells(binary, (config.excluded_group,), config)]
+
+
+def _sample_std(values: np.ndarray, axis: int) -> np.ndarray:
+    """Sample std along ``axis``; zeros when there is a single sample."""
+    if values.shape[axis] > 1:
+        return values.std(axis=axis, ddof=1)
+    return np.zeros_like(values.take(0, axis=axis))
 
 
 def run_ablation(config: RunConfig) -> AblationReport:
     """Baseline plus the four exclusions under identical per-seed splits."""
-    binary, manifest_version = _load_binary(config)
-    splits = {
-        seed: split(binary.n_rows, config.test_fraction, seed) for seed in config.seeds
-    }
-    datasets = [
-        (column_label(group), binary if group is None else exclude_group(binary, group))
-        for group in ABLATION_COLUMNS
-    ]
-
-    models = list(GRID_MODEL_ORDER)
-    grid = np.zeros((len(models), len(datasets), len(config.seeds)), dtype=np.float64)
-    runs: list[RunScore] = []
-    for col, (label, ds) in enumerate(datasets):
-        for row, kind in enumerate(models):
-            for s, seed in enumerate(config.seeds):
-                _, report = evaluate_single(
-                    ds, splits[seed], kind, config.hyperparams,
-                    excluded_group=ABLATION_COLUMNS[col], threads=config.threads,
-                )
-                grid[row, col, s] = report.auc
-                runs.append(
-                    RunScore(
-                        model_label=kind.label,
-                        column_label=label,
-                        seed=seed,
-                        auc=report.auc,
-                        accuracy=report.accuracy,
-                    )
-                )
+    if config.excluded_group is not None:
+        raise InvalidArgumentError(
+            "the ablation excludes every group in turn; excluded_group must be unset"
+        )
+    binary, manifest_version = load_binary(config)
+    runs = tuple(report for _, report in evaluate_cells(binary, ABLATION_COLUMNS, config))
+    # columns x models x seeds, in the generator's order; then models first.
+    grid = np.array([r.auc for r in runs]).reshape(
+        len(ABLATION_COLUMNS), len(config.models), len(config.seeds)
+    ).transpose(1, 0, 2)
 
     mean_auc = grid.mean(axis=2)
-    if len(config.seeds) > 1:
-        seed_std = grid.std(axis=2, ddof=1)
-    else:
-        seed_std = np.zeros_like(mean_auc)
     report = AblationReport(
-        model_labels=tuple(kind.label for kind in models),
-        column_labels=tuple(label for label, _ in datasets),
+        model_labels=tuple(kind.label for kind in config.models),
+        column_labels=tuple(column_label(group) for group in ABLATION_COLUMNS),
         mean_auc=mean_auc,
-        seed_std=seed_std,
+        seed_std=_sample_std(grid, axis=2),
         column_mean=mean_auc.mean(axis=0),
-        column_std=mean_auc.std(axis=0, ddof=1),
+        column_std=_sample_std(mean_auc, axis=0),
         manifest_version=manifest_version,
         seeds=config.seeds,
-        runs=tuple(runs),
+        runs=runs,
     )
     for arr in (report.mean_auc, report.seed_std, report.column_mean, report.column_std):
         arr.setflags(write=False)

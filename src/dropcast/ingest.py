@@ -219,24 +219,6 @@ def load_dataset(
     )
 
 
-def write_dataset_csv(
-    dataset: Dataset, csv_path: str | Path, delimiter: str = ";"
-) -> None:
-    """Serialize a dataset back to CSV.
-
-    Cells are written with ``repr(float)``, the shortest decimal text
-    that parses back to the identical value, so a load/write/load cycle
-    preserves every cell bit-for-bit.
-    """
-    with open(csv_path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, delimiter=delimiter, lineterminator="\n")
-        writer.writerow(list(dataset.column_names) + [TARGET_COLUMN])
-        for i in range(dataset.n_rows):
-            cells = [repr(float(value)) for value in dataset.feature_matrix[i]]
-            cells.append(dataset.outcomes[i].value)
-            writer.writerow(cells)
-
-
 def to_binary(dataset: Dataset) -> BinaryDataset:
     """Drop Enrolled rows and encode Dropout=1 / Graduate=0.
 

@@ -100,12 +100,6 @@ def roc_curve(scores, labels) -> RocCurve:
     return RocCurve(fpr=fpr, tpr=tpr, thresholds=thresholds)
 
 
-def trapezoid_area(curve: RocCurve) -> float:
-    dx = curve.fpr[1:] - curve.fpr[:-1]
-    mid_y = (curve.tpr[1:] + curve.tpr[:-1]) / 2.0
-    return float((dx * mid_y).sum())
-
-
 def auc(scores, labels) -> float:
     """Mann-Whitney AUC with ties counting one half.
 

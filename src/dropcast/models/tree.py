@@ -39,9 +39,6 @@ class Tree:
     def n_nodes(self) -> int:
         return self.feature.shape[0]
 
-    def has_split(self) -> bool:
-        return bool((self.feature >= 0).any())
-
 
 def _strictly_improves(n: int, pos: int, left_n: int, left_pos: int) -> bool:
     """Exact test that a split lowers weighted Gini impurity.
@@ -222,15 +219,3 @@ def tree_scores(tree: Tree, x: np.ndarray) -> np.ndarray:
         go_left = vals <= tree.threshold[current]
         node[active] = np.where(go_left, tree.left[current], tree.right[current])
     return tree.pos_fraction[node]
-
-
-def max_node_depth(tree: Tree) -> int:
-    depth = 0
-    stack = [(0, 0)]
-    while stack:
-        node, d = stack.pop()
-        depth = max(depth, d)
-        if tree.feature[node] >= 0:
-            stack.append((int(tree.left[node]), d + 1))
-            stack.append((int(tree.right[node]), d + 1))
-    return depth

@@ -8,7 +8,7 @@ split permutation comes from the package's counter-based generator
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,13 +85,6 @@ def apply_standardizer(standardizer: Standardizer, matrix: np.ndarray) -> np.nda
             f"matrix has {matrix.shape[1]}"
         )
     return (matrix - standardizer.mean) / standardizer.std
-
-
-def standardize_dataset(dataset: BinaryDataset, standardizer: Standardizer) -> BinaryDataset:
-    """Same dataset with the feature matrix transformed."""
-    matrix = apply_standardizer(standardizer, dataset.feature_matrix)
-    matrix.setflags(write=False)
-    return replace(dataset, feature_matrix=matrix)
 
 
 def exclude_group(dataset: BinaryDataset, group: FeatureGroup) -> BinaryDataset:

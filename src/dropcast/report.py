@@ -26,10 +26,6 @@ SCHEMA_VERSION = "dropcast-report-1"
 SCHEMA_PATH = Path(__file__).parent / "schemas" / "report.schema.json"
 
 
-def _float(value) -> float:
-    return float(value)
-
-
 def _curve_json(curve: RocCurve) -> dict:
     thresholds = [None if np.isinf(t) else float(t) for t in curve.thresholds]
     return {
@@ -44,12 +40,12 @@ def _run_json(report: RocReport, include_curve: bool) -> dict:
         "model": report.model_kind.label,
         "excluded_group": None if report.excluded_group is None else report.excluded_group.value,
         "seed": report.seed,
-        "auc": _float(report.auc),
-        "accuracy": _float(report.accuracy),
+        "auc": float(report.auc),
+        "accuracy": float(report.accuracy),
         "standardized": report.model_kind.needs_standardization,
     }
     if report.svm_objective is not None:
-        doc["svm_objective"] = _float(report.svm_objective)
+        doc["svm_objective"] = float(report.svm_objective)
     if include_curve:
         doc["curve"] = _curve_json(report.curve)
     return doc
@@ -62,7 +58,7 @@ def _provenance(command: str, config: RunConfig, manifest_version: str) -> dict:
         "command": command,
         "manifest_version": manifest_version,
         "seeds": list(config.seeds),
-        "test_fraction": _float(config.test_fraction),
+        "test_fraction": float(config.test_fraction),
         "hyperparams": asdict(config.hyperparams),
     }
 
@@ -82,27 +78,16 @@ def build_run_document(
 def build_ablation_document(config: RunConfig, report: AblationReport) -> dict:
     doc = _provenance("ablate", config, report.manifest_version)
     ranking = rank_group_influence(report)
-    doc["runs"] = [
-        {
-            "model": run.model_label,
-            "excluded_group": None if run.column_label == "baseline"
-            else run.column_label.removeprefix("excl_"),
-            "seed": run.seed,
-            "auc": _float(run.auc),
-            "accuracy": _float(run.accuracy),
-            "standardized": run.model_label in ("SVC", "KNN"),
-        }
-        for run in report.runs
-    ]
+    doc["runs"] = [_run_json(r, include_curve=False) for r in report.runs]
     doc["ablation"] = {
         "models": list(report.model_labels),
         "columns": list(report.column_labels),
-        "mean_auc": [[_float(v) for v in row] for row in report.mean_auc],
-        "seed_std": [[_float(v) for v in row] for row in report.seed_std],
-        "column_mean": [_float(v) for v in report.column_mean],
-        "column_std_across_models": [_float(v) for v in report.column_std],
+        "mean_auc": [[float(v) for v in row] for row in report.mean_auc],
+        "seed_std": [[float(v) for v in row] for row in report.seed_std],
+        "column_mean": [float(v) for v in report.column_mean],
+        "column_std_across_models": [float(v) for v in report.column_std],
         "influence_ranking": [
-            {"group": group.value, "auc_drop": _float(drop)} for group, drop in ranking
+            {"group": group.value, "auc_drop": float(drop)} for group, drop in ranking
         ],
     }
     return doc
@@ -124,18 +109,6 @@ def write_ablation_csv(report: AblationReport, path: str | Path) -> None:
             writer.writerow([label, *(repr(float(v)) for v in report.mean_auc[row])])
         writer.writerow(["Average", *(repr(float(v)) for v in report.column_mean)])
         writer.writerow(["STDV", *(repr(float(v)) for v in report.column_std)])
-
-
-def read_ablation_csv(path: str | Path) -> tuple[list[str], list[str], np.ndarray]:
-    """Parse a grid written by :func:`write_ablation_csv` back into
-    (model labels, column labels, mean-AUC matrix), exactly."""
-    with open(path, encoding="utf-8", newline="") as handle:
-        rows = list(csv.reader(handle))
-    column_labels = rows[0][1:]
-    model_rows = rows[1:-2]
-    labels = [row[0] for row in model_rows]
-    grid = np.array([[float(cell) for cell in row[1:]] for row in model_rows])
-    return labels, column_labels, grid
 
 
 def write_roc_csv(curve: RocCurve, path: str | Path) -> None:

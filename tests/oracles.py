@@ -1,15 +1,25 @@
-"""Independent oracles shared by the unit and acceptance suites.
+"""Independent oracles and test-only helpers shared by the suites.
 
-Everything here recomputes expectations from first principles (exact
+The oracles recompute expectations from first principles (exact
 rational arithmetic, exhaustive enumeration, brute-force pairwise
-counting) without calling into the implementation's internals.
+counting) without calling into the implementation's internals. The
+helpers at the end serialize, parse and measure what the program
+produces; only the tests need them.
 """
 
 from __future__ import annotations
 
+import csv
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
+
+from dropcast.ingest import TARGET_COLUMN, BinaryDataset, Dataset
+from dropcast.metrics import RocCurve
+from dropcast.models.tree import Tree
+from dropcast.preprocess import Standardizer, apply_standardizer
 
 
 def gini_fraction(labels) -> Fraction:
@@ -99,3 +109,58 @@ def brute_force_knn_scores(train_x, train_y, queries, k) -> np.ndarray:
         chosen = [train_y[i] for _, i in dist[:k]]
         out.append(sum(chosen) / k)
     return np.array(out)
+
+
+def trapezoid_area(curve: RocCurve) -> float:
+    dx = curve.fpr[1:] - curve.fpr[:-1]
+    mid_y = (curve.tpr[1:] + curve.tpr[:-1]) / 2.0
+    return float((dx * mid_y).sum())
+
+
+def max_node_depth(tree: Tree) -> int:
+    depth = 0
+    stack = [(0, 0)]
+    while stack:
+        node, d = stack.pop()
+        depth = max(depth, d)
+        if tree.feature[node] >= 0:
+            stack.append((int(tree.left[node]), d + 1))
+            stack.append((int(tree.right[node]), d + 1))
+    return depth
+
+
+def standardize_dataset(dataset: BinaryDataset, standardizer: Standardizer) -> BinaryDataset:
+    """Same dataset with the feature matrix transformed."""
+    matrix = apply_standardizer(standardizer, dataset.feature_matrix)
+    matrix.setflags(write=False)
+    return replace(dataset, feature_matrix=matrix)
+
+
+def write_dataset_csv(
+    dataset: Dataset, csv_path: str | Path, delimiter: str = ";"
+) -> None:
+    """Serialize a dataset back to CSV.
+
+    Cells are written with ``repr(float)``, the shortest decimal text
+    that parses back to the identical value, so a load/write/load cycle
+    preserves every cell bit-for-bit.
+    """
+    with open(csv_path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, delimiter=delimiter, lineterminator="\n")
+        writer.writerow(list(dataset.column_names) + [TARGET_COLUMN])
+        for i in range(dataset.n_rows):
+            cells = [repr(float(value)) for value in dataset.feature_matrix[i]]
+            cells.append(dataset.outcomes[i].value)
+            writer.writerow(cells)
+
+
+def read_ablation_csv(path: str | Path) -> tuple[list[str], list[str], np.ndarray]:
+    """Parse a grid written by ``write_ablation_csv`` back into
+    (model labels, column labels, mean-AUC matrix), exactly."""
+    with open(path, encoding="utf-8", newline="") as handle:
+        rows = list(csv.reader(handle))
+    column_labels = rows[0][1:]
+    model_rows = rows[1:-2]
+    labels = [row[0] for row in model_rows]
+    grid = np.array([[float(cell) for cell in row[1:]] for row in model_rows])
+    return labels, column_labels, grid

@@ -17,16 +17,22 @@ from dropcast.cli import main
 from dropcast.experiments import RunConfig, rank_group_influence, run_ablation, run_baseline
 from dropcast.fixture import generate_fixture
 from dropcast.ingest import FeatureGroup
-from dropcast.metrics import auc, forest_importance, roc_curve, trapezoid_area
+from dropcast.metrics import auc, forest_importance, roc_curve
 from dropcast.models import HyperParams, score, train_random_forest
 from dropcast.models.forest import build_forest
 from dropcast.models.knn import knn_scores, train_knn
-from dropcast.models.tree import build_tree, max_node_depth
+from dropcast.models.tree import build_tree
 from dropcast.preprocess import split
 from dropcast.rng import SeededRng
 
 from conftest import make_binary, real_data_path, requires_dataset, sniff_manifest_path
-from oracles import assert_strict_gini_decrease, brute_force_knn_scores, pair_count_auc
+from oracles import (
+    assert_strict_gini_decrease,
+    brute_force_knn_scores,
+    max_node_depth,
+    pair_count_auc,
+    trapezoid_area,
+)
 
 TABLE_MEAN_AUC = {"RF": 0.955, "SVC": 0.953, "KNN": 0.92, "DT": 0.911}
 FOUR_MODEL_AVERAGE = 0.935

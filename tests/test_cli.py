@@ -197,3 +197,97 @@ def test_fixture_too_small_is_runtime_error(tmp_path, capsys):
     code = main(["fixture", "--rows", "5", "--out", str(tmp_path)])
     assert code == 1
     assert "at least 20" in capsys.readouterr().err
+
+
+def _data_flags(fixture_dir):
+    return ["--data", str(fixture_dir / "data.csv"),
+            "--manifest", str(fixture_dir / "manifest.tsv")]
+
+
+@pytest.mark.parametrize("argv", [
+    ["ablate", "--exclude", "academic"],
+    ["importance", "--model", "rf"],
+])
+def test_flag_the_command_cannot_honor_is_usage_error(fixture_dir, tmp_path, capsys, argv):
+    code = main([*argv, *_data_flags(fixture_dir), "--out", str(tmp_path)])
+    assert code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--seeds", "4x", "integers"),
+    ("--seeds", "42,42", "repeated seed"),
+    ("--seeds", "42,-1", "non-negative"),
+    ("--threads", "0", "at least 1"),
+    ("--threads", "-4", "at least 1"),
+])
+def test_bad_run_flag_is_one_line_usage_error(fixture_dir, tmp_path, capsys, flag, value, message):
+    code = main(["train", *_data_flags(fixture_dir), "--out", str(tmp_path), flag, value])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    error_lines = [line for line in err.splitlines() if "error:" in line]
+    assert len(error_lines) == 1
+    assert flag in error_lines[0] and message in error_lines[0]
+
+
+def test_ablate_model_flag_builds_single_model_grid(fixture_dir, tmp_path):
+    out = tmp_path / "out"
+    code = main(["ablate", *_data_flags(fixture_dir), "--model", "dt",
+                 "--out", str(out), *_fast_flags("42,43")])
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["ablation"]["models"] == ["DT"]
+    assert report["ablation"]["column_std_across_models"] == [0.0] * 5
+    assert {r["model"] for r in report["runs"]} == {"DT"}
+    assert len(report["runs"]) == 5 * 2
+    assert (out / "roc.svg").read_text().count("<polyline") == 1
+
+
+class _Counter:
+    """Wraps a function and counts its calls."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return self.fn(*args, **kwargs)
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Call counters on training and on CSV parsing, wherever it is called from."""
+    import dropcast.cli as cli
+    import dropcast.experiments as exp
+
+    train = _Counter(exp.train_model)
+    load = _Counter(exp.load_dataset)
+    monkeypatch.setattr(exp, "train_model", train)
+    monkeypatch.setattr(exp, "load_dataset", load)
+    monkeypatch.setattr(cli, "load_dataset", load)
+    return train, load
+
+
+@pytest.mark.parametrize("argv, fits", [
+    (["ablate"], 4 * 5 * 2),
+    (["ablate", "--model", "knn"], 1 * 5 * 2),
+    (["train", "--save-models"], 4 * 2),
+    (["train", "--model", "rf", "--exclude", "academic"], 1 * 2),
+    (["roc"], 4 * 2),
+    (["importance"], 2),
+    (["importance", "--exclude", "demographic"], 2),
+])
+def test_each_cell_trained_once_and_data_loaded_once(fixture_dir, tmp_path, counted, argv, fits):
+    train, load = counted
+    code = main([*argv, *_data_flags(fixture_dir), "--out", str(tmp_path), *_fast_flags("42,43")])
+    assert code == 0
+    assert train.calls == fits
+    assert load.calls == 1
+
+
+def test_ablate_svg_matches_roc_of_first_seed(fixture_dir, tmp_path):
+    ablate, roc = tmp_path / "ablate", tmp_path / "roc"
+    assert main(["ablate", *_data_flags(fixture_dir), "--out", str(ablate), *_fast_flags("42,43")]) == 0
+    assert main(["roc", *_data_flags(fixture_dir), "--out", str(roc), *_fast_flags("42")]) == 0
+    assert (ablate / "roc.svg").read_bytes() == (roc / "roc.svg").read_bytes()

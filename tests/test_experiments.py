@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dropcast.errors import InvalidArgumentError
 from dropcast.experiments import (
     ABLATION_COLUMNS,
     AblationReport,
@@ -64,7 +65,7 @@ def test_null_fixture_auc_near_half(null_fixture):
 
 
 def test_report_invariants(null_fixture):
-    from dropcast.metrics import trapezoid_area
+    from oracles import trapezoid_area
 
     data, manifest = null_fixture
     config = RunConfig(
@@ -126,7 +127,7 @@ class TestAblation:
     def test_run_scores_cover_grid(self, planted_report):
         report = planted_report
         assert len(report.runs) == 4 * 5 * len(report.seeds)
-        cells = {(r.model_label, r.column_label) for r in report.runs}
+        cells = {(r.model_kind, r.excluded_group) for r in report.runs}
         assert len(cells) == 20
 
     def test_ablation_reproducible(self, planted_fixture):
@@ -138,6 +139,29 @@ class TestAblation:
         a = run_ablation(config)
         b = run_ablation(config)
         assert np.array_equal(a.mean_auc, b.mean_auc)
+
+    def test_single_model_grid(self, planted_fixture):
+        data, manifest = planted_fixture
+        config = RunConfig(
+            data_path=data, manifest_path=manifest, seeds=(42, 43),
+            models=(ModelKind.DECISION_TREE,), hyperparams=small_hp(),
+        )
+        report = run_ablation(config)
+        assert report.model_labels == ("DT",)
+        assert report.mean_auc.shape == (1, 5)
+        assert np.array_equal(report.column_mean, report.mean_auc[0])
+        assert np.array_equal(report.column_std, np.zeros(5))
+        assert {r.model_kind for r in report.runs} == {ModelKind.DECISION_TREE}
+        assert len(report.runs) == 5 * 2
+
+    def test_excluded_group_is_rejected(self, planted_fixture):
+        data, manifest = planted_fixture
+        config = RunConfig(
+            data_path=data, manifest_path=manifest, seeds=(42,),
+            excluded_group=FeatureGroup.ACADEMIC, hyperparams=small_hp(),
+        )
+        with pytest.raises(InvalidArgumentError, match="excluded_group"):
+            run_ablation(config)
 
 
 def test_split_consistency_across_columns(null_fixture, monkeypatch):

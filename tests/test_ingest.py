@@ -16,10 +16,10 @@ from dropcast.ingest import (
     load_dataset,
     load_manifest,
     to_binary,
-    write_dataset_csv,
 )
 
 from conftest import write_rows
+from oracles import write_dataset_csv
 
 
 def test_default_manifest_counts():

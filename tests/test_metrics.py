@@ -7,12 +7,11 @@ from dropcast.metrics import (
     auc,
     forest_importance,
     roc_curve,
-    trapezoid_area,
 )
 from dropcast.models import HyperParams, train_random_forest
 
 from conftest import make_binary
-from oracles import pair_count_auc
+from oracles import pair_count_auc, trapezoid_area
 
 
 class TestRocCurve:

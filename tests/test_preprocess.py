@@ -8,10 +8,10 @@ from dropcast.preprocess import (
     exclude_group,
     fit_standardizer,
     split,
-    standardize_dataset,
 )
 
 from conftest import make_binary
+from oracles import standardize_dataset
 
 
 class TestSplit:

@@ -12,13 +12,14 @@ from dropcast.report import (
     SCHEMA_PATH,
     build_ablation_document,
     build_run_document,
-    read_ablation_csv,
     roc_csv_name,
     write_ablation_csv,
     write_json,
     write_roc_csv,
 )
 from dropcast.svg import render_roc_svg
+
+from oracles import read_ablation_csv
 
 
 @pytest.fixture(scope="module")

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from dropcast.models import HyperParams, score, train_decision_tree
-from dropcast.models.tree import build_tree, max_node_depth, tree_scores
+from dropcast.models.tree import build_tree, tree_scores
 
 from conftest import make_binary
 from oracles import (
     assert_strict_gini_decrease,
     enumerate_axis_splits,
     gini_fraction,
+    max_node_depth,
     walk_nodes_with_samples,
 )
 
