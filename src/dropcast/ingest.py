@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -167,8 +168,9 @@ def load_dataset(
     Feature columns are returned in manifest order regardless of file
     order. Header names are stripped of surrounding whitespace (some
     releases of the records file carry stray tabs in header cells).
-    Missing cells and unparsable cells are hard errors; there is no
-    imputation.
+    Missing, unparsable and non-finite (``nan``, ``inf``) cells are hard
+    errors; there is no imputation. A manifest column or ``Target``
+    named twice in the header is an error too.
     """
     with open(csv_path, encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle, delimiter=delimiter)
@@ -176,12 +178,13 @@ def load_dataset(
             header = next(reader)
         except StopIteration:
             raise MissingColumnError(TARGET_COLUMN) from None
-        positions = {name.strip(): i for i, name in enumerate(header)}
-        for name in manifest.column_names:
+        names = [name.strip() for name in header]
+        positions = {name: i for i, name in enumerate(names)}
+        for name in (*manifest.column_names, TARGET_COLUMN):
             if name not in positions:
                 raise MissingColumnError(name)
-        if TARGET_COLUMN not in positions:
-            raise MissingColumnError(TARGET_COLUMN)
+            if names.count(name) > 1:
+                raise DuplicateColumnError(f"column appears twice in header: {name!r}")
         feature_pos = [positions[name] for name in manifest.column_names]
         target_pos = positions[TARGET_COLUMN]
 
@@ -201,6 +204,10 @@ def load_dataset(
                     values.append(float(text))
                 except ValueError:
                     raise CellParseError(row_no, name, text) from None
+            if not math.isfinite(sum(values)):  # a nan or inf cell, or an overflowing sum
+                for name, pos, value in zip(manifest.column_names, feature_pos, values):
+                    if not math.isfinite(value):
+                        raise CellParseError(row_no, name, record[pos].strip())
             if target_pos >= len(record):
                 raise MissingValueError(row_no, TARGET_COLUMN)
             target_text = record[target_pos].strip()

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..rng import SeededRng
-from .tree import Tree, build_tree, tree_scores
+from .tree import Tree, _code_columns, _grow, tree_scores
 
 
 @dataclass(frozen=True)
@@ -52,22 +52,12 @@ def build_forest(
     k = candidate_count(n_features, feature_rule)
     subsample = k if k < n_features else None
     tree_seeds = tuple((seed ^ i) & 0xFFFFFFFFFFFFFFFF for i in range(n_trees))
+    coded = _code_columns(x, y)  # shared read-only by every tree and worker
 
     def grow(tree_seed: int) -> Tree:
         rng = SeededRng(tree_seed)
-        if bootstrap:
-            sample = rng.integers(n_rows, n_rows)
-        else:
-            sample = np.arange(n_rows, dtype=np.int64)
-        return build_tree(
-            x,
-            y,
-            sample_idx=sample,
-            max_depth=max_depth,
-            min_leaf=min_leaf,
-            n_candidates=subsample,
-            rng=rng,
-        )
+        sample = rng.integers(n_rows, n_rows) if bootstrap else None
+        return _grow(coded, sample, max_depth, min_leaf, subsample, rng)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -91,8 +91,10 @@ class _Reader:
         return line[len(prefix):].strip()
 
 
-def _read_tree(reader: _Reader) -> Tree:
+def _read_tree(reader: _Reader, n_features: int) -> Tree:
     n_nodes = int(reader.expect("tree "))
+    if n_nodes < 1:
+        raise InvalidArgumentError("malformed tree: no nodes")
     feature = np.empty(n_nodes, dtype=np.int64)
     threshold = np.empty(n_nodes, dtype=np.float64)
     left = np.empty(n_nodes, dtype=np.int64)
@@ -109,6 +111,14 @@ def _read_tree(reader: _Reader) -> Tree:
         pos_fraction[i] = float(parts[4])
         n_samples[i] = int(parts[5])
         n_positive[i] = int(parts[6])
+    # The builder appends children after their parent, so valid child
+    # indices only grow and scoring always ends at a leaf.
+    i = np.arange(n_nodes)
+    split_ok = (i < left) & (left < n_nodes) & (i < right) & (right < n_nodes)
+    ok = np.where(feature >= 0, split_ok, (left == -1) & (right == -1))
+    ok &= (feature >= -1) & (feature < n_features)
+    if not ok.all():
+        raise InvalidArgumentError(f"malformed tree: bad node {np.argmin(ok)}")
     return Tree(
         feature=feature, threshold=threshold, left=left, right=right,
         pos_fraction=pos_fraction, n_samples=n_samples, n_positive=n_positive,
@@ -133,11 +143,11 @@ def model_from_text(text: str) -> TrainedModel:
         raise InvalidArgumentError(f"bad standardizer mode: {mode!r}")
 
     if kind is ModelKind.DECISION_TREE:
-        payload = _read_tree(reader)
+        payload = _read_tree(reader, n_features)
     elif kind is ModelKind.RANDOM_FOREST:
         n_trees = int(reader.expect("trees "))
         tree_seeds = tuple(int(v) for v in reader.expect("tree_seeds ").split())
-        trees = tuple(_read_tree(reader) for _ in range(n_trees))
+        trees = tuple(_read_tree(reader, n_features) for _ in range(n_trees))
         payload = Forest(trees=trees, tree_seeds=tree_seeds)
     elif kind is ModelKind.LINEAR_SVM:
         weights = np.array([float(v) for v in reader.expect("weights ").split()])

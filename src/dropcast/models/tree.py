@@ -7,6 +7,17 @@ in exact integer arithmetic on class counts, so float rounding can
 never admit a zero-gain split. Ties between equal-impurity candidates
 break toward the lower feature index, then the lower threshold.
 
+The search runs on integer-coded columns, built once per training
+matrix and shared by every tree of a forest. A value's bin is its rank
+among its column's distinct values, numbered feature-major; a row's key
+is ``2 * bin + label``. Each node sorts its rows' keys per candidate
+feature: cuts are where the bin (``key >> 1``) changes and positive
+counts are prefix sums of bit 0. Scores and thresholds (midpoints of
+the two bins' values) are computed as from the raw values, so the
+coding changes no tree. With feature subsampling, ``rng`` is consumed
+in blocks of 64 subset draws, whose values and order are those of
+successive ``rng.subset`` calls.
+
 Leaves store the positive-class fraction of their training samples,
 which is the tree's score. Trees are flat parallel arrays; traversal is
 vectorized level by level.
@@ -57,58 +68,28 @@ def _strictly_improves(n: int, pos: int, left_n: int, left_pos: int) -> bool:
     return lhs < rhs
 
 
-def _best_split(
-    x: np.ndarray,
-    y: np.ndarray,
-    idx: np.ndarray,
-    candidates: np.ndarray,
-    min_leaf: int,
-):
-    """Best (feature, threshold, left_count, left_pos) over candidates.
+def _code_columns(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(keys, the value of each bin, labels) as described above; ``keys``
+    is a (features, rows) int64 matrix."""
+    x = np.asarray(x, dtype=np.float64)
+    if not np.isfinite(x).all():
+        raise ValueError("tree features must be finite")
+    y = np.asarray(y, dtype=np.int64)
+    if ((y != 0) & (y != 1)).any():
+        raise ValueError("tree labels must be 0 or 1")
+    keys, values = np.empty(x.shape[::-1], dtype=np.int64), [np.zeros(0)]
+    for f, column in enumerate(x.T):
+        distinct, bins = np.unique(column, return_inverse=True)
+        keys[f] = 2 * (bins + sum(map(len, values))) + y
+        values.append(distinct)
+    return keys, np.concatenate(values), y
 
-    Returns None when no candidate feature admits a valid split.
-    ``candidates`` must be sorted ascending: the argmin below scans
-    feature-major then position-major, which implements the
-    (feature index, threshold) tie-break.
-    """
-    m = idx.shape[0]
-    sub = x[np.ix_(idx, candidates)]
-    order = np.argsort(sub, axis=0, kind="stable")
-    sorted_vals = np.take_along_axis(sub, order, axis=0)
-    sorted_y = y[idx][order].astype(np.float64)
 
-    cum_pos = np.cumsum(sorted_y, axis=0)[:-1]  # positives left of each cut
-    left_n = np.arange(1, m, dtype=np.float64)[:, None]
-    total_pos = float(y[idx].sum())
-
-    valid = sorted_vals[:-1] < sorted_vals[1:]
-    if min_leaf > 1:
-        ok = (left_n >= min_leaf) & (m - left_n >= min_leaf)
-        valid = valid & ok
-    if not valid.any():
-        return None
-
-    right_n = m - left_n
-    left_pos = cum_pos
-    right_pos = total_pos - left_pos
-    left_neg = left_n - left_pos
-    right_neg = right_n - right_pos
-    # Weighted Gini * m, dropping the constant factor: lower is better.
-    score = (
-        left_n - (left_pos**2 + left_neg**2) / left_n
-        + right_n - (right_pos**2 + right_neg**2) / right_n
-    )
-    score = np.where(valid, score, np.inf)
-
-    flat = np.argmin(score.T)  # feature-major scan for tie-breaking
-    f_local, cut = divmod(flat, m - 1)
-    feature = int(candidates[f_local])
-    low = float(sorted_vals[cut, f_local])
-    high = float(sorted_vals[cut + 1, f_local])
-    threshold = (low + high) / 2.0
-    if threshold >= high:  # adjacent floats: midpoint may round up
-        threshold = low
-    return feature, threshold, int(cut + 1), int(round(cum_pos[cut, f_local]))
+def _subset_draws(rng: SeededRng, n_features: int, k: int):
+    """Successive ``rng.subset(n_features, k)`` results, drawn 64 at a time."""
+    while True:
+        raw = rng.uint64(64 * n_features).reshape(64, n_features)
+        yield from np.sort(np.argsort(raw, axis=1, kind="stable")[:, :k], axis=1)
 
 
 def build_tree(
@@ -128,79 +109,91 @@ def build_tree(
     features are candidates. Nodes are expanded depth-first, left child
     first, which fixes the rng consumption order.
     """
-    if sample_idx is None:
-        sample_idx = np.arange(x.shape[0], dtype=np.int64)
-    n_features = x.shape[1]
     if n_candidates is not None and rng is None:
         raise ValueError("feature subsampling requires an rng")
+    return _grow(_code_columns(x, y), sample_idx, max_depth, min_leaf, n_candidates, rng)
 
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    pos_fraction: list[float] = []
-    n_samples: list[int] = []
-    n_positive: list[int] = []
 
-    def new_node() -> int:
-        feature.append(_NO_NODE)
-        threshold.append(0.0)
-        left.append(_NO_NODE)
-        right.append(_NO_NODE)
-        pos_fraction.append(0.0)
-        n_samples.append(0)
-        n_positive.append(0)
-        return len(feature) - 1
+def _grow(coded, sample_idx, max_depth, min_leaf, n_candidates, rng) -> Tree:
+    """``build_tree`` on columns already coded by ``_code_columns``."""
+    keys, values, labels = coded
+    n_features, n_rows = keys.shape
+    if sample_idx is None:
+        sample_idx = np.arange(n_rows, dtype=np.int64)
+    if len(sample_idx) == 0:
+        raise ValueError("a tree needs at least one training row")
+    if n_candidates is not None and n_candidates < n_features:
+        subsets = _subset_draws(rng, n_features, n_candidates)
+    else:
+        subsets = None
 
-    root = new_node()
-    stack: list[tuple[int, np.ndarray, int]] = [(root, sample_idx, 0)]
+    # One [feature, threshold, left, right, n_samples, n_positive] row per
+    # node; a split fills in its first four and appends its two children.
+    nodes = [[_NO_NODE, 0.0, _NO_NODE, _NO_NODE, len(sample_idx), int(labels[sample_idx].sum())]]
+    stack = [(0, sample_idx, 0)]
     while stack:
         node, idx, depth = stack.pop()
-        m = idx.shape[0]
-        pos = int(y[idx].sum())
-        n_samples[node] = m
-        n_positive[node] = pos
-        pos_fraction[node] = pos / m
-
+        m, pos = nodes[node][4:]
         at_depth_limit = max_depth is not None and depth >= max_depth
         if at_depth_limit or pos == 0 or pos == m or m < 2 * min_leaf:
             continue
 
-        if n_candidates is not None and n_candidates < n_features:
-            candidates = rng.subset(n_features, n_candidates)
+        if subsets is None:
+            candidates = None
+            packed = keys[:, idx]
         else:
-            candidates = np.arange(n_features, dtype=np.int64)
-        found = _best_split(x, y, idx, candidates, min_leaf)
-        if found is None:
-            continue
-        feat, thr, left_count, left_pos = found
-        if not _strictly_improves(m, pos, left_count, left_pos):
+            candidates = next(subsets)
+            packed = keys[candidates[:, None], idx]
+        packed.sort(axis=1)
+        cuts = (packed[:, :-1] ^ packed[:, 1:]) > 1  # the bin changes
+        if min_leaf > 1:
+            cuts[:, : min_leaf - 1] = False
+            cuts[:, m - min_leaf :] = False
+        f_at, cut_at = cuts.nonzero()  # feature-major, for the tie-break
+        if f_at.size == 0:
             continue
 
-        go_left = x[idx, feat] <= thr
-        feature[node] = feat
-        threshold[node] = thr
-        left_id = new_node()
-        right_id = new_node()
-        left[node] = left_id
-        right[node] = right_id
+        # Weighted Gini * m, dropping the constant factor: lower is better.
+        left_pos = (packed & 1).cumsum(axis=1)[f_at, cut_at].astype(np.float64)
+        left_n = cut_at + 1.0
+        right_n = m - left_n
+        right_pos = pos - left_pos
+        left_neg = left_n - left_pos
+        right_neg = right_n - right_pos
+        score = (
+            left_n - (left_pos**2 + left_neg**2) / left_n
+            + right_n - (right_pos**2 + right_neg**2) / right_n
+        )
+        best = int(score.argmin())
+        f_local, cut = int(f_at[best]), int(cut_at[best])
+        left_count, left_pos_count = cut + 1, int(left_pos[best])
+        if not _strictly_improves(m, pos, left_count, left_pos_count):
+            continue
+
+        low_bin = int(packed[f_local, cut]) >> 1
+        low = float(values[low_bin])
+        high = float(values[packed[f_local, cut + 1] >> 1])
+        thr = (low + high) / 2.0
+        if thr >= high:  # adjacent floats: midpoint may round up
+            thr = low
+        feat = f_local if candidates is None else int(candidates[f_local])
+        go_left = keys[feat, idx] <= 2 * low_bin + 1
+        child = len(nodes)
+        nodes[node][:4] = feat, thr, child, child + 1
+        nodes.append([_NO_NODE, 0.0, _NO_NODE, _NO_NODE, left_count, left_pos_count])
+        nodes.append([_NO_NODE, 0.0, _NO_NODE, _NO_NODE, m - left_count, pos - left_pos_count])
         # Push right first so the left child is expanded first.
-        stack.append((right_id, idx[~go_left], depth + 1))
-        stack.append((left_id, idx[go_left], depth + 1))
+        stack.append((child + 1, idx[~go_left], depth + 1))
+        stack.append((child, idx[go_left], depth + 1))
 
-    tree = Tree(
-        feature=np.array(feature, dtype=np.int64),
-        threshold=np.array(threshold, dtype=np.float64),
-        left=np.array(left, dtype=np.int64),
-        right=np.array(right, dtype=np.int64),
-        pos_fraction=np.array(pos_fraction, dtype=np.float64),
-        n_samples=np.array(n_samples, dtype=np.int64),
-        n_positive=np.array(n_positive, dtype=np.int64),
+    feature, threshold, left, right, n_samples, n_positive = (
+        np.array(column, dtype=np.float64 if i == 1 else np.int64)
+        for i, column in enumerate(zip(*nodes))
     )
-    for arr in (tree.feature, tree.threshold, tree.left, tree.right,
-                tree.pos_fraction, tree.n_samples, tree.n_positive):
+    arrays = (feature, threshold, left, right, n_positive / n_samples, n_samples, n_positive)
+    for arr in arrays:
         arr.setflags(write=False)
-    return tree
+    return Tree(*arrays)
 
 
 def tree_scores(tree: Tree, x: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 
 from dropcast.ingest import TARGET_COLUMN, BinaryDataset, Dataset
 from dropcast.metrics import RocCurve
-from dropcast.models.tree import Tree
+from dropcast.models.tree import Tree, _strictly_improves
 from dropcast.preprocess import Standardizer, apply_standardizer
 
 
@@ -85,6 +85,91 @@ def assert_strict_gini_decrease(tree, x: np.ndarray, y: np.ndarray,
         assert weighted < parent
         checked += 1
     return checked
+
+
+def _reference_best_split(x, y, idx, candidates, min_leaf):
+    """Best (feature, threshold, left_count, left_pos) over candidates,
+    by a float argsort of the node's rows; None when no cut is valid."""
+    m = idx.shape[0]
+    sub = x[np.ix_(idx, candidates)]
+    order = np.argsort(sub, axis=0, kind="stable")
+    sorted_vals = np.take_along_axis(sub, order, axis=0)
+    sorted_y = y[idx][order].astype(np.float64)
+
+    cum_pos = np.cumsum(sorted_y, axis=0)[:-1]  # positives left of each cut
+    left_n = np.arange(1, m, dtype=np.float64)[:, None]
+    total_pos = float(y[idx].sum())
+
+    valid = sorted_vals[:-1] < sorted_vals[1:]
+    if min_leaf > 1:
+        valid = valid & (left_n >= min_leaf) & (m - left_n >= min_leaf)
+    if not valid.any():
+        return None
+
+    right_n = m - left_n
+    left_pos = cum_pos
+    right_pos = total_pos - left_pos
+    left_neg = left_n - left_pos
+    right_neg = right_n - right_pos
+    score = (
+        left_n - (left_pos**2 + left_neg**2) / left_n
+        + right_n - (right_pos**2 + right_neg**2) / right_n
+    )
+    score = np.where(valid, score, np.inf)
+
+    flat = np.argmin(score.T)  # feature-major scan for tie-breaking
+    f_local, cut = divmod(flat, m - 1)
+    low = float(sorted_vals[cut, f_local])
+    high = float(sorted_vals[cut + 1, f_local])
+    threshold = (low + high) / 2.0
+    if threshold >= high:
+        threshold = low
+    return int(candidates[f_local]), threshold, int(cut + 1), int(round(cum_pos[cut, f_local]))
+
+
+def reference_build_tree(x, y, sample_idx=None, max_depth=None, min_leaf=1,
+                         n_candidates=None, rng=None) -> Tree:
+    """The CART grower as first written: per node, argsort the raw float
+    values of every candidate column and draw one ``rng.subset`` per
+    split, depth-first, left child first. ``build_tree`` must return
+    the same arrays for the same arguments."""
+    if sample_idx is None:
+        sample_idx = np.arange(x.shape[0], dtype=np.int64)
+    n_features = x.shape[1]
+    nodes: list[list] = []  # feature, threshold, left, right, pos_fraction, n, pos
+
+    def new_node() -> int:
+        nodes.append([-1, 0.0, -1, -1, 0.0, 0, 0])
+        return len(nodes) - 1
+
+    stack = [(new_node(), sample_idx, 0)]
+    while stack:
+        node, idx, depth = stack.pop()
+        m = idx.shape[0]
+        pos = int(y[idx].sum())
+        nodes[node][4:] = [pos / m, m, pos]
+        at_depth_limit = max_depth is not None and depth >= max_depth
+        if at_depth_limit or pos == 0 or pos == m or m < 2 * min_leaf:
+            continue
+        if n_candidates is not None and n_candidates < n_features:
+            candidates = rng.subset(n_features, n_candidates)
+        else:
+            candidates = np.arange(n_features, dtype=np.int64)
+        found = _reference_best_split(x, y, idx, candidates, min_leaf)
+        if found is None:
+            continue
+        feat, thr, left_count, left_pos = found
+        if not _strictly_improves(m, pos, left_count, left_pos):
+            continue
+        go_left = x[idx, feat] <= thr
+        left_id, right_id = new_node(), new_node()
+        nodes[node][:4] = [feat, thr, left_id, right_id]
+        stack.append((right_id, idx[~go_left], depth + 1))
+        stack.append((left_id, idx[go_left], depth + 1))
+
+    columns = list(zip(*nodes))
+    dtypes = (np.int64, np.float64, np.int64, np.int64, np.float64, np.int64, np.int64)
+    return Tree(*(np.array(c, dtype=d) for c, d in zip(columns, dtypes)))
 
 
 def pair_count_auc(scores, labels) -> float:

@@ -45,6 +45,21 @@ def test_missing_file_is_runtime_error(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+
+def test_non_finite_cell_is_one_line_runtime_error(fixture_dir, tmp_path, capsys):
+    lines = (fixture_dir / "data.csv").read_text().splitlines()
+    cells = lines[3].split(";")
+    cells[0] = "nan"
+    lines[3] = ";".join(cells)
+    data = tmp_path / "nan.csv"
+    data.write_text("\n".join(lines) + "\n")
+    code = main(["train", "--data", str(data), "--manifest", str(fixture_dir / "manifest.tsv"),
+                 "--model", "rf", "--out", str(tmp_path / "out"), *_fast_flags()])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("dropcast: error: cannot parse cell at data row 3")
+    assert err.count("\n") == 1
+
 def test_train_writes_roc_csv_and_report(fixture_dir, tmp_path):
     out = tmp_path / "out"
     code = main([

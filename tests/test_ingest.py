@@ -141,6 +141,44 @@ def test_load_dataset_cell_parse_error(tmp_path, small_manifest):
     assert err.value.column == "Age"
 
 
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-Infinity", " NaN ", "1e999"])
+def test_load_dataset_rejects_non_finite_cell(tmp_path, small_manifest, text):
+    path = tmp_path / "d.csv"
+    write_rows(
+        path,
+        ["Age", "Debt", "GDP", "Target"],
+        [["20", "1", "1.5", "Dropout"], ["21", "0", text, "Graduate"]],
+    )
+    with pytest.raises(CellParseError) as err:
+        load_dataset(path, small_manifest)
+    assert (err.value.row, err.value.column) == (2, "GDP")
+    assert repr(text.strip()) in str(err.value)
+
+
+def test_load_dataset_accepts_cells_whose_sum_overflows(tmp_path, small_manifest):
+    path = tmp_path / "d.csv"
+    write_rows(path, ["Age", "Debt", "GDP", "Target"], [["1e308", "1e308", "0", "Dropout"]])
+    assert load_dataset(path, small_manifest).feature_matrix[0, :2].tolist() == [1e308, 1e308]
+
+
+@pytest.mark.parametrize("header", [
+    ["Age", "Debt", "GDP", "Target", "Debt"],
+    ["Age", "Target", "Debt", "GDP", " Target"],
+])
+def test_load_dataset_rejects_repeated_header_name(tmp_path, small_manifest, header):
+    path = tmp_path / "d.csv"
+    write_rows(path, header, [["20", "1", "1.5", "Dropout", "2"]])
+    with pytest.raises(DuplicateColumnError):
+        load_dataset(path, small_manifest)
+
+
+def test_load_dataset_ignores_repeated_unused_header_name(tmp_path, small_manifest):
+    path = tmp_path / "d.csv"
+    write_rows(path, ["Age", "Debt", "GDP", "Target", "Note", "Note"],
+               [["20", "1", "1.5", "Dropout", "a", "b"]])
+    assert load_dataset(path, small_manifest).feature_matrix.tolist() == [[20.0, 1.0, 1.5]]
+
 def test_load_dataset_missing_value(tmp_path, small_manifest):
     path = tmp_path / "d.csv"
     write_rows(

@@ -71,3 +71,36 @@ def test_truncated_text_rejected(training_data):
     text = model_to_text(model)
     with pytest.raises(InvalidArgumentError):
         model_from_text("\n".join(text.splitlines()[:2]))
+
+
+def _tree_text(*node_lines: str, n_features: int = 2) -> str:
+    return "\n".join([
+        "dropcast-model 1", "kind dt", f"n_features {n_features}", "standardizer none",
+        f"tree {len(node_lines)}", *node_lines,
+    ]) + "\n"
+
+
+def test_well_formed_tree_text_loads():
+    text = _tree_text("1 0.5 1 2 0.5 4 2", "-1 0.0 -1 -1 0.0 2 0", "-1 0.0 -1 -1 1.0 2 2")
+    model = model_from_text(text)
+    assert score(model, np.array([[0.0, 0.0], [0.0, 1.0]])).tolist() == [0.0, 1.0]
+
+
+@pytest.mark.parametrize("nodes", [
+    # two-node cycle: scoring would follow 0 -> 1 -> 0 forever
+    ("0 0.5 1 1 0.5 4 2", "0 0.5 0 0 0.5 2 1"),
+    # child index outside (parent, n_nodes)
+    ("0 0.5 1 3 0.5 4 2", "-1 0.0 -1 -1 0.0 2 0", "-1 0.0 -1 -1 1.0 2 2"),
+    ("0 0.5 0 2 0.5 4 2", "-1 0.0 -1 -1 0.0 2 0", "-1 0.0 -1 -1 1.0 2 2"),
+    # leaf in `feature` with children, and a split without them
+    ("-1 0.5 1 2 0.5 4 2", "-1 0.0 -1 -1 0.0 2 0", "-1 0.0 -1 -1 1.0 2 2"),
+    ("0 0.5 -1 -1 0.5 4 2",),
+    # feature index past the model's width, and below the leaf marker
+    ("2 0.5 1 2 0.5 4 2", "-1 0.0 -1 -1 0.0 2 0", "-1 0.0 -1 -1 1.0 2 2"),
+    ("-2 0.5 -1 -1 0.5 4 2",),
+    # no root
+    (),
+])
+def test_malformed_tree_rejected(nodes):
+    with pytest.raises(InvalidArgumentError, match="malformed tree"):
+        model_from_text(_tree_text(*nodes))

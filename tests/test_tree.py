@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dropcast.models import HyperParams, score, train_decision_tree
-from dropcast.models.tree import build_tree, tree_scores
+from dropcast.models.forest import build_forest
+from dropcast.models.tree import _subset_draws, build_tree, tree_scores
+from dropcast.rng import SeededRng
 
 from conftest import make_binary
 from oracles import (
@@ -10,6 +14,7 @@ from oracles import (
     enumerate_axis_splits,
     gini_fraction,
     max_node_depth,
+    reference_build_tree,
     walk_nodes_with_samples,
 )
 
@@ -165,3 +170,74 @@ class TestInvariance:
         model = train_decision_tree(ds, HyperParams())
         out = score(model, rng.normal(size=(30, 3)))
         assert ((out >= 0.0) & (out <= 1.0)).all()
+
+
+TREE_ARRAYS = ("feature", "threshold", "left", "right", "pos_fraction", "n_samples", "n_positive")
+
+
+@st.composite
+def tree_problems(draw):
+    """Small (x, y, build_tree kwargs, rng seed) with ties, duplicates and limits."""
+    n = draw(st.integers(2, 60))
+    p = draw(st.integers(1, 7))
+    seed = draw(st.integers(0, 2**32 - 1))
+    g = np.random.default_rng(seed)
+    if draw(st.booleans()):  # integer codes: many ties
+        x = g.integers(0, draw(st.integers(1, 6)), size=(n, p)).astype(float)
+    else:  # continuous values, rounded to a grid so that some still tie
+        x = np.round(g.normal(size=(n, p)) * 10.0, draw(st.integers(0, 3)))
+    y = g.integers(0, 2, size=n)
+    kwargs = {
+        "sample_idx": g.integers(0, n, size=n) if draw(st.booleans()) else None,
+        "max_depth": draw(st.one_of(st.none(), st.integers(1, 5))),
+        "min_leaf": draw(st.integers(0, 4)),
+        "n_candidates": draw(st.one_of(st.none(), st.integers(1, p))),
+    }
+    return x, y, kwargs, seed
+
+
+class TestAgainstReferenceGrower:
+    @settings(max_examples=300, deadline=None)
+    @given(tree_problems())
+    def test_every_array_equals_the_reference(self, problem):
+        x, y, kwargs, seed = problem
+        # Each grower draws from its own stream at the same seed.
+        tree = build_tree(x, y, **kwargs, rng=SeededRng(seed))
+        reference = reference_build_tree(x, y, **kwargs, rng=SeededRng(seed))
+        for name in TREE_ARRAYS:
+            assert np.array_equal(getattr(tree, name), getattr(reference, name)), name
+
+    def test_forest_trees_equal_the_reference(self):
+        rng = np.random.default_rng(27)
+        x = rng.integers(0, 8, size=(120, 9)).astype(float)
+        y = (x[:, 0] + rng.normal(size=120) > 4).astype(int)
+        forest = build_forest(x, y, n_trees=12, seed=42)
+        for tree, tree_seed in zip(forest.trees, forest.tree_seeds):
+            stream = SeededRng(tree_seed)
+            sample = stream.integers(120, 120)
+            reference = reference_build_tree(x, y, sample, n_candidates=3, rng=stream)
+            for name in TREE_ARRAYS:
+                assert np.array_equal(getattr(tree, name), getattr(reference, name)), name
+
+    @pytest.mark.parametrize("n_features, k", [(1, 1), (5, 2), (34, 6), (36, 6), (9, 9)])
+    def test_batched_subsets_equal_successive_subset_calls(self, n_features, k):
+        draws = _subset_draws(SeededRng(11), n_features, k)
+        stream = SeededRng(11)
+        for _ in range(150):  # crosses two 64-draw blocks
+            assert np.array_equal(next(draws), stream.subset(n_features, k))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_builders_reject_non_finite_features(bad):
+    x = np.arange(12, dtype=float).reshape(6, 2)
+    x[3, 1] = bad
+    y = np.array([0, 1, 0, 1, 0, 1])
+    with pytest.raises(ValueError, match="finite"):
+        build_tree(x, y)
+    with pytest.raises(ValueError, match="finite"):
+        build_forest(x, y, n_trees=2, seed=1)
+
+
+def test_builder_rejects_empty_sample():
+    with pytest.raises(ValueError, match="training row"):
+        build_tree(np.zeros((3, 2)), np.array([0, 1, 0]), sample_idx=np.zeros(0, dtype=np.int64))
