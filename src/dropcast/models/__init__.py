@@ -177,7 +177,8 @@ def score(model: TrainedModel, rows: np.ndarray) -> np.ndarray:
     """One score per row; higher means more dropout-like.
 
     ``rows`` are raw (unstandardized) feature values; the model applies
-    its own standardizer when it carries one.
+    its own standardizer when it carries one. A row with a ``nan`` or
+    infinite value is rejected with ``InvalidArgumentError``.
     """
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim == 1 and rows.size == 0:
@@ -186,6 +187,11 @@ def score(model: TrainedModel, rows: np.ndarray) -> np.ndarray:
         got = rows.shape[1] if rows.ndim == 2 else None
         raise WidthMismatchError(
             f"model fitted on {model.n_features} features, rows have {got}"
+        )
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        raise InvalidArgumentError(
+            f"row {int(np.argmin(finite))} has a non-finite feature value; scoring needs finite rows"
         )
     if model.standardizer is not None:
         rows = apply_standardizer(model.standardizer, rows)

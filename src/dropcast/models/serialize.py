@@ -3,7 +3,7 @@
 A reproducibility-audit format, not a stability-guaranteed interchange
 format: floats are written with ``repr`` so a round trip reproduces the
 model bit for bit. Line-oriented; the first line names the format and
-version.
+version. Malformed text raises ``InvalidArgumentError``.
 """
 
 from __future__ import annotations
@@ -104,6 +104,8 @@ def _read_tree(reader: _Reader, n_features: int) -> Tree:
     n_positive = np.empty(n_nodes, dtype=np.int64)
     for i in range(n_nodes):
         parts = reader.next().split()
+        if len(parts) != 7:
+            raise InvalidArgumentError(f"malformed tree: node {i} has {len(parts)} fields, not 7")
         feature[i] = int(parts[0])
         threshold[i] = float(parts[1])
         left[i] = int(parts[2])
@@ -127,6 +129,15 @@ def _read_tree(reader: _Reader, n_features: int) -> Tree:
 
 def model_from_text(text: str) -> TrainedModel:
     reader = _Reader(text)
+    try:
+        return _read_model(reader)
+    except ValueError as exc:
+        raise InvalidArgumentError(
+            f"malformed model text at line {reader.pos}: {exc}"
+        ) from None
+
+
+def _read_model(reader: _Reader) -> TrainedModel:
     if reader.next() != _MAGIC:
         raise InvalidArgumentError("not a dropcast model text (bad magic line)")
     kind = ModelKind(reader.expect("kind "))
@@ -164,8 +175,17 @@ def model_from_text(text: str) -> TrainedModel:
         train_y = np.empty(n_rows, dtype=np.float64)
         for i in range(n_rows):
             xs, label = reader.next().split(" | ")
-            train_x[i] = [float(v) for v in xs.split()]
+            cells = [float(v) for v in xs.split()]
+            if len(cells) != n_features:
+                raise InvalidArgumentError(
+                    f"malformed k-NN model: row {i} has {len(cells)} values, not {n_features}"
+                )
+            train_x[i] = cells
             train_y[i] = float(label)
+        if not 1 <= k <= n_rows:
+            raise InvalidArgumentError(f"malformed k-NN model: k {k} outside [1, {n_rows}]")
+        if not (np.isfinite(train_x).all() and np.isfinite(train_y).all()):
+            raise InvalidArgumentError("malformed k-NN model: non-finite training value")
         payload = KnnModel(train_x=train_x, train_y=train_y, k=k)
 
     return TrainedModel(kind=kind, n_features=n_features, payload=payload,

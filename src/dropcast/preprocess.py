@@ -44,14 +44,20 @@ class Standardizer:
 
 def split(n_rows: int, test_fraction: float, seed: int) -> SplitIndices:
     """Seeded uniform split; the first round(test_fraction * n) rows of
-    the permutation become the test set. Rounding is half-up.
+    the permutation become the test set. Rounding is half-up, and a
+    fraction that rounds to an empty test or training set is rejected.
     """
     if not 0.0 < test_fraction < 1.0:
         raise InvalidFractionError(f"test_fraction must be in (0, 1), got {test_fraction}")
     if n_rows < 2:
         raise InvalidArgumentError(f"need at least 2 rows to split, got {n_rows}")
-    perm = SeededRng(seed).permutation(n_rows)
     n_test = int(math.floor(test_fraction * n_rows + 0.5))
+    if n_test in (0, n_rows):
+        empty = "test" if n_test == 0 else "training"
+        raise InvalidFractionError(
+            f"test_fraction {test_fraction} of {n_rows} rows leaves an empty {empty} set"
+        )
+    perm = SeededRng(seed).permutation(n_rows)
     test_rows = perm[:n_test].copy()
     train_rows = perm[n_test:].copy()
     test_rows.setflags(write=False)

@@ -20,6 +20,7 @@ from dropcast.ingest import FeatureGroup
 from dropcast.metrics import auc, forest_importance, roc_curve
 from dropcast.models import HyperParams, score, train_random_forest
 from dropcast.models.forest import build_forest
+import dropcast.models.knn as knn_mod
 from dropcast.models.knn import knn_scores, train_knn
 from dropcast.models.tree import build_tree
 from dropcast.preprocess import split
@@ -307,6 +308,34 @@ class TestCriterion5:
                 mismatches += 1
         ok = mismatches == 0
         verdict(5, "KNN brute-force oracle", ok, f"8 fixtures <=200 rows, {mismatches} mismatches")
+        assert ok
+
+    def test_knn_matches_brute_force_oracle_on_continuous_features(self, verdict, monkeypatch):
+        # 9-40 standardized features, where numpy's pairwise sums and a
+        # Gram-form distance round differently; queries span several blocks
+        rng = np.random.default_rng(1005)
+        monkeypatch.setattr(knn_mod, "_CHUNK_ELEMENTS", 1000)
+        mismatches = 0
+        for trial in range(8):
+            n = int(rng.integers(100, 201))
+            p = int(rng.integers(9, 41))
+            data = rng.normal(size=(n + 30, p))
+            data = (data - data.mean(axis=0)) / data.std(axis=0)
+            x, queries = data[:n], data[n:]
+            if trial % 2:  # permutations of one vector: near-ties at the origin
+                v = rng.normal(size=p)
+                x = np.array([rng.permutation(v) for _ in range(n)])
+                queries[:3] = 0.0
+            y = rng.integers(0, 2, size=n).astype(float)
+            k = int(rng.integers(1, 21))
+            model = train_knn(x, y, k=k)
+            if not np.array_equal(
+                knn_scores(model, queries), brute_force_knn_scores(x, y, queries, k)
+            ):
+                mismatches += 1
+        ok = mismatches == 0
+        verdict(5, "KNN oracle, continuous features", ok,
+                f"8 fixtures, p 9-40, {mismatches} mismatches")
         assert ok
 
     def test_forest_thread_bit_identity(self, verdict):

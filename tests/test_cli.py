@@ -60,6 +60,17 @@ def test_non_finite_cell_is_one_line_runtime_error(fixture_dir, tmp_path, capsys
     assert err.startswith("dropcast: error: cannot parse cell at data row 3")
     assert err.count("\n") == 1
 
+def test_test_fraction_leaving_empty_test_set_is_one_line_error(fixture_dir, tmp_path, capsys):
+    code = main(["train", "--data", str(fixture_dir / "data.csv"),
+                 "--manifest", str(fixture_dir / "manifest.tsv"), "--model", "knn",
+                 "--test-fraction", "0.0001", "--out", str(tmp_path / "out"), *_fast_flags()])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("dropcast: error: test_fraction 0.0001 of ")
+    assert "rows leaves an empty test set" in err
+    assert err.count("\n") == 1
+
+
 def test_train_writes_roc_csv_and_report(fixture_dir, tmp_path):
     out = tmp_path / "out"
     code = main([

@@ -82,3 +82,17 @@ def test_empty_training_set_rejected():
     ds = make_binary(np.zeros((0, 3)), [])
     with pytest.raises(InvalidArgumentError):
         train_model(ModelKind.DECISION_TREE, ds, HyperParams())
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_score_rejects_non_finite_rows(kind, bad):
+    rng = np.random.default_rng(71)
+    x = rng.normal(size=(30, 3))
+    ds = make_binary(x, (x[:, 0] > 0).astype(int))
+    model = train_model(kind, ds, HyperParams(forest_n_trees=3, svm_epochs=5, knn_k=20))
+    rows = rng.normal(size=(4, 3))
+    rows[2, 1] = bad
+    with pytest.raises(InvalidArgumentError, match="row 2 has a non-finite") as info:
+        score(model, rows)
+    assert "\n" not in str(info.value)

@@ -52,6 +52,13 @@ class TestSplit:
         with pytest.raises(InvalidFractionError):
             split(10, 1.0, seed=1)
 
+    def test_fraction_rounding_to_an_empty_set(self):
+        with pytest.raises(InvalidFractionError, match="0.0001 of 3970 rows leaves an empty test set"):
+            split(3970, 0.0001, seed=1)
+        with pytest.raises(InvalidFractionError, match="0.96 of 10 rows leaves an empty training set"):
+            split(10, 0.96, seed=1)
+        assert len(split(10, 0.05, seed=1).test_rows) == 1  # round(0.5) -> 1
+
 
 class TestStandardizer:
     def test_constant_column_flagged(self):

@@ -100,7 +100,54 @@ def test_well_formed_tree_text_loads():
     ("-2 0.5 -1 -1 0.5 4 2",),
     # no root
     (),
+    # too few and too many fields
+    ("1 0.5 1",),
+    ("-1 0.0 -1 -1 0.0 2 0 9",),
 ])
 def test_malformed_tree_rejected(nodes):
     with pytest.raises(InvalidArgumentError, match="malformed tree"):
         model_from_text(_tree_text(*nodes))
+
+
+@pytest.mark.parametrize("text", [
+    _tree_text("x 0.5 -1 -1 0.5 4 2"),
+    _tree_text("-1 half -1 -1 0.5 4 2"),
+    _tree_text("-1 0.0 -1 -1 0.0 2 0").replace("tree 1", "tree x"),
+    "dropcast-model 1\nkind zz\n",
+], ids=["node-feature", "node-threshold", "tree-count", "kind"])
+def test_non_numeric_or_unknown_field_rejected(text):
+    with pytest.raises(InvalidArgumentError, match="malformed model text at line"):
+        model_from_text(text)
+
+
+def _knn_text(rows, k="2", n_features=2) -> str:
+    return "\n".join([
+        "dropcast-model 1", "kind knn", f"n_features {n_features}", "standardizer none",
+        f"k {k}", f"train_rows {len(rows)}", *rows,
+    ]) + "\n"
+
+
+GOOD_KNN_ROWS = ("0.0 0.0 | 1.0", "1.0 1.0 | 0.0", "2.0 2.0 | 0.0")
+
+
+def test_well_formed_knn_text_loads():
+    model = model_from_text(_knn_text(GOOD_KNN_ROWS))
+    assert score(model, np.array([[0.0, 0.1]])).tolist() == [0.5]
+
+
+@pytest.mark.parametrize("rows, k", [
+    (("0.0 0.0 1.0",) + GOOD_KNN_ROWS[1:], "2"),  # no " | "
+    (("0.0 zero | 1.0",) + GOOD_KNN_ROWS[1:], "2"),  # non-numeric cell
+    (("0.0 0.0 | one",) + GOOD_KNN_ROWS[1:], "2"),  # non-numeric label
+    (("0.0 | 1.0",) + GOOD_KNN_ROWS[1:], "2"),  # one cell for two features
+    (("0.0 0.0 0.0 | 1.0",) + GOOD_KNN_ROWS[1:], "2"),
+    (GOOD_KNN_ROWS, "two"),
+    (GOOD_KNN_ROWS, "0"),  # k outside [1, train_rows]
+    (GOOD_KNN_ROWS, "4"),
+    (("nan 0.0 | 1.0",) + GOOD_KNN_ROWS[1:], "2"),  # non-finite cells
+    (("0.0 inf | 1.0",) + GOOD_KNN_ROWS[1:], "2"),
+    (("0.0 0.0 | nan",) + GOOD_KNN_ROWS[1:], "2"),
+])
+def test_malformed_knn_text_rejected(rows, k):
+    with pytest.raises(InvalidArgumentError, match="malformed"):
+        model_from_text(_knn_text(rows, k=k))
