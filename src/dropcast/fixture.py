@@ -76,21 +76,15 @@ def generate_fixture(
     labels = parent.child().uniforms(n_rows) < p_dropout
     enrolled = parent.child().uniforms(n_rows) < ENROLLED_SHARE
 
-    lines = [";".join(list(manifest.column_names) + ["Target"])]
-    for i in range(n_rows):
-        cells = []
-        for values, (_, group) in zip(columns, manifest.entries):
-            if group is FeatureGroup.MACROECONOMIC:
-                cells.append(f"{values[i]:.2f}")
-            else:
-                cells.append(str(int(values[i])))
-        if enrolled[i]:
-            cells.append("Enrolled")
-        elif labels[i]:
-            cells.append("Dropout")
+    cells = []  # one list of cell texts per column
+    for values, (_, group) in zip(columns, manifest.entries):
+        if group is FeatureGroup.MACROECONOMIC:
+            cells.append([f"{v:.2f}" for v in values.tolist()])
         else:
-            cells.append("Graduate")
-        lines.append(";".join(cells))
+            cells.append(list(map(str, values.astype(np.int64).tolist())))
+    cells.append(np.where(enrolled, "Enrolled", np.where(labels, "Dropout", "Graduate")).tolist())
+    lines = [";".join(list(manifest.column_names) + ["Target"])]
+    lines.extend(map(";".join, zip(*cells)))
 
     Path(csv_path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
     shutil.copyfile(default_manifest_path("default-34"), manifest_path)

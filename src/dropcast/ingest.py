@@ -6,15 +6,26 @@ column holding one of ``Dropout``, ``Graduate``, ``Enrolled``. Feature
 columns are assigned to one of four groups (demographic, socioeconomic,
 macroeconomic, academic) by an external manifest file so that schema
 variants of the records file can be mapped without code changes.
+
+``load_dataset`` parses the records in blocks of ``_BLOCK_ROWS``: per
+block one width check, one ``itemgetter`` pass that picks the manifest
+columns and ``Target``, one ``float`` conversion of every picked cell
+into a numpy array, one finiteness check and one ``Target`` lookup. A
+block that fails any of these is checked again row by row and cell by
+cell (``_locate_error``), only to name its first bad cell, so the error,
+its data-row number and its text are those of a plain row loop.
 """
 
 from __future__ import annotations
 
 import csv
 import enum
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -28,6 +39,10 @@ from .errors import (
 )
 
 TARGET_COLUMN = "Target"
+
+# Data records parsed per block; only a block holding a bad cell is
+# checked again cell by cell, to name that cell.
+_BLOCK_ROWS = 4096
 
 _MANIFEST_DIR = Path(__file__).parent / "manifests"
 
@@ -50,6 +65,9 @@ class Outcome(enum.Enum):
     DROPOUT = "Dropout"
     GRADUATE = "Graduate"
     ENROLLED = "Enrolled"
+
+
+_OUTCOMES = {outcome.value: outcome for outcome in Outcome}
 
 
 @dataclass(frozen=True)
@@ -170,8 +188,11 @@ def load_dataset(
     releases of the records file carry stray tabs in header cells).
     Missing, unparsable and non-finite (``nan``, ``inf``) cells are hard
     errors; there is no imputation. A manifest column or ``Target``
-    named twice in the header is an error too.
+    named twice in the header is an error too. The error names the
+    first bad cell in file order, by data row (blank lines count) and
+    column.
     """
+    columns = manifest.column_names
     with open(csv_path, encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle, delimiter=delimiter)
         try:
@@ -180,50 +201,103 @@ def load_dataset(
             raise MissingColumnError(TARGET_COLUMN) from None
         names = [name.strip() for name in header]
         positions = {name: i for i, name in enumerate(names)}
-        for name in (*manifest.column_names, TARGET_COLUMN):
+        for name in (*columns, TARGET_COLUMN):
             if name not in positions:
                 raise MissingColumnError(name)
             if names.count(name) > 1:
                 raise DuplicateColumnError(f"column appears twice in header: {name!r}")
-        feature_pos = [positions[name] for name in manifest.column_names]
+        feature_pos = [positions[name] for name in columns]
         target_pos = positions[TARGET_COLUMN]
 
-        rows: list[list[float]] = []
+        pick = operator.itemgetter(*feature_pos, target_pos)
+        width = max(feature_pos + [target_pos]) + 1
+        blocks: list[np.ndarray] = []
         outcomes: list[Outcome] = []
-        for row_no, record in enumerate(reader, start=1):
-            if not record:
-                continue
-            values = []
-            for name, pos in zip(manifest.column_names, feature_pos):
-                if pos >= len(record):
-                    raise MissingValueError(row_no, name)
-                text = record[pos].strip()
-                if not text:
-                    raise MissingValueError(row_no, name)
-                try:
-                    values.append(float(text))
-                except ValueError:
-                    raise CellParseError(row_no, name, text) from None
-            if not math.isfinite(sum(values)):  # a nan or inf cell, or an overflowing sum
-                for name, pos, value in zip(manifest.column_names, feature_pos, values):
-                    if not math.isfinite(value):
-                        raise CellParseError(row_no, name, record[pos].strip())
-            if target_pos >= len(record):
-                raise MissingValueError(row_no, TARGET_COLUMN)
-            target_text = record[target_pos].strip()
-            try:
-                outcomes.append(Outcome(target_text))
-            except ValueError:
-                raise CellParseError(row_no, TARGET_COLUMN, target_text) from None
-            rows.append(values)
+        first_row = 1
+        while block := list(itertools.islice(reader, _BLOCK_ROWS)):
+            records = [record for record in block if record]
+            parsed = _parse_block(records, pick, width, float)
+            if parsed is None:
+                _locate_error(block, first_row, columns, feature_pos, target_pos)
+                # No cell is bad once stripped: str.strip() removes the
+                # separators \x1c-\x1f from a cell's edges, float() does not.
+                parsed = _parse_block(records, pick, width, _stripped_float)
+            blocks.append(parsed[0])
+            outcomes.extend(parsed[1])
+            first_row += len(block)
 
-    matrix = np.array(rows, dtype=np.float64).reshape(len(rows), len(manifest.entries))
+    matrix = np.concatenate(blocks or [np.empty(0)]).reshape(len(outcomes), len(columns))
     return Dataset(
         feature_matrix=_freeze(matrix),
-        column_names=manifest.column_names,
+        column_names=columns,
         column_groups=manifest.column_groups,
         outcomes=tuple(outcomes),
     )
+
+
+def _stripped_float(cell: str) -> float:
+    return float(cell.strip())
+
+
+def _parse_block(
+    records: list[list[str]],
+    pick: operator.itemgetter,
+    width: int,
+    to_float: Callable[[str], float],
+) -> tuple[np.ndarray, list[Outcome]] | None:
+    """The block's feature cells, row-major, and its outcomes; None if
+    any record is short or any cell is bad."""
+    if not records:
+        return np.empty(0), []
+    if min(map(len, records)) < width:
+        return None
+    cells = list(itertools.chain.from_iterable(map(pick, records)))
+    stride = len(cells) // len(records)  # the features, then Target
+    targets = cells[stride - 1 :: stride]
+    del cells[stride - 1 :: stride]
+    try:
+        values = np.fromiter(map(to_float, cells), dtype=np.float64, count=len(cells))
+        outcomes = list(map(_OUTCOMES.__getitem__, map(str.strip, targets)))
+    except (ValueError, KeyError):
+        return None
+    if not np.isfinite(values).all():
+        return None
+    return values, outcomes
+
+
+def _locate_error(
+    block: list[list[str]],
+    first_row: int,
+    columns: tuple[str, ...],
+    feature_pos: list[int],
+    target_pos: int,
+) -> None:
+    """Raise the error for the block's first bad cell: rows in file
+    order; within a row, missing or unparsable feature cells in manifest
+    order, then non-finite ones, then ``Target``. Return if every cell
+    is good once stripped."""
+    for row_no, record in enumerate(block, start=first_row):
+        if not record:
+            continue
+        values = []
+        for name, pos in zip(columns, feature_pos):
+            if pos >= len(record):
+                raise MissingValueError(row_no, name)
+            text = record[pos].strip()
+            if not text:
+                raise MissingValueError(row_no, name)
+            try:
+                values.append(float(text))
+            except ValueError:
+                raise CellParseError(row_no, name, text) from None
+        for name, pos, value in zip(columns, feature_pos, values):
+            if not math.isfinite(value):
+                raise CellParseError(row_no, name, record[pos].strip())
+        if target_pos >= len(record):
+            raise MissingValueError(row_no, TARGET_COLUMN)
+        target_text = record[target_pos].strip()
+        if target_text not in _OUTCOMES:
+            raise CellParseError(row_no, TARGET_COLUMN, target_text)
 
 
 def to_binary(dataset: Dataset) -> BinaryDataset:

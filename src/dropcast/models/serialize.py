@@ -149,6 +149,15 @@ def _read_model(reader: _Reader) -> TrainedModel:
         mean = np.array([float(v) for v in reader.expect("mean ").split()])
         std = np.array([float(v) for v in reader.expect("std ").split()])
         constant = np.array([bool(int(v)) for v in reader.expect("constant ").split()])
+        if not len(mean) == len(std) == len(constant) == n_features:
+            raise InvalidArgumentError(
+                f"malformed standardizer: mean/std/constant have {len(mean)}/{len(std)}/"
+                f"{len(constant)} values, not {n_features}"
+            )
+        if not (np.isfinite(mean).all() and np.isfinite(std).all() and (std > 0).all()):
+            raise InvalidArgumentError(
+                "malformed standardizer: a mean is not finite or a std is not finite and positive"
+            )
         standardizer = Standardizer(mean=mean, std=std, constant=constant)
     elif mode != "none":
         raise InvalidArgumentError(f"bad standardizer mode: {mode!r}")
@@ -162,9 +171,16 @@ def _read_model(reader: _Reader) -> TrainedModel:
         payload = Forest(trees=trees, tree_seeds=tree_seeds)
     elif kind is ModelKind.LINEAR_SVM:
         weights = np.array([float(v) for v in reader.expect("weights ").split()])
+        bias = float(reader.expect("bias "))
+        if len(weights) != n_features:
+            raise InvalidArgumentError(
+                f"malformed SVM model: {len(weights)} weights, not {n_features}"
+            )
+        if not (np.isfinite(weights).all() and np.isfinite(bias)):
+            raise InvalidArgumentError("malformed SVM model: non-finite weight or bias")
         payload = LinearSvm(
             weights=weights,
-            bias=float(reader.expect("bias ")),
+            bias=bias,
             objective=float(reader.expect("objective ")),
             epochs=int(reader.expect("epochs ")),
         )

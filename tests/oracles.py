@@ -10,13 +10,22 @@ produces; only the tests need them.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from dropcast.ingest import TARGET_COLUMN, BinaryDataset, Dataset
+from dropcast.errors import CellParseError, DuplicateColumnError, MissingColumnError, MissingValueError
+from dropcast.ingest import (
+    TARGET_COLUMN,
+    BinaryDataset,
+    Dataset,
+    GroupManifest,
+    Outcome,
+    _freeze,
+)
 from dropcast.metrics import RocCurve
 from dropcast.models.tree import Tree, _strictly_improves
 from dropcast.preprocess import Standardizer, apply_standardizer
@@ -219,6 +228,74 @@ def standardize_dataset(dataset: BinaryDataset, standardizer: Standardizer) -> B
     matrix = apply_standardizer(standardizer, dataset.feature_matrix)
     matrix.setflags(write=False)
     return replace(dataset, feature_matrix=matrix)
+
+
+def reference_load_dataset(
+    csv_path: str | Path, manifest: GroupManifest, delimiter: str = ";"
+) -> Dataset:
+    """Parse the records CSV against a manifest, one row and one cell at
+    a time: the loader ``load_dataset`` replaced, kept verbatim as the
+    reference for its results and its errors.
+
+    Feature columns are returned in manifest order regardless of file
+    order. Header names are stripped of surrounding whitespace (some
+    releases of the records file carry stray tabs in header cells).
+    Missing, unparsable and non-finite (``nan``, ``inf``) cells are hard
+    errors; there is no imputation. A manifest column or ``Target``
+    named twice in the header is an error too.
+    """
+    with open(csv_path, encoding="utf-8-sig", newline="") as handle:
+        reader = csv.reader(handle, delimiter=delimiter)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise MissingColumnError(TARGET_COLUMN) from None
+        names = [name.strip() for name in header]
+        positions = {name: i for i, name in enumerate(names)}
+        for name in (*manifest.column_names, TARGET_COLUMN):
+            if name not in positions:
+                raise MissingColumnError(name)
+            if names.count(name) > 1:
+                raise DuplicateColumnError(f"column appears twice in header: {name!r}")
+        feature_pos = [positions[name] for name in manifest.column_names]
+        target_pos = positions[TARGET_COLUMN]
+
+        rows: list[list[float]] = []
+        outcomes: list[Outcome] = []
+        for row_no, record in enumerate(reader, start=1):
+            if not record:
+                continue
+            values = []
+            for name, pos in zip(manifest.column_names, feature_pos):
+                if pos >= len(record):
+                    raise MissingValueError(row_no, name)
+                text = record[pos].strip()
+                if not text:
+                    raise MissingValueError(row_no, name)
+                try:
+                    values.append(float(text))
+                except ValueError:
+                    raise CellParseError(row_no, name, text) from None
+            if not math.isfinite(sum(values)):  # a nan or inf cell, or an overflowing sum
+                for name, pos, value in zip(manifest.column_names, feature_pos, values):
+                    if not math.isfinite(value):
+                        raise CellParseError(row_no, name, record[pos].strip())
+            if target_pos >= len(record):
+                raise MissingValueError(row_no, TARGET_COLUMN)
+            target_text = record[target_pos].strip()
+            try:
+                outcomes.append(Outcome(target_text))
+            except ValueError:
+                raise CellParseError(row_no, TARGET_COLUMN, target_text) from None
+            rows.append(values)
+
+    matrix = np.array(rows, dtype=np.float64).reshape(len(rows), len(manifest.entries))
+    return Dataset(
+        feature_matrix=_freeze(matrix),
+        column_names=manifest.column_names,
+        column_groups=manifest.column_groups,
+        outcomes=tuple(outcomes),
+    )
 
 
 def write_dataset_csv(

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,17 @@ def test_same_arguments_identical_bytes(tmp_path):
                          planted_group=FeatureGroup.SOCIOECONOMIC, signal_strength=2.0)
     assert a_csv.read_bytes() == b_csv.read_bytes()
     assert a_man.read_bytes() == b_man.read_bytes()
+
+
+def test_small_fixture_bytes_are_pinned(tmp_path):
+    # Digest of `dropcast fixture --rows 50 --seed 7 --planted-group academic
+    # --strength 3.0` as written by the original row-by-row formatter.
+    csv_path = tmp_path / "fixture.csv"
+    generate_fixture(csv_path, tmp_path / "m.tsv", n_rows=50, seed=7,
+                     planted_group=FeatureGroup.ACADEMIC, signal_strength=3.0)
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == (
+        "ed5502b92682d5eeb8f17ad74cfa97728e93aa1eedcb2356857d684438cd06c8"
+    )
 
 
 def test_different_seed_different_bytes(tmp_path):

@@ -1,8 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dropcast import ingest
 from dropcast.errors import (
     CellParseError,
+    DropcastError,
     DuplicateColumnError,
     EmptyResultError,
     ManifestParseError,
@@ -11,6 +17,7 @@ from dropcast.errors import (
 )
 from dropcast.ingest import (
     FeatureGroup,
+    GroupManifest,
     Outcome,
     default_manifest_path,
     load_dataset,
@@ -19,7 +26,7 @@ from dropcast.ingest import (
 )
 
 from conftest import write_rows
-from oracles import write_dataset_csv
+from oracles import reference_load_dataset, write_dataset_csv
 
 
 def test_default_manifest_counts():
@@ -292,3 +299,138 @@ def test_matrices_are_immutable(tmp_path, small_manifest):
     ds = load_dataset(path, small_manifest)
     with pytest.raises(ValueError):
         ds.feature_matrix[0, 0] = 99.0
+
+
+@pytest.mark.parametrize("block_rows", [3, ingest._BLOCK_ROWS])
+def test_error_row_numbers_count_blank_lines(tmp_path, small_manifest, block_rows):
+    good = "20;1;1.5;Dropout"
+    # Two blank lines open the first block; the second block opens with
+    # a bad cell, so it is data row block_rows + 1.
+    lines = ["", ""] + [good] * (block_rows - 2) + ["20;x;1.5;Dropout", good]
+    path = tmp_path / "d.csv"
+    path.write_text("Age;Debt;GDP;Target\n" + "\n".join(lines) + "\n")
+    with mock.patch.object(ingest, "_BLOCK_ROWS", block_rows):
+        with pytest.raises(CellParseError) as err:
+            load_dataset(path, small_manifest)
+    assert (err.value.row, err.value.column) == (block_rows + 1, "Debt")
+    # A gap of blank lines inside a block counts too.
+    path.write_text("Age;Debt;GDP;Target\n" + good + "\n\n\n20;1;;Dropout\n")
+    with mock.patch.object(ingest, "_BLOCK_ROWS", block_rows):
+        with pytest.raises(MissingValueError) as err:
+            load_dataset(path, small_manifest)
+    assert str(err.value) == "missing value at data row 4, column 'GDP'"
+
+
+def test_cells_padded_with_separator_characters_load(tmp_path, small_manifest):
+    # str.strip() removes \x1c-\x1f, which float() does not skip.
+    path = tmp_path / "d.csv"
+    path.write_text("Age;Debt;GDP;Target\n20\x1c;\x1f1;1.5;Dropout\n")
+    ds = load_dataset(path, small_manifest)
+    assert ds.feature_matrix.tolist() == [[20.0, 1.0, 1.5]]
+
+
+# --- the block loader against the row-by-row reference ----------------------
+
+COLUMNS = ("Age", "Debt", "GDP")
+GOOD_CELLS = st.one_of(
+    st.integers(-10**6, 10**6).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["1_000", "+3", "-0.0", ".5", "5.", "1E-3", "1e308"]),
+)
+BAD_CELLS = st.sampled_from(
+    ["", "  ", "x", "nan", " NaN ", "inf", "-Infinity", "1e999", "1__0", "1;2", "\x1c"]
+)
+PADDING = st.sampled_from(["", "", " ", "\t", "  "])
+SEPARATOR_PADDING = st.sampled_from(["", "", " ", "\t", "\x1c", " \x1f"])
+GOOD_TARGETS = st.sampled_from([o.value for o in Outcome])
+BAD_TARGETS = st.sampled_from(["dropout", "", "Unknown", " "])
+
+
+@st.composite
+def padded(draw, cells, padding):
+    return draw(padding) + draw(cells) + draw(padding)
+
+
+def _quote(cell: str) -> str:
+    return '"' + cell.replace('"', '""') + '"'
+
+
+@st.composite
+def records_files(draw, with_errors=True):
+    """(manifest, file bytes): a header in any column order, data rows
+    with padded (in some files by \\x1c-\\x1f), underscored and quoted
+    cells, blank lines, an optional BOM and, if ``with_errors``, short
+    rows and bad cells."""
+    chosen = draw(st.lists(st.sampled_from(COLUMNS), min_size=1, max_size=3, unique=True))
+    manifest = GroupManifest(
+        entries=tuple((name, FeatureGroup.ACADEMIC) for name in chosen), version_tag="t"
+    )
+    header = draw(st.permutations(list(COLUMNS) + ["Target", "Note"]))
+    error_rate = draw(st.sampled_from([0.0, 0.05, 0.2])) if with_errors else 0.0
+    padding = draw(st.sampled_from([PADDING, SEPARATOR_PADDING]))
+    lines = [[draw(padded(st.just(name), PADDING)) for name in header]]
+    for _ in range(draw(st.integers(0, 24))):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append([])  # a blank line
+            continue
+        # Bad cells come in bad rows, often several to a row.
+        bad_row = draw(st.floats(0, 1)) < error_rate
+        row = []
+        for name in header:
+            bad = bad_row and draw(st.booleans())
+            if name == "Target":
+                cells = BAD_TARGETS if bad else GOOD_TARGETS
+            elif name == "Note":
+                cells = st.text(st.characters(codec="utf-8", exclude_characters="\x00"), max_size=3)
+            else:
+                cells = BAD_CELLS if bad else GOOD_CELLS
+            row.append(draw(padded(cells, padding)))
+        if bad_row and draw(st.booleans()):
+            row = row[: draw(st.integers(0, len(row) - 1))]  # a short row
+        lines.append(row)
+    text = draw(st.sampled_from(["\n", "\r\n"])).join(
+        ";".join(
+            _quote(cell) if draw(st.booleans()) or any(c in cell for c in ';"\r\n') else cell
+            for cell in line
+        )
+        for line in lines
+    ) + "\n"
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return manifest, (bom + text).encode("utf-8")
+
+
+def _outcome(loader, path, manifest):
+    """What a loader makes of a file: the exact matrix and outcomes, or
+    the error's type and message."""
+    try:
+        ds = loader(path, manifest)
+    except DropcastError as exc:
+        return type(exc), str(exc)
+    matrix = ds.feature_matrix
+    return matrix.dtype, matrix.shape, matrix.tobytes(), ds.outcomes
+
+
+@settings(max_examples=300, deadline=None)
+@given(records_files(), st.integers(1, 7))
+def test_block_loader_matches_reference(tmp_path_factory, case, block_rows):
+    manifest, data = case
+    path = tmp_path_factory.mktemp("records") / "d.csv"
+    path.write_bytes(data)
+    with mock.patch.object(ingest, "_BLOCK_ROWS", block_rows):
+        got = _outcome(load_dataset, path, manifest)
+    assert got == _outcome(reference_load_dataset, path, manifest)
+
+
+@settings(max_examples=100, deadline=None)
+@given(records_files(with_errors=False), st.integers(1, 7))
+def test_load_write_load_round_trip(tmp_path_factory, case, block_rows):
+    manifest, data = case
+    folder = tmp_path_factory.mktemp("round-trip")
+    (folder / "d.csv").write_bytes(data)
+    with mock.patch.object(ingest, "_BLOCK_ROWS", block_rows):
+        first = load_dataset(folder / "d.csv", manifest)
+        write_dataset_csv(first, folder / "out.csv")
+        second = load_dataset(folder / "out.csv", manifest)
+    assert first.feature_matrix.tobytes() == second.feature_matrix.tobytes()
+    assert first.feature_matrix.shape == second.feature_matrix.shape
+    assert first.outcomes == second.outcomes

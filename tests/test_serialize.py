@@ -151,3 +151,50 @@ def test_well_formed_knn_text_loads():
 def test_malformed_knn_text_rejected(rows, k):
     with pytest.raises(InvalidArgumentError, match="malformed"):
         model_from_text(_knn_text(rows, k=k))
+
+
+def _svm_text(weights="0.5 -0.5", bias="0.25", mean="0.0 1.0", std="1.0 2.0",
+              constant="0 0", n_features=2) -> str:
+    return "\n".join([
+        "dropcast-model 1", "kind svc", f"n_features {n_features}", "standardizer fitted",
+        f"mean {mean}", f"std {std}", f"constant {constant}",
+        f"weights {weights}", f"bias {bias}", "objective 1.5", "epochs 3",
+    ]) + "\n"
+
+
+def test_well_formed_svm_text_loads():
+    model = model_from_text(_svm_text())
+    # standardized row (1, -0.5): 0.5 + 0.25 + 0.25
+    assert score(model, np.array([[1.0, 0.0]])).tolist() == [1.0]
+
+
+@pytest.mark.parametrize("fields", [
+    dict(mean="0.0"),  # standardizer vectors not of length n_features
+    dict(std="1.0 2.0 3.0"),
+    dict(constant="0"),
+    dict(mean="0.0 1.0 2.0", std="1.0 2.0 3.0", constant="0 0 0"),
+    dict(std="1.0 0.0"),  # a zero, negative or non-finite deviation
+    dict(std="-1.0 2.0"),
+    dict(std="1.0 inf"),
+    dict(std="nan 2.0"),
+    dict(mean="nan 1.0"),
+], ids=["mean-short", "std-long", "constant-short", "all-three-long",
+        "std-zero", "std-negative", "std-inf", "std-nan", "mean-nan"])
+def test_malformed_standardizer_rejected(fields):
+    with pytest.raises(InvalidArgumentError, match="malformed standardizer"):
+        model_from_text(_svm_text(**fields))
+
+
+@pytest.mark.parametrize("fields", [
+    dict(weights="0.5 -0.5 1.0"),  # weights not of length n_features
+    dict(weights="0.5"),
+    dict(weights=""),
+    dict(weights="0.5 nan"),  # a non-finite weight or bias
+    dict(weights="inf -0.5"),
+    dict(bias="nan"),
+    dict(bias="-inf"),
+], ids=["weights-long", "weights-short", "weights-empty", "weight-nan", "weight-inf",
+        "bias-nan", "bias-inf"])
+def test_malformed_svm_rejected(fields):
+    with pytest.raises(InvalidArgumentError, match="malformed SVM model"):
+        model_from_text(_svm_text(**fields))
