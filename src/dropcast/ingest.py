@@ -68,6 +68,8 @@ class Outcome(enum.Enum):
 
 
 _OUTCOMES = {outcome.value: outcome for outcome in Outcome}
+# to_binary's codes: a kept row's label is its code, Enrolled rows are dropped.
+_BINARY_CODES = {Outcome.GRADUATE: 0, Outcome.DROPOUT: 1, Outcome.ENROLLED: 2}
 
 
 @dataclass(frozen=True)
@@ -305,14 +307,16 @@ def to_binary(dataset: Dataset) -> BinaryDataset:
 
     Relative row order is preserved.
     """
-    keep = [i for i, o in enumerate(dataset.outcomes) if o is not Outcome.ENROLLED]
-    if not keep:
-        raise EmptyResultError("no Dropout or Graduate rows in dataset")
-    labels = np.array(
-        [1 if dataset.outcomes[i] is Outcome.DROPOUT else 0 for i in keep],
+    codes = np.fromiter(
+        map(_BINARY_CODES.__getitem__, dataset.outcomes),
         dtype=np.int64,
+        count=len(dataset.outcomes),
     )
-    matrix = dataset.feature_matrix[np.array(keep, dtype=np.int64)]
+    keep = np.flatnonzero(codes != _BINARY_CODES[Outcome.ENROLLED])
+    if keep.size == 0:
+        raise EmptyResultError("no Dropout or Graduate rows in dataset")
+    labels = codes[keep]
+    matrix = dataset.feature_matrix[keep]
     return BinaryDataset(
         feature_matrix=_freeze(matrix),
         column_names=dataset.column_names,

@@ -1,9 +1,11 @@
 """Random forest: bagged CART trees with per-split feature subsets.
 
 Tree ``i`` draws its bootstrap sample and all of its split-time feature
-subsets from a generator seeded with ``seed XOR i``, so the forest is a
-pure function of (data, hyperparameters) no matter how many worker
-threads build it or in what order trees finish.
+subsets from a generator seeded with ``seed XOR i``. Trees are grown in
+contiguous groups of ``_GROUP_TREES``, the trees of a group in lockstep
+(see ``tree``); worker threads map over the groups. No tree's stream
+depends on which other trees share its group or on how many threads run,
+so the forest is a pure function of (data, hyperparameters).
 """
 
 from __future__ import annotations
@@ -11,11 +13,16 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from ..rng import SeededRng
-from .tree import Tree, _code_columns, _grow, tree_scores
+from .tree import Tree, _code_columns, _grow_trees, tree_scores
+
+# Trees grown in lockstep by one call; the group bounds the memory of a
+# growth step, and it is the unit of work of a worker thread.
+_GROUP_TREES = 25
 
 
 @dataclass(frozen=True)
@@ -54,17 +61,20 @@ def build_forest(
     tree_seeds = tuple((seed ^ i) & 0xFFFFFFFFFFFFFFFF for i in range(n_trees))
     coded = _code_columns(x, y)  # shared read-only by every tree and worker
 
-    def grow(tree_seed: int) -> Tree:
-        rng = SeededRng(tree_seed)
-        sample = rng.integers(n_rows, n_rows) if bootstrap else None
-        return _grow(coded, sample, max_depth, min_leaf, subsample, rng)
+    def grow(first: int) -> list[Tree]:
+        group = []
+        for tree_seed in tree_seeds[first : first + _GROUP_TREES]:
+            rng = SeededRng(tree_seed)
+            group.append((rng.integers(n_rows, n_rows) if bootstrap else None, rng))
+        return _grow_trees(coded, group, max_depth, min_leaf, subsample)
 
+    firsts = range(0, n_trees, _GROUP_TREES)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            trees = tuple(pool.map(grow, tree_seeds))
+            groups = list(pool.map(grow, firsts))
     else:
-        trees = tuple(grow(s) for s in tree_seeds)
-    return Forest(trees=trees, tree_seeds=tree_seeds)
+        groups = [grow(first) for first in firsts]
+    return Forest(trees=tuple(chain.from_iterable(groups)), tree_seeds=tree_seeds)
 
 
 def forest_scores(forest: Forest, x: np.ndarray) -> np.ndarray:

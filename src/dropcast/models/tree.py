@@ -10,12 +10,28 @@ break toward the lower feature index, then the lower threshold.
 The search runs on integer-coded columns, built once per training
 matrix and shared by every tree of a forest. A value's bin is its rank
 among its column's distinct values, numbered feature-major; a row's key
-is ``2 * bin + label``. Each node sorts its rows' keys per candidate
-feature: cuts are where the bin (``key >> 1``) changes and positive
-counts are prefix sums of bit 0. Scores and thresholds (midpoints of
-the two bins' values) are computed as from the raw values, so the
-coding changes no tree. With feature subsampling, ``rng`` is consumed
-in blocks of 64 subset draws, whose values and order are those of
+is ``2 * bin + label``. Scores and thresholds (midpoints of the two
+bins' values) are computed as from the raw values, so the coding
+changes no tree.
+
+Trees grow in lockstep. Each tree keeps its own depth-first stack,
+left child first, and its own subset stream; at each step every tree
+pops its next node that may split and draws that node's feature subset,
+so a tree's draws and nodes come in the order a lone tree would make
+them. All popped nodes are then searched by one set of numpy calls: a
+node's rows are gathered once per candidate feature, tagged with the
+node's index above the key bits (``node << shift | key``) and sorted
+together. Because bins are numbered feature-major and subsets are drawn
+sorted, each node's keys sort candidate by candidate, in candidate
+order, and within a candidate by threshold, so the first minimum of a
+node's scores in sorted order is its tie-break winner. Cuts are where
+the bin (``key >> 1``) changes inside one candidate's run; positive
+counts are prefix sums of bit 0. Only each node's winner is put to the
+exact test, and the winners' rows are partitioned stably in place. A
+step's nodes are searched in chunks of at most ``_CHUNK_ELEMENTS``
+(node, candidate, row) elements, which bounds its memory; a larger node
+is searched alone. With feature subsampling, ``rng`` is consumed in
+blocks of 64 subset draws, whose values and order are those of
 successive ``rng.subset`` calls.
 
 Leaves store the positive-class fraction of their training samples,
@@ -25,6 +41,8 @@ vectorized level by level.
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +50,10 @@ import numpy as np
 from ..rng import SeededRng
 
 _NO_NODE = -1
+
+# At most this many (node, candidate feature, row) elements are searched
+# by one set of numpy calls; a single node with more is searched alone.
+_CHUNK_ELEMENTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -92,6 +114,18 @@ def _subset_draws(rng: SeededRng, n_features: int, k: int):
         yield from np.sort(np.argsort(raw, axis=1, kind="stable")[:, :k], axis=1)
 
 
+def _key_shift(n_nodes: int, n_bins: int) -> int:
+    """Bit position of the node index in the sort key ``node << shift | key``.
+
+    Keys are below ``2 * n_bins``. Raises OverflowError when the key of
+    node ``n_nodes - 1`` would not fit in an int64.
+    """
+    shift = (2 * n_bins - 1).bit_length()
+    if n_nodes << shift > 1 << 63:
+        raise OverflowError(f"{n_nodes} nodes over {n_bins} bins overflow an int64 sort key")
+    return shift
+
+
 def build_tree(
     x: np.ndarray,
     y: np.ndarray,
@@ -111,89 +145,230 @@ def build_tree(
     """
     if n_candidates is not None and rng is None:
         raise ValueError("feature subsampling requires an rng")
-    return _grow(_code_columns(x, y), sample_idx, max_depth, min_leaf, n_candidates, rng)
+    coded = _code_columns(x, y)
+    return _grow_trees(coded, [(sample_idx, rng)], max_depth, min_leaf, n_candidates)[0]
 
 
-def _grow(coded, sample_idx, max_depth, min_leaf, n_candidates, rng) -> Tree:
-    """``build_tree`` on columns already coded by ``_code_columns``."""
+class _Growing:
+    """One tree mid-growth: per-node counts, split records, the stack of
+    (node, start, size, positives, depth) nodes still to visit, and the
+    tree's subset stream (None when every feature is a candidate)."""
+
+    __slots__ = ("n_samples", "n_positive", "split_node", "split_feature", "split_threshold",
+                 "stack", "subsets")
+
+    def __init__(self, start: int, size: int, positives: int, subsets):
+        self.n_samples, self.n_positive = array("q", [size]), array("q", [positives])
+        self.split_node, self.split_feature = array("q"), array("q")
+        self.split_threshold = array("d")
+        self.stack = [(0, start, size, positives, 0)]
+        self.subsets = subsets
+
+    def tree(self) -> Tree:
+        n_samples = np.array(self.n_samples, dtype=np.int64)
+        n_positive = np.array(self.n_positive, dtype=np.int64)
+        split = np.array(self.split_node, dtype=np.int64)
+        feature = np.full(n_samples.shape, _NO_NODE, dtype=np.int64)
+        feature[split] = self.split_feature
+        threshold = np.zeros(n_samples.shape)
+        threshold[split] = self.split_threshold
+        # The i-th split appended nodes 2i + 1 and 2i + 2 as its children.
+        left = np.full(n_samples.shape, _NO_NODE, dtype=np.int64)
+        left[split] = 2 * np.arange(split.size) + 1
+        right = np.full(n_samples.shape, _NO_NODE, dtype=np.int64)
+        right[split] = left[split] + 1
+        arrays = (feature, threshold, left, right, n_positive / n_samples, n_samples, n_positive)
+        for arr in arrays:
+            arr.setflags(write=False)
+        return Tree(*arrays)
+
+
+def _grow_trees(coded, trees, max_depth, min_leaf, n_candidates) -> list[Tree]:
+    """One ``Tree`` per (sample_idx, rng) of ``trees``, grown in lockstep
+    on columns coded by ``_code_columns``; each equals the tree
+    ``build_tree`` would grow alone from the same arguments."""
     keys, values, labels = coded
     n_features, n_rows = keys.shape
-    if sample_idx is None:
-        sample_idx = np.arange(n_rows, dtype=np.int64)
-    if len(sample_idx) == 0:
+    subsample = n_candidates is not None and n_candidates < n_features
+    k = n_candidates if subsample else n_features
+    shift = _key_shift(len(trees), len(values))
+    depth_limit = math.inf if max_depth is None else max_depth
+
+    # Every tree's rows, one range per tree; each node owns a subrange,
+    # which its split partitions stably in place, left rows first.
+    samples = [
+        np.arange(n_rows, dtype=np.int64) if idx is None else np.asarray(idx, dtype=np.int64)
+        for idx, _ in trees
+    ]
+    if any(len(sample) == 0 for sample in samples):
         raise ValueError("a tree needs at least one training row")
-    if n_candidates is not None and n_candidates < n_features:
-        subsets = _subset_draws(rng, n_features, n_candidates)
-    else:
-        subsets = None
+    order = np.concatenate(samples)
+    states, start = [], 0
+    for sample, (_, rng) in zip(samples, trees):
+        subsets = _subset_draws(rng, n_features, k) if subsample else None
+        states.append(_Growing(start, len(sample), int(labels[sample].sum()), subsets))
+        start += len(sample)
+    del samples
+    every_feature = np.arange(n_features)
 
-    # One [feature, threshold, left, right, n_samples, n_positive] row per
-    # node; a split fills in its first four and appends its two children.
-    nodes = [[_NO_NODE, 0.0, _NO_NODE, _NO_NODE, len(sample_idx), int(labels[sample_idx].sum())]]
-    stack = [(0, sample_idx, 0)]
-    while stack:
-        node, idx, depth = stack.pop()
-        m, pos = nodes[node][4:]
-        at_depth_limit = max_depth is not None and depth >= max_depth
-        if at_depth_limit or pos == 0 or pos == m or m < 2 * min_leaf:
-            continue
+    growing = states
+    while growing:
+        batch = []  # (tree, node, start, size, positives, depth, candidates)
+        for state in growing:
+            stack = state.stack
+            while stack:
+                node, start, size, positives, depth = entry = stack.pop()
+                if depth < depth_limit and 0 < positives < size and size >= 2 * min_leaf:
+                    subset = every_feature if state.subsets is None else next(state.subsets)
+                    batch.append((state, *entry, subset))
+                    break
 
-        if subsets is None:
-            candidates = None
-            packed = keys[:, idx]
-        else:
-            candidates = next(subsets)
-            packed = keys[candidates[:, None], idx]
-        packed.sort(axis=1)
-        cuts = (packed[:, :-1] ^ packed[:, 1:]) > 1  # the bin changes
-        if min_leaf > 1:
-            cuts[:, : min_leaf - 1] = False
-            cuts[:, m - min_leaf :] = False
-        f_at, cut_at = cuts.nonzero()  # feature-major, for the tie-break
-        if f_at.size == 0:
-            continue
+        for lo, hi in _chunks([entry[3] * k for entry in batch]):
+            splits = []  # (start, size, feature, low bin, left size)
+            found = _search(keys, values, order, batch[lo:hi], min_leaf, shift)
+            for i, feature, thr, left_size, left_pos, low_bin in zip(*found):
+                state, node, start, size, positives, depth, _ = batch[lo + i]
+                if not _strictly_improves(size, positives, left_size, left_pos):
+                    continue
+                child = len(state.n_samples)
+                state.split_node.append(node)
+                state.split_feature.append(feature)
+                state.split_threshold.append(thr)
+                state.n_samples.extend((left_size, size - left_size))
+                state.n_positive.extend((left_pos, positives - left_pos))
+                # Push right first so the left child is expanded first.
+                state.stack.append((child + 1, start + left_size, size - left_size,
+                                    positives - left_pos, depth + 1))
+                state.stack.append((child, start, left_size, left_pos, depth + 1))
+                splits.append((start, size, feature, low_bin, left_size))
+            if splits:
+                _partition(keys, order, *np.array(splits, dtype=np.int64).T)
+        growing = [state for state in growing if state.stack]
+    return [state.tree() for state in states]
 
-        # Weighted Gini * m, dropping the constant factor: lower is better.
-        left_pos = (packed & 1).cumsum(axis=1)[f_at, cut_at].astype(np.float64)
-        left_n = cut_at + 1.0
-        right_n = m - left_n
-        right_pos = pos - left_pos
-        left_neg = left_n - left_pos
-        right_neg = right_n - right_pos
-        score = (
-            left_n - (left_pos**2 + left_neg**2) / left_n
-            + right_n - (right_pos**2 + right_neg**2) / right_n
-        )
-        best = int(score.argmin())
-        f_local, cut = int(f_at[best]), int(cut_at[best])
-        left_count, left_pos_count = cut + 1, int(left_pos[best])
-        if not _strictly_improves(m, pos, left_count, left_pos_count):
-            continue
 
-        low_bin = int(packed[f_local, cut]) >> 1
-        low = float(values[low_bin])
-        high = float(values[packed[f_local, cut + 1] >> 1])
-        thr = (low + high) / 2.0
-        if thr >= high:  # adjacent floats: midpoint may round up
-            thr = low
-        feat = f_local if candidates is None else int(candidates[f_local])
-        go_left = keys[feat, idx] <= 2 * low_bin + 1
-        child = len(nodes)
-        nodes[node][:4] = feat, thr, child, child + 1
-        nodes.append([_NO_NODE, 0.0, _NO_NODE, _NO_NODE, left_count, left_pos_count])
-        nodes.append([_NO_NODE, 0.0, _NO_NODE, _NO_NODE, m - left_count, pos - left_pos_count])
-        # Push right first so the left child is expanded first.
-        stack.append((child + 1, idx[~go_left], depth + 1))
-        stack.append((child, idx[go_left], depth + 1))
+def _chunks(elements: list[int]):
+    """(lo, hi) runs of consecutive nodes of at most ``_CHUNK_ELEMENTS``
+    elements each; a node with more forms a run of its own."""
+    lo, total = 0, 0
+    for i, count in enumerate(elements):
+        if i > lo and total + count > _CHUNK_ELEMENTS:
+            yield lo, i
+            lo, total = i, 0
+        total += count
+    if elements:
+        yield lo, len(elements)
 
-    feature, threshold, left, right, n_samples, n_positive = (
-        np.array(column, dtype=np.float64 if i == 1 else np.int64)
-        for i, column in enumerate(zip(*nodes))
+
+def _search(keys, values, order, batch, min_leaf, shift):
+    """Each node's first-minimum valid cut, for the nodes that have one.
+
+    Returns parallel lists: the node's index in ``batch``, the winner's
+    feature and threshold, its left child's size and positives, and the
+    bin just below the cut.
+    """
+    n_rows = keys.shape[1]
+    _, _, starts, sizes, positives, _, candidates = zip(*batch)
+    candidates = np.array(candidates, dtype=np.int64)
+    n, k = candidates.shape
+    if k == 0:
+        return ()
+    sizes, positives = np.array(sizes), np.array(positives)
+    # One segment per (node, candidate), node-major, in candidate order.
+    seg_len = np.repeat(sizes, k)
+    seg_end = seg_len.cumsum()
+    seg_start = seg_end - seg_len
+    total = int(seg_end[-1])
+
+    # Element j of segment s holds the key of its candidate for row
+    # order[start + j] of its node.
+    flat = np.repeat(np.repeat(np.array(starts), k) - seg_start, seg_len)
+    flat += np.arange(total)
+    flat = order.take(flat)
+    flat += np.repeat(candidates.ravel() * n_rows, seg_len)
+    packed = keys.take(flat)
+    del flat
+    if n > 1:
+        packed |= np.repeat(np.arange(n, dtype=np.int64) << shift, sizes * k)
+    packed.sort()
+
+    # A cut follows position j of a segment where the bin changes, with at
+    # least max(min_leaf, 1) rows on each side of it.
+    cut = np.empty(total, dtype=bool)
+    np.greater(packed[:-1] ^ packed[1:], 1, out=cut[:-1])
+    cut[(seg_end - 1)[:, None] - np.arange(max(min_leaf, 1))] = False
+    if min_leaf > 1:
+        cut[seg_start[:, None] + np.arange(min_leaf - 1)] = False
+    at = np.flatnonzero(cut)
+    del cut
+    if at.size == 0:
+        return ()
+    seg = np.searchsorted(seg_end, at, side="right")
+
+    running = packed & 1
+    np.cumsum(running, out=running)
+    left_count = running[at] - (running[seg_start] - (packed[seg_start] & 1))[seg]
+    del running
+    cut_at = at - seg_start[seg]
+    node = seg // k
+
+    # Weighted Gini * m, dropping the constant factor: lower is better.
+    m, pos = sizes[node], positives[node]
+    left_pos = left_count.astype(np.float64)
+    left_n = cut_at + 1.0
+    right_n = m - left_n
+    right_pos = pos - left_pos
+    left_neg = left_n - left_pos
+    right_neg = right_n - right_pos
+    score = (
+        left_n - (left_pos**2 + left_neg**2) / left_n
+        + right_n - (right_pos**2 + right_neg**2) / right_n
     )
-    arrays = (feature, threshold, left, right, n_positive / n_samples, n_samples, n_positive)
-    for arr in arrays:
-        arr.setflags(write=False)
-    return Tree(*arrays)
+    # Cuts are sorted node-major, then by feature and threshold, so each
+    # node's first minimum is its tie-break winner.
+    new_node = np.empty(node.size, dtype=bool)
+    new_node[0] = True
+    np.not_equal(node[1:], node[:-1], out=new_node[1:])
+    first = np.flatnonzero(new_node)
+    lowest = np.minimum.reduceat(score, first)[new_node.cumsum() - 1]
+    hits = np.flatnonzero(score == lowest)
+    win = hits[np.searchsorted(hits, first)]
+
+    key_mask = (1 << shift) - 1
+    won = at[win]
+    low_bin = (packed[won] & key_mask) >> 1
+    low, high = values[low_bin], values[(packed[won + 1] & key_mask) >> 1]
+    thr = (low + high) / 2.0
+    thr = np.where(thr >= high, low, thr)  # adjacent floats: midpoint may round up
+    return (
+        node[win].tolist(),
+        candidates.ravel()[seg[win]].tolist(),
+        thr.tolist(),
+        (cut_at[win] + 1).tolist(),
+        left_count[win].tolist(),
+        low_bin.tolist(),
+    )
+
+
+def _partition(keys, order, starts, sizes, features, low_bins, left_sizes):
+    """Stably reorder each range ``order[start:start + size]`` so that
+    its ``left_size`` rows whose bin of ``feature`` is at most
+    ``low_bin`` come first."""
+    first = sizes.cumsum() - sizes
+    at = np.repeat(starts - first, sizes)
+    at += np.arange(at.size)  # positions in ``order``, range by range
+    rows = order[at]
+    go_left = keys.take(np.repeat(features * keys.shape[1], sizes) + rows)
+    go_left = go_left <= np.repeat(2 * low_bins + 1, sizes)
+    # The left rows ahead of each row in its range.
+    ahead = np.cumsum(go_left) - go_left
+    ahead -= np.repeat(ahead[first], sizes)
+    dest = np.where(
+        go_left,
+        np.repeat(starts, sizes) + ahead,
+        at + np.repeat(left_sizes, sizes) - ahead,
+    )
+    order[dest] = rows
 
 
 def tree_scores(tree: Tree, x: np.ndarray) -> np.ndarray:

@@ -27,7 +27,7 @@ from dropcast.ingest import (
     _freeze,
 )
 from dropcast.metrics import RocCurve
-from dropcast.models.tree import Tree, _strictly_improves
+from dropcast.models.tree import _NO_NODE, Tree, _strictly_improves, _subset_draws
 from dropcast.preprocess import Standardizer, apply_standardizer
 
 
@@ -179,6 +179,91 @@ def reference_build_tree(x, y, sample_idx=None, max_depth=None, min_leaf=1,
     columns = list(zip(*nodes))
     dtypes = (np.int64, np.float64, np.int64, np.int64, np.float64, np.int64, np.int64)
     return Tree(*(np.array(c, dtype=d) for c, d in zip(columns, dtypes)))
+
+
+def _grow(coded, sample_idx, max_depth, min_leaf, n_candidates, rng) -> Tree:
+    """One tree on columns coded by ``_code_columns``, searched node by
+    node: each node sorts its rows' keys per candidate feature and takes
+    the first minimum of the float64 Gini scores. The lockstep grower
+    must return the same arrays for the same sample and stream."""
+    keys, values, labels = coded
+    n_features, n_rows = keys.shape
+    if sample_idx is None:
+        sample_idx = np.arange(n_rows, dtype=np.int64)
+    if len(sample_idx) == 0:
+        raise ValueError("a tree needs at least one training row")
+    if n_candidates is not None and n_candidates < n_features:
+        subsets = _subset_draws(rng, n_features, n_candidates)
+    else:
+        subsets = None
+
+    # One [feature, threshold, left, right, n_samples, n_positive] row per
+    # node; a split fills in its first four and appends its two children.
+    nodes = [[_NO_NODE, 0.0, _NO_NODE, _NO_NODE, len(sample_idx), int(labels[sample_idx].sum())]]
+    stack = [(0, sample_idx, 0)]
+    while stack:
+        node, idx, depth = stack.pop()
+        m, pos = nodes[node][4:]
+        at_depth_limit = max_depth is not None and depth >= max_depth
+        if at_depth_limit or pos == 0 or pos == m or m < 2 * min_leaf:
+            continue
+
+        if subsets is None:
+            candidates = None
+            packed = keys[:, idx]
+        else:
+            candidates = next(subsets)
+            packed = keys[candidates[:, None], idx]
+        packed.sort(axis=1)
+        cuts = (packed[:, :-1] ^ packed[:, 1:]) > 1  # the bin changes
+        if min_leaf > 1:
+            cuts[:, : min_leaf - 1] = False
+            cuts[:, m - min_leaf :] = False
+        f_at, cut_at = cuts.nonzero()  # feature-major, for the tie-break
+        if f_at.size == 0:
+            continue
+
+        # Weighted Gini * m, dropping the constant factor: lower is better.
+        left_pos = (packed & 1).cumsum(axis=1)[f_at, cut_at].astype(np.float64)
+        left_n = cut_at + 1.0
+        right_n = m - left_n
+        right_pos = pos - left_pos
+        left_neg = left_n - left_pos
+        right_neg = right_n - right_pos
+        score = (
+            left_n - (left_pos**2 + left_neg**2) / left_n
+            + right_n - (right_pos**2 + right_neg**2) / right_n
+        )
+        best = int(score.argmin())
+        f_local, cut = int(f_at[best]), int(cut_at[best])
+        left_count, left_pos_count = cut + 1, int(left_pos[best])
+        if not _strictly_improves(m, pos, left_count, left_pos_count):
+            continue
+
+        low_bin = int(packed[f_local, cut]) >> 1
+        low = float(values[low_bin])
+        high = float(values[packed[f_local, cut + 1] >> 1])
+        thr = (low + high) / 2.0
+        if thr >= high:  # adjacent floats: midpoint may round up
+            thr = low
+        feat = f_local if candidates is None else int(candidates[f_local])
+        go_left = keys[feat, idx] <= 2 * low_bin + 1
+        child = len(nodes)
+        nodes[node][:4] = feat, thr, child, child + 1
+        nodes.append([_NO_NODE, 0.0, _NO_NODE, _NO_NODE, left_count, left_pos_count])
+        nodes.append([_NO_NODE, 0.0, _NO_NODE, _NO_NODE, m - left_count, pos - left_pos_count])
+        # Push right first so the left child is expanded first.
+        stack.append((child + 1, idx[~go_left], depth + 1))
+        stack.append((child, idx[go_left], depth + 1))
+
+    feature, threshold, left, right, n_samples, n_positive = (
+        np.array(column, dtype=np.float64 if i == 1 else np.int64)
+        for i, column in enumerate(zip(*nodes))
+    )
+    arrays = (feature, threshold, left, right, n_positive / n_samples, n_samples, n_positive)
+    for arr in arrays:
+        arr.setflags(write=False)
+    return Tree(*arrays)
 
 
 def pair_count_auc(scores, labels) -> float:

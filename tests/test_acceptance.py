@@ -343,7 +343,7 @@ class TestCriterion5:
         x = rng.integers(0, 8, size=(200, 7)).astype(float)
         y = (x[:, 1] > 3).astype(int)
         ds = make_binary(x, y)
-        hp = HyperParams(forest_n_trees=24, seed=42)
+        hp = HyperParams(forest_n_trees=60, seed=42)  # three lockstep groups
         serial = train_random_forest(ds, hp, threads=1)
         threaded = train_random_forest(ds, hp, threads=8)
         identical = all(
@@ -356,7 +356,7 @@ class TestCriterion5:
         identical = identical and np.array_equal(
             score(serial, queries), score(threaded, queries)
         )
-        verdict(5, "forest 1-vs-8-thread bit identity", identical, "24 trees compared")
+        verdict(5, "forest 1-vs-8-thread bit identity", identical, "60 trees compared")
         assert identical
 
     def test_planted_group_ablation_selects_planted_group(self, fixture_dir, verdict):

@@ -15,9 +15,9 @@ def fixture_dir(tmp_path_factory):
     return d
 
 
-def _fast_flags(seeds="42"):
+def _fast_flags(seeds="42", trees="8"):
     return [
-        "--seeds", seeds, "--forest-trees", "8", "--svm-epochs", "15",
+        "--seeds", seeds, "--forest-trees", trees, "--svm-epochs", "15",
         "--knn-k", "5",
     ]
 
@@ -146,7 +146,8 @@ def test_threads_flag_does_not_change_output(fixture_dir, tmp_path):
         code = main([
             "train", "--data", str(fixture_dir / "data.csv"),
             "--manifest", str(fixture_dir / "manifest.tsv"),
-            "--model", "rf", "--threads", threads, "--out", str(out), *_fast_flags(),
+            "--model", "rf", "--threads", threads, "--out", str(out),
+            *_fast_flags(trees="60"),  # three lockstep groups
         ])
         assert code == 0
         outs.append(out)

@@ -47,7 +47,7 @@ def test_thread_count_does_not_change_forest():
     x = rng.integers(0, 8, size=(150, 7)).astype(float)
     y = (x[:, 0] > 3).astype(int)
     ds = make_binary(x, y)
-    hp = HyperParams(forest_n_trees=16, seed=42)
+    hp = HyperParams(forest_n_trees=60, seed=42)  # three lockstep groups
     serial = train_random_forest(ds, hp, threads=1)
     threaded = train_random_forest(ds, hp, threads=8)
     assert serial.payload.tree_seeds == threaded.payload.tree_seeds

@@ -16,6 +16,7 @@ from dropcast.errors import (
     MissingValueError,
 )
 from dropcast.ingest import (
+    Dataset,
     FeatureGroup,
     GroupManifest,
     Outcome,
@@ -257,6 +258,25 @@ def test_to_binary_filters_and_labels(tmp_path, small_manifest):
     assert binary.feature_matrix[:, 0].tolist() == [20.0, 21.0, 23.0]
 
 
+def test_to_binary_equals_the_row_loop():
+    g = np.random.default_rng(31)
+    outcomes = tuple(g.choice(list(Outcome), size=500))
+    ds = Dataset(
+        feature_matrix=g.normal(size=(500, 3)),
+        column_names=("Age", "Debt", "GDP"),
+        column_groups=(FeatureGroup.DEMOGRAPHIC, FeatureGroup.SOCIOECONOMIC,
+                       FeatureGroup.MACROECONOMIC),
+        outcomes=outcomes,
+    )
+    keep = [i for i, o in enumerate(outcomes) if o is not Outcome.ENROLLED]
+    labels = [1 if outcomes[i] is Outcome.DROPOUT else 0 for i in keep]
+    binary = to_binary(ds)
+    assert 0 < len(keep) < 500 and 0 < sum(labels) < len(keep)
+    assert binary.labels.dtype == np.int64
+    assert binary.labels.tolist() == labels
+    assert np.array_equal(binary.feature_matrix, ds.feature_matrix[keep])
+
+
 def test_to_binary_all_enrolled_raises(tmp_path, small_manifest):
     path = tmp_path / "d.csv"
     write_rows(
@@ -264,7 +284,7 @@ def test_to_binary_all_enrolled_raises(tmp_path, small_manifest):
         ["Age", "Debt", "GDP", "Target"],
         [["20", "1", "1.5", "Enrolled"], ["21", "0", "1.0", "Enrolled"]],
     )
-    with pytest.raises(EmptyResultError):
+    with pytest.raises(EmptyResultError, match="^no Dropout or Graduate rows in dataset$"):
         to_binary(load_dataset(path, small_manifest))
 
 

@@ -3,13 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dropcast.models.forest as forest_module
+import dropcast.models.tree as tree_module
 from dropcast.models import HyperParams, score, train_decision_tree
-from dropcast.models.forest import build_forest
-from dropcast.models.tree import _subset_draws, build_tree, tree_scores
+from dropcast.models.forest import build_forest, candidate_count
+from dropcast.models.tree import _code_columns, _key_shift, _subset_draws, build_tree, tree_scores
 from dropcast.rng import SeededRng
 
 from conftest import make_binary
 from oracles import (
+    _grow,
     assert_strict_gini_decrease,
     enumerate_axis_splits,
     gini_fraction,
@@ -225,6 +228,56 @@ class TestAgainstReferenceGrower:
         stream = SeededRng(11)
         for _ in range(150):  # crosses two 64-draw blocks
             assert np.array_equal(next(draws), stream.subset(n_features, k))
+
+
+@st.composite
+def forest_problems(draw):
+    """(x, y, build_forest kwargs, trees per group, elements per chunk)."""
+    x, y, _, seed = draw(tree_problems())
+    if draw(st.booleans()):  # duplicate rows with conflicting labels
+        half = len(y) // 2
+        x[half : 2 * half] = x[:half]
+    kwargs = {
+        "n_trees": draw(st.integers(1, 40)),
+        "seed": seed,
+        "feature_rule": draw(st.sampled_from(["sqrt", "all"])),
+        "bootstrap": draw(st.booleans()),
+        "max_depth": draw(st.one_of(st.none(), st.integers(1, 5))),
+        "min_leaf": draw(st.integers(0, 4)),
+        "threads": draw(st.sampled_from([1, 2])),
+    }
+    return x, y, kwargs, draw(st.integers(1, 3)), draw(st.integers(20, 400))
+
+
+class TestLockstepAgainstPerNodeGrower:
+    @settings(max_examples=300, deadline=None)
+    @given(forest_problems())
+    def test_every_tree_equals_the_per_node_grower(self, problem):
+        # Small groups and chunks: steps span several groups, and nodes
+        # are searched in several chunks or alone.
+        x, y, kwargs, group, chunk = problem
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(forest_module, "_GROUP_TREES", group)
+            patch.setattr(tree_module, "_CHUNK_ELEMENTS", chunk)
+            grown = build_forest(x, y, **kwargs)
+        n_rows, n_features = x.shape
+        k = candidate_count(n_features, kwargs["feature_rule"])
+        coded = _code_columns(x, y)
+        for lockstep, tree_seed in zip(grown.trees, grown.tree_seeds):
+            stream = SeededRng(tree_seed)
+            sample = stream.integers(n_rows, n_rows) if kwargs["bootstrap"] else None
+            expected = _grow(coded, sample, kwargs["max_depth"], kwargs["min_leaf"],
+                             k if k < n_features else None, stream)
+            for name in TREE_ARRAYS:
+                assert np.array_equal(getattr(lockstep, name), getattr(expected, name)), name
+
+    def test_sort_key_overflow_is_refused(self):
+        # Keys below 2**62 leave one bit for the node index: two nodes fit.
+        assert _key_shift(2, 2**61) == 62
+        with pytest.raises(OverflowError, match="int64 sort key"):
+            _key_shift(3, 2**61)
+        with pytest.raises(OverflowError, match="int64 sort key"):
+            _key_shift(25, 2**58)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
