@@ -54,11 +54,18 @@ def _add_data_flags(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="feature-group manifest path (default: shipped default-34 manifest)",
     )
-    parser.add_argument("--delimiter", default=";", help="CSV delimiter (default ';')")
+    parser.add_argument("--delimiter", type=_one_char, default=";",
+                        help="CSV delimiter, one character (default ';')")
+
+
+def _one_char(text: str) -> str:
+    if len(text) != 1:
+        raise argparse.ArgumentTypeError(f"must be exactly one character, got {text!r}")
+    return text
 
 
 def _seed_list(text: str) -> tuple[int, ...]:
-    """Comma-separated, distinct, non-negative integer seeds."""
+    """Comma-separated, distinct integer seeds in [0, 2**64)."""
     try:
         seeds = tuple(int(s) for s in text.split(",") if s.strip())
     except ValueError:
@@ -67,6 +74,8 @@ def _seed_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError("at least one seed is needed")
     if min(seeds) < 0:
         raise argparse.ArgumentTypeError(f"seeds must be non-negative: {text!r}")
+    if max(seeds) >= 1 << 64:
+        raise argparse.ArgumentTypeError(f"seeds must be below 2**64: {text!r}")
     if len(set(seeds)) != len(seeds):
         raise argparse.ArgumentTypeError(f"repeated seed: {text!r}")
     return seeds
@@ -90,7 +99,8 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
         help="comma-separated split seeds (default 42,43,44,45,46)",
     )
     parser.add_argument("--test-fraction", type=float, default=0.2)
-    parser.add_argument("--threads", type=_positive_int, default=1, help="forest worker threads")
+    parser.add_argument("--threads", type=_positive_int, default=1,
+                        help="worker count, at least 1; no effect yet: every fit runs serially")
     _add_hyper_flags(parser)
 
 
@@ -192,7 +202,6 @@ def _config_from_args(args) -> RunConfig:
         seeds=args.seeds,
         test_fraction=args.test_fraction,
         hyperparams=hp,
-        threads=args.threads,
     )
 
 

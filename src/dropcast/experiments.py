@@ -60,7 +60,6 @@ class RunConfig:
     seeds: tuple[int, ...] = DEFAULT_SEEDS
     test_fraction: float = 0.2
     hyperparams: HyperParams = field(default_factory=HyperParams)
-    threads: int = 1
 
     def __post_init__(self):
         if not self.seeds:
@@ -94,7 +93,6 @@ def evaluate_single(
     kind: ModelKind,
     hp: HyperParams,
     excluded_group: FeatureGroup | None = None,
-    threads: int = 1,
 ) -> tuple[TrainedModel, RocReport]:
     """Train one model on the train rows and score the held-out rows."""
     matrix = binary.feature_matrix
@@ -112,7 +110,7 @@ def evaluate_single(
         column_groups=binary.column_groups,
         labels=train_labels,
     )
-    model = train_model(kind, train_ds, hp, threads=threads)
+    model = train_model(kind, train_ds, hp)
     if standardizer is not None:
         model = with_standardizer(model, standardizer)
 
@@ -156,8 +154,7 @@ def evaluate_cells(
         for kind in config.models:
             for indices in splits:
                 yield evaluate_single(
-                    dataset, indices, kind, config.hyperparams,
-                    excluded_group=group, threads=config.threads,
+                    dataset, indices, kind, config.hyperparams, excluded_group=group
                 )
 
 

@@ -12,6 +12,7 @@ Output bytes are a pure function of the arguments.
 
 from __future__ import annotations
 
+import math
 import shutil
 from pathlib import Path
 
@@ -41,9 +42,9 @@ def generate_fixture(
 ) -> None:
     if n_rows < 20:
         raise InvalidArgumentError(f"fixture needs at least 20 rows, got {n_rows}")
-    if signal_strength < 0:
+    if not (math.isfinite(signal_strength) and signal_strength >= 0):
         raise InvalidArgumentError(
-            f"signal_strength must be non-negative, got {signal_strength}"
+            f"signal_strength must be non-negative and finite, got {signal_strength}"
         )
 
     manifest = load_manifest(default_manifest_path("default-34"))

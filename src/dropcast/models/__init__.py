@@ -10,6 +10,7 @@ model so scoring can standardize incoming rows itself).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -85,10 +86,12 @@ class HyperParams:
                 raise InvalidArgumentError(f"{name} must be >= 1, got {value}")
         if self.forest_max_depth is not None and self.forest_max_depth < 1:
             raise InvalidArgumentError("forest_max_depth must be >= 1 when set")
-        if self.svm_regularization_c <= 0:
-            raise InvalidArgumentError("svm_regularization_c must be positive")
-        if self.seed < 0:
-            raise InvalidArgumentError("seed must be a non-negative integer")
+        if not (math.isfinite(self.svm_regularization_c) and self.svm_regularization_c > 0):
+            raise InvalidArgumentError(
+                f"svm_regularization_c must be positive and finite, got {self.svm_regularization_c}"
+            )
+        if not 0 <= self.seed < 1 << 64:
+            raise InvalidArgumentError(f"seed must be an integer in [0, 2**64), got {self.seed}")
         if self.forest_feature_rule not in ("sqrt", "all"):
             raise InvalidArgumentError(
                 f"forest_feature_rule must be 'sqrt' or 'all', got {self.forest_feature_rule!r}"
@@ -118,9 +121,7 @@ def train_decision_tree(train: BinaryDataset, hp: HyperParams) -> TrainedModel:
     return TrainedModel(ModelKind.DECISION_TREE, train.n_columns, tree)
 
 
-def train_random_forest(
-    train: BinaryDataset, hp: HyperParams, threads: int = 1
-) -> TrainedModel:
+def train_random_forest(train: BinaryDataset, hp: HyperParams) -> TrainedModel:
     _check_nonempty(train)
     forest = build_forest(
         train.feature_matrix,
@@ -131,7 +132,6 @@ def train_random_forest(
         bootstrap=hp.forest_bootstrap,
         max_depth=hp.forest_max_depth,
         min_leaf=hp.forest_min_leaf,
-        threads=threads,
     )
     return TrainedModel(ModelKind.RANDOM_FOREST, train.n_columns, forest)
 
@@ -156,16 +156,13 @@ def train_knn_model(train: BinaryDataset, hp: HyperParams) -> TrainedModel:
 
 _TRAINERS = {
     ModelKind.DECISION_TREE: train_decision_tree,
+    ModelKind.RANDOM_FOREST: train_random_forest,
     ModelKind.LINEAR_SVM: train_linear_svm,
     ModelKind.KNN: train_knn_model,
 }
 
 
-def train_model(
-    kind: ModelKind, train: BinaryDataset, hp: HyperParams, threads: int = 1
-) -> TrainedModel:
-    if kind is ModelKind.RANDOM_FOREST:
-        return train_random_forest(train, hp, threads=threads)
+def train_model(kind: ModelKind, train: BinaryDataset, hp: HyperParams) -> TrainedModel:
     return _TRAINERS[kind](train, hp)
 
 

@@ -14,24 +14,25 @@ is ``2 * bin + label``. Scores and thresholds (midpoints of the two
 bins' values) are computed as from the raw values, so the coding
 changes no tree.
 
-Trees grow in lockstep. Each tree keeps its own depth-first stack,
-left child first, and its own subset stream; at each step every tree
-pops its next node that may split and draws that node's feature subset,
-so a tree's draws and nodes come in the order a lone tree would make
-them. All popped nodes are then searched by one set of numpy calls: a
-node's rows are gathered once per candidate feature, tagged with the
-node's index above the key bits (``node << shift | key``) and sorted
-together. Because bins are numbered feature-major and subsets are drawn
-sorted, each node's keys sort candidate by candidate, in candidate
-order, and within a candidate by threshold, so the first minimum of a
-node's scores in sorted order is its tie-break winner. Cuts are where
-the bin (``key >> 1``) changes inside one candidate's run; positive
-counts are prefix sums of bit 0. Only each node's winner is put to the
-exact test, and the winners' rows are partitioned stably in place. A
-step's nodes are searched in chunks of at most ``_CHUNK_ELEMENTS``
-(node, candidate, row) elements, which bounds its memory; a larger node
-is searched alone. With feature subsampling, ``rng`` is consumed in
-blocks of 64 subset draws, whose values and order are those of
+Trees grow in lockstep; a forest passes all of its trees to one call.
+Each tree keeps its own depth-first stack, left child first, and its
+own subset stream; at each step every tree pops its next node that may
+split and draws that node's feature subset, so a tree's draws and nodes
+come in the order a lone tree would make them. All popped nodes are
+then searched by one set of numpy calls: a node's rows are gathered
+once per candidate feature, tagged with the node's index above the key
+bits (``node << shift | key``) and sorted together. Because bins are
+numbered feature-major and subsets are drawn sorted, each node's keys
+sort candidate by candidate, in candidate order, and within a candidate
+by threshold, so the first minimum of a node's scores in sorted order
+is its tie-break winner. Cuts are where the bin (``key >> 1``) changes
+inside one candidate's run; positive counts are prefix sums of bit 0.
+Only each node's winner is put to the exact test, and the winners' rows
+are partitioned stably in place. A step's nodes are searched in chunks
+of at most ``_CHUNK_ELEMENTS`` (node, candidate, row) elements, which
+bounds the search's memory however many trees grow together; a larger
+node is searched alone. With feature subsampling, ``rng`` is consumed
+in blocks of 64 subset draws, whose values and order are those of
 successive ``rng.subset`` calls.
 
 Leaves store the positive-class fraction of their training samples,
@@ -111,7 +112,9 @@ def _subset_draws(rng: SeededRng, n_features: int, k: int):
     """Successive ``rng.subset(n_features, k)`` results, drawn 64 at a time."""
     while True:
         raw = rng.uint64(64 * n_features).reshape(64, n_features)
-        yield from np.sort(np.argsort(raw, axis=1, kind="stable")[:, :k], axis=1)
+        draws = np.sort(np.argsort(raw, axis=1, kind="stable")[:, :k], axis=1)
+        del raw  # a forest keeps one suspended generator per tree
+        yield from draws
 
 
 def _key_shift(n_nodes: int, n_bins: int) -> int:

@@ -18,11 +18,11 @@ from dropcast.experiments import RunConfig, rank_group_influence, run_ablation, 
 from dropcast.fixture import generate_fixture
 from dropcast.ingest import FeatureGroup
 from dropcast.metrics import auc, forest_importance, roc_curve
-from dropcast.models import HyperParams, score, train_random_forest
-from dropcast.models.forest import build_forest
+from dropcast.models import HyperParams, train_random_forest
+from dropcast.models.forest import build_forest, candidate_count
 import dropcast.models.knn as knn_mod
 from dropcast.models.knn import knn_scores, train_knn
-from dropcast.models.tree import build_tree
+from dropcast.models.tree import build_tree, tree_scores
 from dropcast.preprocess import split
 from dropcast.rng import SeededRng
 
@@ -338,25 +338,28 @@ class TestCriterion5:
                 f"8 fixtures, p 9-40, {mismatches} mismatches")
         assert ok
 
-    def test_forest_thread_bit_identity(self, verdict):
+    def test_forest_lockstep_bit_identity(self, verdict):
         rng = np.random.default_rng(1004)
         x = rng.integers(0, 8, size=(200, 7)).astype(float)
         y = (x[:, 1] > 3).astype(int)
-        ds = make_binary(x, y)
-        hp = HyperParams(forest_n_trees=60, seed=42)  # three lockstep groups
-        serial = train_random_forest(ds, hp, threads=1)
-        threaded = train_random_forest(ds, hp, threads=8)
-        identical = all(
-            np.array_equal(a.feature, b.feature)
-            and np.array_equal(a.threshold, b.threshold)
-            and np.array_equal(a.pos_fraction, b.pos_fraction)
-            for a, b in zip(serial.payload.trees, threaded.payload.trees)
-        )
+        forest = train_random_forest(make_binary(x, y), HyperParams(forest_n_trees=60, seed=42))
         queries = rng.normal(size=(40, 7)) * 4
-        identical = identical and np.array_equal(
-            score(serial, queries), score(threaded, queries)
-        )
-        verdict(5, "forest 1-vs-8-thread bit identity", identical, "60 trees compared")
+        k = candidate_count(7, "sqrt")
+        mismatches = 0
+        for i, grown in enumerate(forest.payload.trees):
+            stream = SeededRng(42 ^ i)
+            alone = build_tree(x, y, sample_idx=stream.integers(200, 200),
+                               n_candidates=k, rng=stream)
+            same = all(
+                np.array_equal(getattr(grown, name), getattr(alone, name))
+                for name in ("feature", "threshold", "left", "right", "pos_fraction",
+                             "n_samples", "n_positive")
+            )
+            same = same and np.array_equal(tree_scores(grown, queries), tree_scores(alone, queries))
+            mismatches += not same
+        identical = mismatches == 0
+        verdict(5, "forest lockstep vs. each tree grown alone, bit identity", identical,
+                f"60 trees compared, {mismatches} mismatches")
         assert identical
 
     def test_planted_group_ablation_selects_planted_group(self, fixture_dir, verdict):

@@ -247,6 +247,10 @@ def test_flag_the_command_cannot_honor_is_usage_error(fixture_dir, tmp_path, cap
     ("--seeds", "42,-1", "non-negative"),
     ("--threads", "0", "at least 1"),
     ("--threads", "-4", "at least 1"),
+    ("--seeds", "42,18446744073709551658", "below 2**64"),
+    ("--seeds", "18446744073709551616", "below 2**64"),
+    ("--delimiter", "", "exactly one character"),
+    ("--delimiter", ";;", "exactly one character"),
 ])
 def test_bad_run_flag_is_one_line_usage_error(fixture_dir, tmp_path, capsys, flag, value, message):
     code = main(["train", *_data_flags(fixture_dir), "--out", str(tmp_path), flag, value])
@@ -256,6 +260,30 @@ def test_bad_run_flag_is_one_line_usage_error(fixture_dir, tmp_path, capsys, fla
     error_lines = [line for line in err.splitlines() if "error:" in line]
     assert len(error_lines) == 1
     assert flag in error_lines[0] and message in error_lines[0]
+
+
+def test_largest_seed_is_accepted(fixture_dir, tmp_path):
+    code = main(["train", *_data_flags(fixture_dir), "--model", "dt", "--out", str(tmp_path),
+                 "--seeds", "18446744073709551615,42"])
+    assert code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--model", "svc", "--svm-c", "nan"],
+    ["train", "--model", "svc", "--svm-c", "inf"],
+    ["train", "--model", "dt", "--train-seed", "18446744073709551616"],
+    ["fixture", "--rows", "50", "--planted-group", "academic", "--strength", "nan"],
+    ["fixture", "--rows", "50", "--planted-group", "academic", "--strength", "inf"],
+])
+def test_non_finite_or_oversized_value_is_one_line_runtime_error(fixture_dir, tmp_path, capsys,
+                                                                 argv):
+    out = tmp_path / "out"
+    data = _data_flags(fixture_dir) if argv[0] == "train" else []
+    code = main([*argv, *data, "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("dropcast: error:") and err.count("\n") == 1
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_ablate_model_flag_builds_single_model_grid(fixture_dir, tmp_path):

@@ -173,9 +173,9 @@ def test_split_consistency_across_columns(null_fixture, monkeypatch):
     seen: list[tuple[int, tuple, tuple]] = []
     original = exp.evaluate_single
 
-    def recording(binary, indices, kind, hp, excluded_group=None, threads=1):
+    def recording(binary, indices, kind, hp, excluded_group=None):
         seen.append((indices.seed, tuple(indices.train_rows), tuple(indices.test_rows)))
-        return original(binary, indices, kind, hp, excluded_group=excluded_group, threads=threads)
+        return original(binary, indices, kind, hp, excluded_group=excluded_group)
 
     monkeypatch.setattr(exp, "evaluate_single", recording)
     config = RunConfig(

@@ -62,6 +62,14 @@ def test_negative_strength_rejected(tmp_path):
                          planted_group=FeatureGroup.ACADEMIC, signal_strength=-1.0)
 
 
+@pytest.mark.parametrize("strength", [float("nan"), float("inf")])
+def test_non_finite_strength_rejected(tmp_path, strength):
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        generate_fixture(tmp_path / "f.csv", tmp_path / "m.tsv", n_rows=50, seed=1,
+                         planted_group=FeatureGroup.ACADEMIC, signal_strength=strength)
+    assert not (tmp_path / "f.csv").exists()
+
+
 def test_zero_strength_gives_null_aucs(tmp_path):
     csv_path, man_path = tmp_path / "f.csv", tmp_path / "m.tsv"
     generate_fixture(csv_path, man_path, n_rows=1500, seed=3, signal_strength=0.0)

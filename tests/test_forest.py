@@ -8,8 +8,9 @@ from dropcast.models import (
     train_random_forest,
 )
 from dropcast.models.forest import build_forest, candidate_count
-from dropcast.models.tree import tree_scores
+from dropcast.models.tree import build_tree, tree_scores
 from dropcast.preprocess import split
+from dropcast.rng import SeededRng
 
 from conftest import make_binary
 
@@ -24,6 +25,7 @@ def trees_equal(a, b) -> bool:
         and np.array_equal(a.right, b.right)
         and np.array_equal(a.pos_fraction, b.pos_fraction)
         and np.array_equal(a.n_samples, b.n_samples)
+        and np.array_equal(a.n_positive, b.n_positive)
     )
 
 
@@ -42,17 +44,19 @@ def test_all_negative_training_scores_zero():
     assert out.tolist() == [0.0, 0.0]
 
 
-def test_thread_count_does_not_change_forest():
+def test_lockstep_trees_equal_trees_grown_alone():
     rng = np.random.default_rng(21)
     x = rng.integers(0, 8, size=(150, 7)).astype(float)
     y = (x[:, 0] > 3).astype(int)
-    ds = make_binary(x, y)
-    hp = HyperParams(forest_n_trees=60, seed=42)  # three lockstep groups
-    serial = train_random_forest(ds, hp, threads=1)
-    threaded = train_random_forest(ds, hp, threads=8)
-    assert serial.payload.tree_seeds == threaded.payload.tree_seeds
-    for a, b in zip(serial.payload.trees, threaded.payload.trees):
-        assert trees_equal(a, b)
+    forest = train_random_forest(make_binary(x, y), HyperParams(forest_n_trees=60, seed=42))
+    queries = rng.normal(size=(40, 7)) * 4
+    k = candidate_count(7, "sqrt")
+    for i, grown in enumerate(forest.payload.trees):
+        stream = SeededRng(42 ^ i)
+        sample = stream.integers(150, 150)
+        alone = build_tree(x, y, sample_idx=sample, n_candidates=k, rng=stream)
+        assert trees_equal(grown, alone)
+        assert np.array_equal(tree_scores(grown, queries), tree_scores(alone, queries))
 
 
 def test_retraining_is_bit_identical():

@@ -41,6 +41,9 @@ def test_defaults_match_documented_configuration():
         {"knn_k": 0},
         {"seed": -1},
         {"forest_feature_rule": "half"},
+        {"svm_regularization_c": float("nan")},
+        {"svm_regularization_c": float("inf")},
+        {"seed": 1 << 64},
     ],
 )
 def test_invalid_hyperparams_rejected(kwargs):

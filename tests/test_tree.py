@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import dropcast.models.forest as forest_module
 import dropcast.models.tree as tree_module
 from dropcast.models import HyperParams, score, train_decision_tree
 from dropcast.models.forest import build_forest, candidate_count
@@ -232,7 +231,7 @@ class TestAgainstReferenceGrower:
 
 @st.composite
 def forest_problems(draw):
-    """(x, y, build_forest kwargs, trees per group, elements per chunk)."""
+    """(x, y, build_forest kwargs, elements per chunk)."""
     x, y, _, seed = draw(tree_problems())
     if draw(st.booleans()):  # duplicate rows with conflicting labels
         half = len(y) // 2
@@ -244,20 +243,17 @@ def forest_problems(draw):
         "bootstrap": draw(st.booleans()),
         "max_depth": draw(st.one_of(st.none(), st.integers(1, 5))),
         "min_leaf": draw(st.integers(0, 4)),
-        "threads": draw(st.sampled_from([1, 2])),
     }
-    return x, y, kwargs, draw(st.integers(1, 3)), draw(st.integers(20, 400))
+    return x, y, kwargs, draw(st.integers(20, 400))
 
 
 class TestLockstepAgainstPerNodeGrower:
     @settings(max_examples=300, deadline=None)
     @given(forest_problems())
     def test_every_tree_equals_the_per_node_grower(self, problem):
-        # Small groups and chunks: steps span several groups, and nodes
-        # are searched in several chunks or alone.
-        x, y, kwargs, group, chunk = problem
+        # Small chunks: a step's nodes are searched in several chunks or alone.
+        x, y, kwargs, chunk = problem
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(forest_module, "_GROUP_TREES", group)
             patch.setattr(tree_module, "_CHUNK_ELEMENTS", chunk)
             grown = build_forest(x, y, **kwargs)
         n_rows, n_features = x.shape
