@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import eda as eda_ops
 from . import report as report_ops
-from .errors import DropcastError
+from .errors import DropcastError, InvalidArgumentError
 from .experiments import DEFAULT_SEEDS, RunConfig, evaluate_cells, load_binary, run_ablation
 from .fixture import generate_fixture
 from .ingest import FeatureGroup, default_manifest_path, load_dataset, load_manifest, to_binary
@@ -22,6 +22,7 @@ from .metrics import forest_importance
 from .models import GRID_MODEL_ORDER, HyperParams, ModelKind
 from .models.serialize import save_model
 from .preprocess import exclude_group
+from .rng import check_seeds
 from .svg import emit_roc_svg
 
 # Unused here; bound only because the trace in perfbench/spans.py patches these names.
@@ -65,19 +66,15 @@ def _one_char(text: str) -> str:
 
 
 def _seed_list(text: str) -> tuple[int, ...]:
-    """Comma-separated, distinct integer seeds in [0, 2**64)."""
+    """Comma-separated integer seeds, checked as ``RunConfig`` checks them."""
     try:
         seeds = tuple(int(s) for s in text.split(",") if s.strip())
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}") from None
-    if not seeds:
-        raise argparse.ArgumentTypeError("at least one seed is needed")
-    if min(seeds) < 0:
-        raise argparse.ArgumentTypeError(f"seeds must be non-negative: {text!r}")
-    if max(seeds) >= 1 << 64:
-        raise argparse.ArgumentTypeError(f"seeds must be below 2**64: {text!r}")
-    if len(set(seeds)) != len(seeds):
-        raise argparse.ArgumentTypeError(f"repeated seed: {text!r}")
+    try:
+        check_seeds(seeds)
+    except InvalidArgumentError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return seeds
 
 
@@ -220,9 +217,10 @@ def _cmd_eda(args) -> int:
     report_ops.write_class_distribution_csv(
         eda_ops.class_distribution(dataset), out / "eda_class_distribution.csv"
     )
-    report_ops.write_gender_csv(
-        eda_ops.gender_distribution(binary), out / "eda_gender_distribution.csv"
-    )
+    if eda_ops.GENDER_COLUMN in binary.column_names:
+        report_ops.write_gender_csv(
+            eda_ops.gender_distribution(binary), out / "eda_gender_distribution.csv"
+        )
     for feature in EDA_RATE_FEATURES:
         if feature in binary.column_names:
             table = eda_ops.rate_by_category(binary, feature)

@@ -34,6 +34,7 @@ from .models import (
     with_standardizer,
 )
 from .preprocess import SplitIndices, exclude_group, fit_standardizer, split
+from .rng import check_seeds
 
 DEFAULT_SEEDS = (42, 43, 44, 45, 46)
 
@@ -62,8 +63,7 @@ class RunConfig:
     hyperparams: HyperParams = field(default_factory=HyperParams)
 
     def __post_init__(self):
-        if not self.seeds:
-            raise InvalidArgumentError("seeds list must be nonempty")
+        check_seeds(self.seeds)
         if not 0.0 < self.test_fraction < 1.0:
             raise InvalidFractionError(
                 f"test_fraction must be in (0, 1), got {self.test_fraction}"

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .ingest import FeatureGroup, default_manifest_path, load_manifest
-from .rng import SeededRng
+from .rng import SeededRng, check_seed
 
 ENROLLED_SHARE = 0.1
 _CODE_RANGE = 10  # integer columns draw codes 0..9
@@ -42,6 +42,7 @@ def generate_fixture(
 ) -> None:
     if n_rows < 20:
         raise InvalidArgumentError(f"fixture needs at least 20 rows, got {n_rows}")
+    check_seed(seed)
     if not (math.isfinite(signal_strength) and signal_strength >= 0):
         raise InvalidArgumentError(
             f"signal_strength must be non-negative and finite, got {signal_strength}"

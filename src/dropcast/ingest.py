@@ -7,13 +7,15 @@ columns are assigned to one of four groups (demographic, socioeconomic,
 macroeconomic, academic) by an external manifest file so that schema
 variants of the records file can be mapped without code changes.
 
-``load_dataset`` parses the records in blocks of ``_BLOCK_ROWS``: per
-block one width check, one ``itemgetter`` pass that picks the manifest
-columns and ``Target``, one ``float`` conversion of every picked cell
-into a numpy array, one finiteness check and one ``Target`` lookup. A
-block that fails any of these is checked again row by row and cell by
-cell (``_locate_error``), only to name its first bad cell, so the error,
-its data-row number and its text are those of a plain row loop.
+``load_dataset`` parses the data rows in one streaming pass: one
+``np.fromiter`` converts the manifest cells of every non-blank record
+with ``float`` while each ``Target`` is looked up, so a load peaks near
+the size of its matrix. If the pass meets a bad cell, a short row or an
+unknown ``Target``, ``_parse_rows`` reads the file again cell by cell
+and raises the error a plain row loop raises, with its data-row number
+and text. That loop also accepts cells that are good once stripped
+(``str.strip`` removes the separators U+001C to U+001F from a cell's
+edges, ``float`` does not).
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ import enum
 import itertools
 import math
 import operator
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -39,10 +41,6 @@ from .errors import (
 )
 
 TARGET_COLUMN = "Target"
-
-# Data records parsed per block; only a block holding a bad cell is
-# checked again cell by cell, to name that cell.
-_BLOCK_ROWS = 4096
 
 _MANIFEST_DIR = Path(__file__).parent / "manifests"
 
@@ -211,24 +209,24 @@ def load_dataset(
         feature_pos = [positions[name] for name in columns]
         target_pos = positions[TARGET_COLUMN]
 
-        pick = operator.itemgetter(*feature_pos, target_pos)
-        width = max(feature_pos + [target_pos]) + 1
-        blocks: list[np.ndarray] = []
-        outcomes: list[Outcome] = []
-        first_row = 1
-        while block := list(itertools.islice(reader, _BLOCK_ROWS)):
-            records = [record for record in block if record]
-            parsed = _parse_block(records, pick, width, float)
-            if parsed is None:
-                _locate_error(block, first_row, columns, feature_pos, target_pos)
-                # No cell is bad once stripped: str.strip() removes the
-                # separators \x1c-\x1f from a cell's edges, float() does not.
-                parsed = _parse_block(records, pick, width, _stripped_float)
-            blocks.append(parsed[0])
-            outcomes.extend(parsed[1])
-            first_row += len(block)
+        outcomes: list[Outcome | None] = []
 
-    matrix = np.concatenate(blocks or [np.empty(0)]).reshape(len(outcomes), len(columns))
+        def keep(record: list[str]) -> bool:
+            if record:
+                outcomes.append(_OUTCOMES.get(record[target_pos].strip()))
+            return bool(record)
+
+        rows = map(operator.itemgetter(*feature_pos), filter(keep, reader))
+        # itemgetter of one index yields the cell itself, not a 1-tuple.
+        cells = itertools.chain.from_iterable(rows) if len(columns) > 1 else rows
+        try:
+            values = np.fromiter(map(float, cells), dtype=np.float64)
+        except (IndexError, ValueError, csv.Error):
+            values = None
+    if values is None or None in outcomes or not np.isfinite(values).all():
+        values, outcomes = _parse_rows(csv_path, delimiter, columns, feature_pos, target_pos)
+
+    matrix = np.asarray(values).reshape(len(outcomes), len(columns))
     return Dataset(
         feature_matrix=_freeze(matrix),
         column_names=columns,
@@ -237,69 +235,46 @@ def load_dataset(
     )
 
 
-def _stripped_float(cell: str) -> float:
-    return float(cell.strip())
-
-
-def _parse_block(
-    records: list[list[str]],
-    pick: operator.itemgetter,
-    width: int,
-    to_float: Callable[[str], float],
-) -> tuple[np.ndarray, list[Outcome]] | None:
-    """The block's feature cells, row-major, and its outcomes; None if
-    any record is short or any cell is bad."""
-    if not records:
-        return np.empty(0), []
-    if min(map(len, records)) < width:
-        return None
-    cells = list(itertools.chain.from_iterable(map(pick, records)))
-    stride = len(cells) // len(records)  # the features, then Target
-    targets = cells[stride - 1 :: stride]
-    del cells[stride - 1 :: stride]
-    try:
-        values = np.fromiter(map(to_float, cells), dtype=np.float64, count=len(cells))
-        outcomes = list(map(_OUTCOMES.__getitem__, map(str.strip, targets)))
-    except (ValueError, KeyError):
-        return None
-    if not np.isfinite(values).all():
-        return None
-    return values, outcomes
-
-
-def _locate_error(
-    block: list[list[str]],
-    first_row: int,
+def _parse_rows(
+    csv_path: str | Path,
+    delimiter: str,
     columns: tuple[str, ...],
     feature_pos: list[int],
     target_pos: int,
-) -> None:
-    """Raise the error for the block's first bad cell: rows in file
-    order; within a row, missing or unparsable feature cells in manifest
-    order, then non-finite ones, then ``Target``. Return if every cell
-    is good once stripped."""
-    for row_no, record in enumerate(block, start=first_row):
-        if not record:
-            continue
-        values = []
-        for name, pos in zip(columns, feature_pos):
-            if pos >= len(record):
-                raise MissingValueError(row_no, name)
-            text = record[pos].strip()
-            if not text:
-                raise MissingValueError(row_no, name)
-            try:
-                values.append(float(text))
-            except ValueError:
-                raise CellParseError(row_no, name, text) from None
-        for name, pos, value in zip(columns, feature_pos, values):
-            if not math.isfinite(value):
-                raise CellParseError(row_no, name, record[pos].strip())
-        if target_pos >= len(record):
-            raise MissingValueError(row_no, TARGET_COLUMN)
-        target_text = record[target_pos].strip()
-        if target_text not in _OUTCOMES:
-            raise CellParseError(row_no, TARGET_COLUMN, target_text)
+) -> tuple[array, list[Outcome]]:
+    """Parse the data rows one cell at a time and raise the error for
+    the first bad cell: rows in file order; within a row, missing or
+    unparsable feature cells in manifest order, then non-finite ones,
+    then ``Target``. If no cell is bad, return the feature values,
+    row-major, and the outcomes: every cell was good once stripped."""
+    values = array("d")
+    outcomes: list[Outcome] = []
+    with open(csv_path, encoding="utf-8-sig", newline="") as handle:
+        reader = csv.reader(handle, delimiter=delimiter)
+        next(reader)  # the header, already checked
+        for row_no, record in enumerate(reader, start=1):
+            if not record:
+                continue
+            row = []
+            for name, pos in zip(columns, feature_pos):
+                text = record[pos].strip() if pos < len(record) else ""
+                if not text:
+                    raise MissingValueError(row_no, name)
+                try:
+                    row.append(float(text))
+                except ValueError:
+                    raise CellParseError(row_no, name, text) from None
+            for name, pos, value in zip(columns, feature_pos, row):
+                if not math.isfinite(value):
+                    raise CellParseError(row_no, name, record[pos].strip())
+            if target_pos >= len(record):
+                raise MissingValueError(row_no, TARGET_COLUMN)
+            target_text = record[target_pos].strip()
+            if target_text not in _OUTCOMES:
+                raise CellParseError(row_no, TARGET_COLUMN, target_text)
+            values.extend(row)
+            outcomes.append(_OUTCOMES[target_text])
+    return values, outcomes
 
 
 def to_binary(dataset: Dataset) -> BinaryDataset:

@@ -18,6 +18,7 @@ import numpy as np
 from ..errors import InvalidArgumentError, WidthMismatchError
 from ..ingest import BinaryDataset
 from ..preprocess import Standardizer, apply_standardizer
+from ..rng import check_seed
 from .forest import Forest, build_forest, forest_scores
 from .knn import KnnModel, knn_scores, train_knn as _fit_knn
 from .svm import LinearSvm, svm_scores, train_svm as _fit_svm
@@ -90,8 +91,7 @@ class HyperParams:
             raise InvalidArgumentError(
                 f"svm_regularization_c must be positive and finite, got {self.svm_regularization_c}"
             )
-        if not 0 <= self.seed < 1 << 64:
-            raise InvalidArgumentError(f"seed must be an integer in [0, 2**64), got {self.seed}")
+        check_seed(self.seed)
         if self.forest_feature_rule not in ("sqrt", "all"):
             raise InvalidArgumentError(
                 f"forest_feature_rule must be 'sqrt' or 'all', got {self.forest_feature_rule!r}"

@@ -98,25 +98,29 @@ def write_json(doc: dict, path: str | Path) -> None:
     Path(path).write_bytes((text + "\n").encode("utf-8"))
 
 
+def _write_csv(path: str | Path, header: list[str], rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_ablation_csv(report: AblationReport, path: str | Path) -> None:
     """Grid shaped like the published table plus a baseline column:
     one row per model, then Average and STDV rows (sample std across
     the four models)."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["model", *report.column_labels])
-        for row, label in enumerate(report.model_labels):
-            writer.writerow([label, *(repr(float(v)) for v in report.mean_auc[row])])
-        writer.writerow(["Average", *(repr(float(v)) for v in report.column_mean)])
-        writer.writerow(["STDV", *(repr(float(v)) for v in report.column_std)])
+    rows = [[label, *(repr(float(v)) for v in report.mean_auc[row])]
+            for row, label in enumerate(report.model_labels)]
+    rows.append(["Average", *(repr(float(v)) for v in report.column_mean)])
+    rows.append(["STDV", *(repr(float(v)) for v in report.column_std)])
+    _write_csv(path, ["model", *report.column_labels], rows)
 
 
 def write_roc_csv(curve: RocCurve, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["threshold", "fpr", "tpr"])
-        for threshold, fpr, tpr in zip(curve.thresholds, curve.fpr, curve.tpr):
-            writer.writerow([repr(float(threshold)), repr(float(fpr)), repr(float(tpr))])
+    _write_csv(path, ["threshold", "fpr", "tpr"], (
+        [repr(float(threshold)), repr(float(fpr)), repr(float(tpr))]
+        for threshold, fpr, tpr in zip(curve.thresholds, curve.fpr, curve.tpr)
+    ))
 
 
 def roc_csv_name(model_label: str, seed: int) -> str:
@@ -124,40 +128,30 @@ def roc_csv_name(model_label: str, seed: int) -> str:
 
 
 def write_class_distribution_csv(counts: dict[Outcome, int], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["outcome", "count"])
-        for outcome in Outcome:
-            writer.writerow([outcome.value, counts[outcome]])
+    _write_csv(path, ["outcome", "count"],
+               ([outcome.value, counts[outcome]] for outcome in Outcome))
 
 
 def write_category_rates_csv(table: CategoryRateTable, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["category_code", "n", "dropout_rate", "graduate_rate"])
-        for code, n, dropout_rate, graduate_rate in table.rows:
-            writer.writerow([repr(code), n, repr(dropout_rate), repr(graduate_rate)])
+    _write_csv(path, ["category_code", "n", "dropout_rate", "graduate_rate"], (
+        [repr(code), n, repr(dropout_rate), repr(graduate_rate)]
+        for code, n, dropout_rate, graduate_rate in table.rows
+    ))
 
 
 def write_gender_csv(counts: dict[tuple[float, int], int], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["gender_code", "label", "count"])
-        for (code, label), count in sorted(counts.items()):
-            writer.writerow([repr(code), label, count])
+    _write_csv(path, ["gender_code", "label", "count"], (
+        [repr(code), label, count] for (code, label), count in sorted(counts.items())
+    ))
 
 
 def write_correlation_csv(matrix: CorrelationMatrix, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["feature", *matrix.column_names])
-        for i, name in enumerate(matrix.column_names):
-            writer.writerow([name, *(repr(float(v)) for v in matrix.values[i])])
+    _write_csv(path, ["feature", *matrix.column_names], (
+        [name, *(repr(float(v)) for v in matrix.values[i])]
+        for i, name in enumerate(matrix.column_names)
+    ))
 
 
 def write_importance_csv(entries, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["feature", "importance"])
-        for name, importance in entries:
-            writer.writerow([name, repr(float(importance))])
+    _write_csv(path, ["feature", "importance"],
+               ([name, repr(float(importance))] for name, importance in entries))

@@ -26,11 +26,34 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InvalidArgumentError
+
 _MASK64 = (1 << 64) - 1
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _DOUBLE_SCALE = float(2.0 ** -53)
+
+
+def check_seed(seed: int) -> None:
+    """Reject a seed outside [0, 2**64): streams take seeds modulo 2**64,
+    so such a seed would repeat the stream of one inside."""
+    if not isinstance(seed, (int, np.integer)):
+        raise InvalidArgumentError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise InvalidArgumentError(f"seed must be non-negative, got {seed}")
+    if seed > _MASK64:
+        raise InvalidArgumentError(f"seed must be below 2**64, got {seed}")
+
+
+def check_seeds(seeds: tuple[int, ...]) -> None:
+    """Reject an empty or repeated seed list, or a seed ``check_seed`` rejects."""
+    if not seeds:
+        raise InvalidArgumentError("at least one seed is needed")
+    for seed in seeds:
+        check_seed(seed)
+    if len(set(seeds)) != len(seeds):
+        raise InvalidArgumentError(f"repeated seed in {list(seeds)}")
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:

@@ -182,6 +182,19 @@ def test_eda_outputs(fixture_dir, tmp_path):
     assert header == "category_code,n,dropout_rate,graduate_rate"
 
 
+def test_eda_without_gender_column_skips_the_gender_table(fixture_dir, tmp_path):
+    lines = (fixture_dir / "manifest.tsv").read_text().splitlines()
+    manifest = tmp_path / "no_gender.tsv"
+    manifest.write_text("\n".join(line for line in lines if not line.startswith("Gender\t")))
+    out = tmp_path / "out"
+    code = main(["eda", "--data", str(fixture_dir / "data.csv"),
+                 "--manifest", str(manifest), "--out", str(out)])
+    assert code == 0
+    assert not (out / "eda_gender_distribution.csv").exists()
+    for name in ("eda_class_distribution.csv", "eda_correlation.csv", "eda_rates_debtor.csv"):
+        assert (out / name).exists()
+
+
 def test_importance_outputs(fixture_dir, tmp_path):
     out = tmp_path / "out"
     code = main([
@@ -224,6 +237,20 @@ def test_fixture_too_small_is_runtime_error(tmp_path, capsys):
     code = main(["fixture", "--rows", "5", "--out", str(tmp_path)])
     assert code == 1
     assert "at least 20" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed, message", [
+    ("18446744073709551658", "below 2**64"),
+    ("-1", "non-negative"),
+])
+def test_fixture_seed_outside_the_stream_range_is_runtime_error(tmp_path, capsys, seed, message):
+    out = tmp_path / "out"
+    code = main(["fixture", "--rows", "50", "--seed", seed, "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("dropcast: error:") and err.count("\n") == 1
+    assert message in err
+    assert not any(out.iterdir())
 
 
 def _data_flags(fixture_dir):

@@ -263,3 +263,9 @@ class TestRankGroupInfluence:
         })
         drops = dict(rank_group_influence(report))
         assert drops[FeatureGroup.ACADEMIC] == pytest.approx(-0.1)
+
+
+@pytest.mark.parametrize("seeds", [(42, 42 + 2**64, -1), (42, 42), (-1,), (2**64,), ()])
+def test_run_config_rejects_seeds_that_would_repeat_a_split(seeds):
+    with pytest.raises(InvalidArgumentError):
+        RunConfig(data_path="d.csv", manifest_path="m.tsv", seeds=seeds)

@@ -1,11 +1,10 @@
-from unittest import mock
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dropcast import ingest
 from dropcast.errors import (
     CellParseError,
     DropcastError,
@@ -15,6 +14,7 @@ from dropcast.errors import (
     MissingColumnError,
     MissingValueError,
 )
+from dropcast.fixture import generate_fixture
 from dropcast.ingest import (
     Dataset,
     FeatureGroup,
@@ -321,23 +321,21 @@ def test_matrices_are_immutable(tmp_path, small_manifest):
         ds.feature_matrix[0, 0] = 99.0
 
 
-@pytest.mark.parametrize("block_rows", [3, ingest._BLOCK_ROWS])
-def test_error_row_numbers_count_blank_lines(tmp_path, small_manifest, block_rows):
+@pytest.mark.parametrize("rows_before", [3, 4096])
+def test_error_row_numbers_count_blank_lines(tmp_path, small_manifest, rows_before):
     good = "20;1;1.5;Dropout"
-    # Two blank lines open the first block; the second block opens with
-    # a bad cell, so it is data row block_rows + 1.
-    lines = ["", ""] + [good] * (block_rows - 2) + ["20;x;1.5;Dropout", good]
+    # Two blank lines open the file; the bad cell follows rows_before
+    # data rows, so it is data row rows_before + 1.
+    lines = ["", ""] + [good] * (rows_before - 2) + ["20;x;1.5;Dropout", good]
     path = tmp_path / "d.csv"
     path.write_text("Age;Debt;GDP;Target\n" + "\n".join(lines) + "\n")
-    with mock.patch.object(ingest, "_BLOCK_ROWS", block_rows):
-        with pytest.raises(CellParseError) as err:
-            load_dataset(path, small_manifest)
-    assert (err.value.row, err.value.column) == (block_rows + 1, "Debt")
-    # A gap of blank lines inside a block counts too.
+    with pytest.raises(CellParseError) as err:
+        load_dataset(path, small_manifest)
+    assert (err.value.row, err.value.column) == (rows_before + 1, "Debt")
+    # A gap of blank lines between data rows counts too.
     path.write_text("Age;Debt;GDP;Target\n" + good + "\n\n\n20;1;;Dropout\n")
-    with mock.patch.object(ingest, "_BLOCK_ROWS", block_rows):
-        with pytest.raises(MissingValueError) as err:
-            load_dataset(path, small_manifest)
+    with pytest.raises(MissingValueError) as err:
+        load_dataset(path, small_manifest)
     assert str(err.value) == "missing value at data row 4, column 'GDP'"
 
 
@@ -349,7 +347,55 @@ def test_cells_padded_with_separator_characters_load(tmp_path, small_manifest):
     assert ds.feature_matrix.tolist() == [[20.0, 1.0, 1.5]]
 
 
-# --- the block loader against the row-by-row reference ----------------------
+@pytest.fixture(scope="module")
+def generated(tmp_path_factory):
+    """A 5000-row generated records file, its manifest and its lines."""
+    folder = tmp_path_factory.mktemp("generated")
+    generate_fixture(folder / "d.csv", folder / "m.tsv", n_rows=5000, seed=7)
+    lines = (folder / "d.csv").read_text().splitlines()
+    return folder, load_manifest(folder / "m.tsv"), lines
+
+
+def _with_last_row_first_cell(generated, tmp_path, cell):
+    folder, manifest, lines = generated
+    last = lines[-1].split(";")
+    last[0] = cell(last[0])
+    path = tmp_path / "d.csv"
+    path.write_text("\n".join([*lines[:-1], ";".join(last)]) + "\n")
+    return path, manifest, lines[0].split(";")[0]
+
+
+def test_bad_cell_in_last_of_5000_rows(generated, tmp_path):
+    path, manifest, column = _with_last_row_first_cell(generated, tmp_path, lambda _: "x")
+    with pytest.raises(CellParseError) as err:
+        load_dataset(path, manifest)
+    assert str(err.value) == f"cannot parse cell at data row 5000, column {column!r}: 'x'"
+
+
+def test_padded_cell_in_last_of_5000_rows_loads_bit_equal(generated, tmp_path):
+    folder, manifest, _ = generated
+    path, _, _ = _with_last_row_first_cell(generated, tmp_path, lambda c: c + "\x1c")
+    padded = load_dataset(path, manifest)
+    plain = load_dataset(folder / "d.csv", manifest)
+    assert padded.feature_matrix.tobytes() == plain.feature_matrix.tobytes()
+    assert padded.feature_matrix.shape == plain.feature_matrix.shape == (5000, 34)
+    assert padded.outcomes == plain.outcomes
+
+
+def test_load_peak_memory_is_near_the_matrix(tmp_path):
+    generate_fixture(tmp_path / "d.csv", tmp_path / "m.tsv", n_rows=20000, seed=7)
+    manifest = load_manifest(tmp_path / "m.tsv")
+    tracemalloc.start()
+    try:
+        ds = load_dataset(tmp_path / "d.csv", manifest)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.n_rows == 20000
+    assert peak <= 1.75 * ds.feature_matrix.nbytes
+
+
+# --- the streaming loader against the row-by-row reference ------------------
 
 COLUMNS = ("Age", "Debt", "GDP")
 GOOD_CELLS = st.one_of(
@@ -431,26 +477,24 @@ def _outcome(loader, path, manifest):
 
 
 @settings(max_examples=300, deadline=None)
-@given(records_files(), st.integers(1, 7))
-def test_block_loader_matches_reference(tmp_path_factory, case, block_rows):
+@given(records_files())
+def test_load_dataset_matches_reference(tmp_path_factory, case):
     manifest, data = case
     path = tmp_path_factory.mktemp("records") / "d.csv"
     path.write_bytes(data)
-    with mock.patch.object(ingest, "_BLOCK_ROWS", block_rows):
-        got = _outcome(load_dataset, path, manifest)
+    got = _outcome(load_dataset, path, manifest)
     assert got == _outcome(reference_load_dataset, path, manifest)
 
 
 @settings(max_examples=100, deadline=None)
-@given(records_files(with_errors=False), st.integers(1, 7))
-def test_load_write_load_round_trip(tmp_path_factory, case, block_rows):
+@given(records_files(with_errors=False))
+def test_load_write_load_round_trip(tmp_path_factory, case):
     manifest, data = case
     folder = tmp_path_factory.mktemp("round-trip")
     (folder / "d.csv").write_bytes(data)
-    with mock.patch.object(ingest, "_BLOCK_ROWS", block_rows):
-        first = load_dataset(folder / "d.csv", manifest)
-        write_dataset_csv(first, folder / "out.csv")
-        second = load_dataset(folder / "out.csv", manifest)
+    first = load_dataset(folder / "d.csv", manifest)
+    write_dataset_csv(first, folder / "out.csv")
+    second = load_dataset(folder / "out.csv", manifest)
     assert first.feature_matrix.tobytes() == second.feature_matrix.tobytes()
     assert first.feature_matrix.shape == second.feature_matrix.shape
     assert first.outcomes == second.outcomes

@@ -1,6 +1,10 @@
-import numpy as np
+import re
 
-from dropcast.rng import SeededRng
+import numpy as np
+import pytest
+
+from dropcast.errors import InvalidArgumentError
+from dropcast.rng import SeededRng, check_seed, check_seeds
 
 
 def test_same_seed_same_stream():
@@ -81,3 +85,29 @@ def test_subset_distinct_and_sorted():
     assert len(set(sub.tolist())) == 6
     assert sub.tolist() == sorted(sub.tolist())
     assert all(0 <= v < 30 for v in sub)
+
+
+@pytest.mark.parametrize("seed, message", [
+    (-1, "non-negative"),
+    (1 << 64, "below 2**64"),
+    (42 + (1 << 64), "below 2**64"),
+    (1.5, "an integer"),
+])
+def test_check_seed_rejects_seeds_outside_the_stream_range(seed, message):
+    with pytest.raises(InvalidArgumentError, match=re.escape(message)):
+        check_seed(seed)
+
+
+def test_check_seed_accepts_the_range_ends():
+    for seed in (0, (1 << 64) - 1, np.uint64(7)):
+        check_seed(seed)
+
+
+@pytest.mark.parametrize("seeds, message", [
+    ((), "at least one seed"),
+    ((42, 43, 42), "repeated seed"),
+    ((42, -1), "non-negative"),
+])
+def test_check_seeds_rejects_empty_repeated_and_bad_lists(seeds, message):
+    with pytest.raises(InvalidArgumentError, match=message):
+        check_seeds(seeds)
