@@ -43,6 +43,10 @@ class EmptyResultError(DropcastError):
     pass
 
 
+class FileFormatError(DropcastError):
+    """An input file that is not UTF-8 text or that the csv reader cannot split."""
+
+
 # --- preprocessing ---
 
 class InvalidFractionError(DropcastError):

@@ -16,7 +16,7 @@ labeled accordingly. Either is zero when there is a single sample.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +31,6 @@ from .models import (
     TrainedModel,
     score,
     train_model,
-    with_standardizer,
 )
 from .preprocess import SplitIndices, exclude_group, fit_standardizer, split
 from .rng import check_seeds
@@ -112,7 +111,7 @@ def evaluate_single(
     )
     model = train_model(kind, train_ds, hp)
     if standardizer is not None:
-        model = with_standardizer(model, standardizer)
+        model = replace(model, standardizer=standardizer)
 
     test_scores = score(model, matrix[indices.test_rows])
     test_labels = labels[indices.test_rows]

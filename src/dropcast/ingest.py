@@ -15,7 +15,10 @@ unknown ``Target``, ``_parse_rows`` reads the file again cell by cell
 and raises the error a plain row loop raises, with its data-row number
 and text. That loop also accepts cells that are good once stripped
 (``str.strip`` removes the separators U+001C to U+001F from a cell's
-edges, ``float`` does not).
+edges, ``float`` does not). A manifest or records file that is not
+UTF-8 text, or a record the csv reader cannot split (a cell over its
+field limit), raises one ``FileFormatError`` line naming the file and,
+for a record, its data row.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import itertools
 import math
 import operator
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,6 +39,7 @@ from .errors import (
     CellParseError,
     DuplicateColumnError,
     EmptyResultError,
+    FileFormatError,
     ManifestParseError,
     MissingColumnError,
     MissingValueError,
@@ -133,6 +138,18 @@ def _freeze(array: np.ndarray) -> np.ndarray:
     return array
 
 
+@contextmanager
+def _open_text(path: str | Path, **kwargs):
+    """``open(path, **kwargs)`` for reading; a byte that is not UTF-8
+    raises one ``FileFormatError`` line naming the file."""
+    try:
+        with open(path, **kwargs) as handle:
+            yield handle
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start:exc.end].hex()
+        raise FileFormatError(f"{path}: not UTF-8 text: cannot decode byte 0x{bad}") from None
+
+
 def default_manifest_path(version: str = "default-34") -> Path:
     """Path of a shipped manifest: 'default-34' or 'variant-36'."""
     files = {"default-34": "default34.tsv", "variant-36": "variant36.tsv"}
@@ -150,7 +167,7 @@ def load_manifest(path: str | Path) -> GroupManifest:
     entries: list[tuple[str, FeatureGroup]] = []
     seen: set[str] = set()
     version_tag = "unversioned"
-    with open(path, encoding="utf-8") as handle:
+    with _open_text(path, encoding="utf-8") as handle:
         for line_no, raw in enumerate(handle, start=1):
             line = raw.rstrip("\n")
             if not line.strip():
@@ -193,12 +210,14 @@ def load_dataset(
     column.
     """
     columns = manifest.column_names
-    with open(csv_path, encoding="utf-8-sig", newline="") as handle:
+    with _open_text(csv_path, encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle, delimiter=delimiter)
         try:
             header = next(reader)
         except StopIteration:
             raise MissingColumnError(TARGET_COLUMN) from None
+        except csv.Error as exc:
+            raise FileFormatError(f"{csv_path}: header: {exc}") from None
         names = [name.strip() for name in header]
         positions = {name: i for i, name in enumerate(names)}
         for name in (*columns, TARGET_COLUMN):
@@ -249,31 +268,35 @@ def _parse_rows(
     row-major, and the outcomes: every cell was good once stripped."""
     values = array("d")
     outcomes: list[Outcome] = []
-    with open(csv_path, encoding="utf-8-sig", newline="") as handle:
+    with _open_text(csv_path, encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle, delimiter=delimiter)
         next(reader)  # the header, already checked
-        for row_no, record in enumerate(reader, start=1):
-            if not record:
-                continue
-            row = []
-            for name, pos in zip(columns, feature_pos):
-                text = record[pos].strip() if pos < len(record) else ""
-                if not text:
-                    raise MissingValueError(row_no, name)
-                try:
-                    row.append(float(text))
-                except ValueError:
-                    raise CellParseError(row_no, name, text) from None
-            for name, pos, value in zip(columns, feature_pos, row):
-                if not math.isfinite(value):
-                    raise CellParseError(row_no, name, record[pos].strip())
-            if target_pos >= len(record):
-                raise MissingValueError(row_no, TARGET_COLUMN)
-            target_text = record[target_pos].strip()
-            if target_text not in _OUTCOMES:
-                raise CellParseError(row_no, TARGET_COLUMN, target_text)
-            values.extend(row)
-            outcomes.append(_OUTCOMES[target_text])
+        row_no = 0  # the last data row read
+        try:
+            for row_no, record in enumerate(reader, start=1):
+                if not record:
+                    continue
+                row = []
+                for name, pos in zip(columns, feature_pos):
+                    text = record[pos].strip() if pos < len(record) else ""
+                    if not text:
+                        raise MissingValueError(row_no, name)
+                    try:
+                        row.append(float(text))
+                    except ValueError:
+                        raise CellParseError(row_no, name, text) from None
+                for name, pos, value in zip(columns, feature_pos, row):
+                    if not math.isfinite(value):
+                        raise CellParseError(row_no, name, record[pos].strip())
+                if target_pos >= len(record):
+                    raise MissingValueError(row_no, TARGET_COLUMN)
+                target_text = record[target_pos].strip()
+                if target_text not in _OUTCOMES:
+                    raise CellParseError(row_no, TARGET_COLUMN, target_text)
+                values.extend(row)
+                outcomes.append(_OUTCOMES[target_text])
+        except csv.Error as exc:
+            raise FileFormatError(f"{csv_path}: data row {row_no + 1}: {exc}") from None
     return values, outcomes
 
 

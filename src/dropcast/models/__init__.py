@@ -1,17 +1,19 @@
 """The four binary classifiers under one train/score contract.
 
-Every trainer is a pure function of (dataset, hyperparameters); scoring
-returns one finite real per row, higher meaning more dropout-like. Tree
-and forest consume raw feature values; the SVM and k-NN trainers expect
-standardized inputs (callers attach the standardizer to the returned
-model so scoring can standardize incoming rows itself).
+``train_model`` is the one trainer, a pure function of (model kind,
+dataset, hyperparameters); scoring returns one finite real per row,
+higher meaning more dropout-like. Tree and forest consume raw feature
+values; the SVM and k-NN expect standardized inputs. Their caller fits
+the standardizer on the training rows and attaches it to the returned
+model with ``dataclasses.replace(model, standardizer=...)``, so that
+``score`` standardizes incoming raw rows itself.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,12 +65,12 @@ GRID_MODEL_ORDER = (
 
 @dataclass(frozen=True)
 class HyperParams:
+    """The six model settings, one per CLI flag. The forest's other
+    settings are fixed: bootstrap samples, ceil(sqrt(p)) candidates per
+    split, no depth limit (see ``forest``)."""
+
     tree_max_depth: int = 5
     forest_n_trees: int = 100
-    forest_feature_rule: str = "sqrt"  # candidates per split: ceil(sqrt(p)) or "all"
-    forest_min_leaf: int = 1
-    forest_max_depth: int | None = None
-    forest_bootstrap: bool = True  # disabling is a test-only configuration
     svm_regularization_c: float = 1.0
     svm_epochs: int = 200
     knn_k: int = 20
@@ -78,24 +80,17 @@ class HyperParams:
         counts = {
             "tree_max_depth": self.tree_max_depth,
             "forest_n_trees": self.forest_n_trees,
-            "forest_min_leaf": self.forest_min_leaf,
             "svm_epochs": self.svm_epochs,
             "knn_k": self.knn_k,
         }
         for name, value in counts.items():
             if value < 1:
                 raise InvalidArgumentError(f"{name} must be >= 1, got {value}")
-        if self.forest_max_depth is not None and self.forest_max_depth < 1:
-            raise InvalidArgumentError("forest_max_depth must be >= 1 when set")
         if not (math.isfinite(self.svm_regularization_c) and self.svm_regularization_c > 0):
             raise InvalidArgumentError(
                 f"svm_regularization_c must be positive and finite, got {self.svm_regularization_c}"
             )
         check_seed(self.seed)
-        if self.forest_feature_rule not in ("sqrt", "all"):
-            raise InvalidArgumentError(
-                f"forest_feature_rule must be 'sqrt' or 'all', got {self.forest_feature_rule!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -106,68 +101,21 @@ class TrainedModel:
     standardizer: Standardizer | None = None
 
 
-def _check_nonempty(train: BinaryDataset) -> None:
+def train_model(kind: ModelKind, train: BinaryDataset, hp: HyperParams) -> TrainedModel:
+    """Fit one model of ``kind`` on ``train``; the result carries no
+    standardizer."""
     if train.n_rows == 0:
         raise InvalidArgumentError("training set is empty")
-
-
-def train_decision_tree(train: BinaryDataset, hp: HyperParams) -> TrainedModel:
-    _check_nonempty(train)
-    tree = build_tree(
-        train.feature_matrix,
-        train.labels,
-        max_depth=hp.tree_max_depth,
-    )
-    return TrainedModel(ModelKind.DECISION_TREE, train.n_columns, tree)
-
-
-def train_random_forest(train: BinaryDataset, hp: HyperParams) -> TrainedModel:
-    _check_nonempty(train)
-    forest = build_forest(
-        train.feature_matrix,
-        train.labels,
-        n_trees=hp.forest_n_trees,
-        seed=hp.seed,
-        feature_rule=hp.forest_feature_rule,
-        bootstrap=hp.forest_bootstrap,
-        max_depth=hp.forest_max_depth,
-        min_leaf=hp.forest_min_leaf,
-    )
-    return TrainedModel(ModelKind.RANDOM_FOREST, train.n_columns, forest)
-
-
-def train_linear_svm(train: BinaryDataset, hp: HyperParams) -> TrainedModel:
-    _check_nonempty(train)
-    svm = _fit_svm(
-        train.feature_matrix,
-        train.labels,
-        c=hp.svm_regularization_c,
-        epochs=hp.svm_epochs,
-        seed=hp.seed,
-    )
-    return TrainedModel(ModelKind.LINEAR_SVM, train.n_columns, svm)
-
-
-def train_knn_model(train: BinaryDataset, hp: HyperParams) -> TrainedModel:
-    _check_nonempty(train)
-    knn = _fit_knn(train.feature_matrix, train.labels, k=hp.knn_k)
-    return TrainedModel(ModelKind.KNN, train.n_columns, knn)
-
-
-_TRAINERS = {
-    ModelKind.DECISION_TREE: train_decision_tree,
-    ModelKind.RANDOM_FOREST: train_random_forest,
-    ModelKind.LINEAR_SVM: train_linear_svm,
-    ModelKind.KNN: train_knn_model,
-}
-
-
-def train_model(kind: ModelKind, train: BinaryDataset, hp: HyperParams) -> TrainedModel:
-    return _TRAINERS[kind](train, hp)
-
-
-def with_standardizer(model: TrainedModel, standardizer: Standardizer) -> TrainedModel:
-    return replace(model, standardizer=standardizer)
+    x, y = train.feature_matrix, train.labels
+    if kind is ModelKind.DECISION_TREE:
+        payload = build_tree(x, y, max_depth=hp.tree_max_depth)
+    elif kind is ModelKind.RANDOM_FOREST:
+        payload = build_forest(x, y, n_trees=hp.forest_n_trees, seed=hp.seed)
+    elif kind is ModelKind.LINEAR_SVM:
+        payload = _fit_svm(x, y, c=hp.svm_regularization_c, epochs=hp.svm_epochs, seed=hp.seed)
+    else:
+        payload = _fit_knn(x, y, k=hp.knn_k)
+    return TrainedModel(kind, train.n_columns, payload)
 
 
 def score(model: TrainedModel, rows: np.ndarray) -> np.ndarray:

@@ -1,11 +1,13 @@
 """Random forest: bagged CART trees with per-split feature subsets.
 
-Tree ``i`` draws its bootstrap sample and all of its split-time feature
-subsets from a generator seeded with ``seed XOR i``. All trees are grown
-in lockstep by one call (see ``tree``). No tree's stream depends on the
-other trees, so each tree equals the tree grown alone from its sample
-and stream, and the forest is a pure function of (data,
-hyperparameters).
+Every tree grows on a bootstrap sample with ceil(sqrt(p)) candidate
+features per split and no depth limit; the tree count and the seed are
+the only settings. Tree ``i`` draws its bootstrap sample and all of its
+split-time feature subsets from a generator seeded with ``seed XOR i``.
+All trees are grown in lockstep by one call (see ``tree``). No tree's
+stream depends on the other trees, so each tree equals the tree grown
+alone from its sample and stream, and the forest is a pure function of
+(data, tree count, seed).
 """
 
 from __future__ import annotations
@@ -29,34 +31,20 @@ class Forest:
         return len(self.trees)
 
 
-def candidate_count(n_features: int, rule: str) -> int:
-    if rule == "sqrt":
-        # ceil(sqrt(p)) without float rounding
-        return math.isqrt(n_features - 1) + 1 if n_features > 0 else 0
-    if rule == "all":
-        return n_features
-    raise ValueError(f"unknown feature rule: {rule!r}")
+def candidate_count(n_features: int) -> int:
+    """ceil(sqrt(p)) without float rounding."""
+    return math.isqrt(n_features - 1) + 1 if n_features > 0 else 0
 
 
-def build_forest(
-    x: np.ndarray,
-    y: np.ndarray,
-    n_trees: int,
-    seed: int,
-    feature_rule: str = "sqrt",
-    bootstrap: bool = True,
-    max_depth: int | None = None,
-    min_leaf: int = 1,
-) -> Forest:
+def build_forest(x: np.ndarray, y: np.ndarray, n_trees: int, seed: int) -> Forest:
     n_rows, n_features = x.shape
-    k = candidate_count(n_features, feature_rule)
     tree_seeds = tuple((seed ^ i) & 0xFFFFFFFFFFFFFFFF for i in range(n_trees))
     trees = []
     for tree_seed in tree_seeds:
         rng = SeededRng(tree_seed)
-        trees.append((rng.integers(n_rows, n_rows) if bootstrap else None, rng))
-    grown = _grow_trees(_code_columns(x, y), trees, max_depth, min_leaf,
-                        k if k < n_features else None)
+        trees.append((rng.integers(n_rows, n_rows), rng))
+    grown = _grow_trees(_code_columns(x, y), trees, max_depth=None,
+                        n_candidates=candidate_count(n_features))
     return Forest(trees=tuple(grown), tree_seeds=tree_seeds)
 
 

@@ -134,7 +134,6 @@ def build_tree(
     y: np.ndarray,
     sample_idx: np.ndarray | None = None,
     max_depth: int | None = None,
-    min_leaf: int = 1,
     n_candidates: int | None = None,
     rng: SeededRng | None = None,
 ) -> Tree:
@@ -149,7 +148,7 @@ def build_tree(
     if n_candidates is not None and rng is None:
         raise ValueError("feature subsampling requires an rng")
     coded = _code_columns(x, y)
-    return _grow_trees(coded, [(sample_idx, rng)], max_depth, min_leaf, n_candidates)[0]
+    return _grow_trees(coded, [(sample_idx, rng)], max_depth, n_candidates)[0]
 
 
 class _Growing:
@@ -186,7 +185,7 @@ class _Growing:
         return Tree(*arrays)
 
 
-def _grow_trees(coded, trees, max_depth, min_leaf, n_candidates) -> list[Tree]:
+def _grow_trees(coded, trees, max_depth, n_candidates) -> list[Tree]:
     """One ``Tree`` per (sample_idx, rng) of ``trees``, grown in lockstep
     on columns coded by ``_code_columns``; each equals the tree
     ``build_tree`` would grow alone from the same arguments."""
@@ -221,14 +220,14 @@ def _grow_trees(coded, trees, max_depth, min_leaf, n_candidates) -> list[Tree]:
             stack = state.stack
             while stack:
                 node, start, size, positives, depth = entry = stack.pop()
-                if depth < depth_limit and 0 < positives < size and size >= 2 * min_leaf:
+                if depth < depth_limit and 0 < positives < size:
                     subset = every_feature if state.subsets is None else next(state.subsets)
                     batch.append((state, *entry, subset))
                     break
 
         for lo, hi in _chunks([entry[3] * k for entry in batch]):
             splits = []  # (start, size, feature, low bin, left size)
-            found = _search(keys, values, order, batch[lo:hi], min_leaf, shift)
+            found = _search(keys, values, order, batch[lo:hi], shift)
             for i, feature, thr, left_size, left_pos, low_bin in zip(*found):
                 state, node, start, size, positives, depth, _ = batch[lo + i]
                 if not _strictly_improves(size, positives, left_size, left_pos):
@@ -263,7 +262,7 @@ def _chunks(elements: list[int]):
         yield lo, len(elements)
 
 
-def _search(keys, values, order, batch, min_leaf, shift):
+def _search(keys, values, order, batch, shift):
     """Each node's first-minimum valid cut, for the nodes that have one.
 
     Returns parallel lists: the node's index in ``batch``, the winner's
@@ -295,13 +294,11 @@ def _search(keys, values, order, batch, min_leaf, shift):
         packed |= np.repeat(np.arange(n, dtype=np.int64) << shift, sizes * k)
     packed.sort()
 
-    # A cut follows position j of a segment where the bin changes, with at
-    # least max(min_leaf, 1) rows on each side of it.
+    # A cut follows position j of a segment where the bin changes, short
+    # of the segment's last row.
     cut = np.empty(total, dtype=bool)
     np.greater(packed[:-1] ^ packed[1:], 1, out=cut[:-1])
-    cut[(seg_end - 1)[:, None] - np.arange(max(min_leaf, 1))] = False
-    if min_leaf > 1:
-        cut[seg_start[:, None] + np.arange(min_leaf - 1)] = False
+    cut[seg_end - 1] = False
     at = np.flatnonzero(cut)
     del cut
     if at.size == 0:

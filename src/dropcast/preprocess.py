@@ -94,10 +94,13 @@ def apply_standardizer(standardizer: Standardizer, matrix: np.ndarray) -> np.nda
 
 
 def exclude_group(dataset: BinaryDataset, group: FeatureGroup) -> BinaryDataset:
-    """Remove every column tagged with ``group``; order and labels kept."""
+    """Remove every column tagged with ``group``; order and labels kept.
+    At least one column must be left."""
     if group not in dataset.column_groups:
         raise UnknownGroupError(f"no columns tagged {group.value!r} in dataset")
     keep = [i for i, g in enumerate(dataset.column_groups) if g is not group]
+    if not keep:
+        raise InvalidArgumentError(f"excluding group {group.value!r} leaves no feature column")
     matrix = dataset.feature_matrix[:, np.array(keep, dtype=np.int64)]
     matrix.setflags(write=False)
     return BinaryDataset(

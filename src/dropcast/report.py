@@ -22,7 +22,7 @@ from .experiments import AblationReport, RunConfig, rank_group_influence
 from .ingest import Outcome
 from .metrics import RocCurve, RocReport
 
-SCHEMA_VERSION = "dropcast-report-1"
+SCHEMA_VERSION = "dropcast-report-2"
 SCHEMA_PATH = Path(__file__).parent / "schemas" / "report.schema.json"
 
 

@@ -18,7 +18,7 @@ from dropcast.experiments import RunConfig, rank_group_influence, run_ablation, 
 from dropcast.fixture import generate_fixture
 from dropcast.ingest import FeatureGroup
 from dropcast.metrics import auc, forest_importance, roc_curve
-from dropcast.models import HyperParams, train_random_forest
+from dropcast.models import HyperParams, ModelKind, train_model
 from dropcast.models.forest import build_forest, candidate_count
 import dropcast.models.knn as knn_mod
 from dropcast.models.knn import knn_scores, train_knn
@@ -168,7 +168,7 @@ class TestCriterion3:
                 groups=real_binary.column_groups,
                 names=real_binary.column_names,
             )
-            model = train_random_forest(train, HyperParams())
+            model = train_model(ModelKind.RANDOM_FOREST, train, HyperParams())
             report = forest_importance(model, real_binary.column_names)
             if report.top_names(3) == TOP_THREE_FEATURES:
                 hits += 1
@@ -280,7 +280,7 @@ class TestCriterion5:
             depth_ok = depth_ok and max_node_depth(tree) <= 5
             internal_nodes += assert_strict_gini_decrease(tree, x, y)
             # forest trees, including bootstrap duplicates
-            forest = build_forest(x, y, n_trees=4, seed=trial, max_depth=None)
+            forest = build_forest(x, y, n_trees=4, seed=trial)
             for i, ftree in enumerate(forest.trees):
                 boot = SeededRng(trial ^ i).integers(n, n)
                 internal_nodes += assert_strict_gini_decrease(ftree, x, y, initial_idx=boot)
@@ -342,9 +342,10 @@ class TestCriterion5:
         rng = np.random.default_rng(1004)
         x = rng.integers(0, 8, size=(200, 7)).astype(float)
         y = (x[:, 1] > 3).astype(int)
-        forest = train_random_forest(make_binary(x, y), HyperParams(forest_n_trees=60, seed=42))
+        hp = HyperParams(forest_n_trees=60, seed=42)
+        forest = train_model(ModelKind.RANDOM_FOREST, make_binary(x, y), hp)
         queries = rng.normal(size=(40, 7)) * 4
-        k = candidate_count(7, "sqrt")
+        k = candidate_count(7)
         mismatches = 0
         for i, grown in enumerate(forest.payload.trees):
             stream = SeededRng(42 ^ i)

@@ -1,10 +1,12 @@
+import dataclasses
 import json
 
 import pytest
 
-from dropcast.cli import main
+from dropcast.cli import _config_from_args, build_parser, main
 from dropcast.fixture import generate_fixture
 from dropcast.ingest import FeatureGroup
+from dropcast.models import HyperParams
 
 
 @pytest.fixture(scope="module")
@@ -221,6 +223,31 @@ def test_exclude_flag(fixture_dir, tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["runs"][0]["excluded_group"] == "academic"
 
+
+
+@pytest.mark.parametrize("command", ["train", "importance"])
+def test_exclusion_leaving_no_feature_column_is_one_line_error(fixture_dir, tmp_path, capsys,
+                                                                command):
+    manifest = tmp_path / "academic_only.tsv"
+    lines = (fixture_dir / "manifest.tsv").read_text().splitlines()
+    manifest.write_text("".join(f"{line}\n" for line in lines if line.endswith("\tacademic")))
+    out = tmp_path / "out"
+    code = main([command, "--data", str(fixture_dir / "data.csv"), "--manifest", str(manifest),
+                 "--exclude", "academic", "--out", str(out), *_fast_flags()])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "dropcast: error: excluding group 'academic' leaves no feature column\n"
+    assert not any(out.iterdir())
+
+
+def test_every_hyperparameter_is_set_by_its_flag():
+    args = build_parser().parse_args([
+        "train", "--data", "d.csv", "--tree-max-depth", "3", "--forest-trees", "7",
+        "--svm-c", "0.5", "--svm-epochs", "9", "--knn-k", "4", "--train-seed", "1",
+    ])
+    hp = _config_from_args(args).hyperparams
+    for field in dataclasses.fields(HyperParams):
+        assert getattr(hp, field.name) != field.default, field.name
 
 def test_fixture_command(tmp_path):
     out = tmp_path / "fx"

@@ -1,12 +1,7 @@
 import numpy as np
 
 from dropcast.metrics import auc
-from dropcast.models import (
-    HyperParams,
-    score,
-    train_decision_tree,
-    train_random_forest,
-)
+from dropcast.models import HyperParams, ModelKind, score, train_model
 from dropcast.models.forest import build_forest, candidate_count
 from dropcast.models.tree import build_tree, tree_scores
 from dropcast.preprocess import split
@@ -30,16 +25,16 @@ def trees_equal(a, b) -> bool:
 
 
 def test_candidate_count_is_ceil_sqrt():
-    assert candidate_count(34, "sqrt") == 6
-    assert candidate_count(36, "sqrt") == 6
-    assert candidate_count(17, "sqrt") == 5
-    assert candidate_count(1, "sqrt") == 1
-    assert candidate_count(9, "all") == 9
+    assert candidate_count(34) == 6
+    assert candidate_count(36) == 6
+    assert candidate_count(17) == 5
+    assert candidate_count(9) == 3
+    assert candidate_count(1) == 1
 
 
 def test_all_negative_training_scores_zero():
     ds = make_binary(np.arange(20, dtype=float).reshape(10, 2), [0] * 10)
-    model = train_random_forest(ds, HyperParams(forest_n_trees=8))
+    model = train_model(ModelKind.RANDOM_FOREST, ds, HyperParams(forest_n_trees=8))
     out = score(model, np.array([[3.0, 4.0], [100.0, -7.0]]))
     assert out.tolist() == [0.0, 0.0]
 
@@ -48,9 +43,10 @@ def test_lockstep_trees_equal_trees_grown_alone():
     rng = np.random.default_rng(21)
     x = rng.integers(0, 8, size=(150, 7)).astype(float)
     y = (x[:, 0] > 3).astype(int)
-    forest = train_random_forest(make_binary(x, y), HyperParams(forest_n_trees=60, seed=42))
+    hp = HyperParams(forest_n_trees=60, seed=42)
+    forest = train_model(ModelKind.RANDOM_FOREST, make_binary(x, y), hp)
     queries = rng.normal(size=(40, 7)) * 4
-    k = candidate_count(7, "sqrt")
+    k = candidate_count(7)
     for i, grown in enumerate(forest.payload.trees):
         stream = SeededRng(42 ^ i)
         sample = stream.integers(150, 150)
@@ -65,15 +61,15 @@ def test_retraining_is_bit_identical():
     y = rng.integers(0, 2, size=100)
     ds = make_binary(x, y)
     hp = HyperParams(forest_n_trees=10, seed=7)
-    a = train_random_forest(ds, hp)
-    b = train_random_forest(ds, hp)
+    a = train_model(ModelKind.RANDOM_FOREST, ds, hp)
+    b = train_model(ModelKind.RANDOM_FOREST, ds, hp)
     for ta, tb in zip(a.payload.trees, b.payload.trees):
         assert trees_equal(ta, tb)
 
 
 def test_per_tree_seeds_are_xor_of_seed_and_index():
     ds = make_binary(np.arange(40, dtype=float).reshape(20, 2), [0, 1] * 10)
-    model = train_random_forest(ds, HyperParams(forest_n_trees=5, seed=42))
+    model = train_model(ModelKind.RANDOM_FOREST, ds, HyperParams(forest_n_trees=5, seed=42))
     assert model.payload.tree_seeds == tuple(42 ^ i for i in range(5))
 
 
@@ -90,7 +86,7 @@ def test_perfectly_predictive_column_gives_auc_one():
     ds = make_binary(x, y)
     indices = split(n, 0.25, seed=3)
     train = make_binary(x[indices.train_rows], y[indices.train_rows])
-    model = train_random_forest(train, HyperParams(forest_n_trees=30, seed=4))
+    model = train_model(ModelKind.RANDOM_FOREST, train, HyperParams(forest_n_trees=30, seed=4))
     held_out = score(model, x[indices.test_rows])
     assert auc(held_out, y[indices.test_rows]) == 1.0
 
@@ -100,29 +96,10 @@ def test_forest_score_is_mean_of_tree_scores():
     x = rng.normal(size=(80, 4))
     y = rng.integers(0, 2, size=80)
     ds = make_binary(x, y)
-    model = train_random_forest(ds, HyperParams(forest_n_trees=12, seed=5))
+    model = train_model(ModelKind.RANDOM_FOREST, ds, HyperParams(forest_n_trees=12, seed=5))
     queries = rng.normal(size=(25, 4))
     per_tree = np.stack([tree_scores(t, queries) for t in model.payload.trees])
     assert np.array_equal(score(model, queries), per_tree.mean(axis=0))
-
-
-def test_single_tree_full_features_no_bootstrap_equals_decision_tree():
-    rng = np.random.default_rng(25)
-    x = rng.integers(0, 5, size=(90, 6)).astype(float)
-    y = rng.integers(0, 2, size=90)
-    ds = make_binary(x, y)
-    hp = HyperParams(
-        forest_n_trees=1,
-        forest_bootstrap=False,
-        forest_feature_rule="all",
-        forest_max_depth=5,
-        seed=42,
-    )
-    forest_model = train_random_forest(ds, hp)
-    tree_model = train_decision_tree(ds, HyperParams(tree_max_depth=5))
-    assert trees_equal(forest_model.payload.trees[0], tree_model.payload)
-    queries = rng.normal(size=(20, 6)) * 3
-    assert np.array_equal(score(forest_model, queries), score(tree_model, queries))
 
 
 def test_bootstrap_sampling_varies_between_trees():

@@ -1,3 +1,4 @@
+import csv
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from dropcast.errors import (
     DropcastError,
     DuplicateColumnError,
     EmptyResultError,
+    FileFormatError,
     ManifestParseError,
     MissingColumnError,
     MissingValueError,
@@ -394,6 +396,39 @@ def test_load_peak_memory_is_near_the_matrix(tmp_path):
     assert ds.n_rows == 20000
     assert peak <= 1.75 * ds.feature_matrix.nbytes
 
+
+
+@pytest.mark.parametrize("where", ["header chunk", "after 5000 rows"])
+def test_non_utf8_records_file_is_one_line_error(generated, tmp_path, where):
+    folder, manifest, lines = generated
+    path = tmp_path / "d.csv"
+    text = "\n".join(lines[:2] if where == "header chunk" else lines) + "\n"
+    path.write_bytes(text.encode() + b"\xff\n")
+    with pytest.raises(FileFormatError) as err:
+        load_dataset(path, manifest)
+    assert str(err.value) == f"{path}: not UTF-8 text: cannot decode byte 0xff"
+
+
+def test_non_utf8_manifest_is_one_line_error(tmp_path):
+    path = tmp_path / "m.tsv"
+    path.write_bytes(b"Age\tdemographic\nDebt\tsocio\xffeconomic\n")
+    with pytest.raises(FileFormatError) as err:
+        load_manifest(path)
+    assert str(err.value) == f"{path}: not UTF-8 text: cannot decode byte 0xff"
+
+
+def test_cell_over_the_csv_field_limit_names_its_data_row(generated, tmp_path):
+    oversized = "1" * (csv.field_size_limit() + 1)
+    path, manifest, _ = _with_last_row_first_cell(generated, tmp_path, lambda _: oversized)
+    with pytest.raises(FileFormatError) as err:
+        load_dataset(path, manifest)
+    limit = csv.field_size_limit()
+    assert str(err.value) == f"{path}: data row 5000: field larger than field limit ({limit})"
+    # The same cell in the header row
+    header, *rows = path.read_text().splitlines()
+    path.write_text("\n".join([oversized + header, *rows]) + "\n")
+    with pytest.raises(FileFormatError, match=r"d\.csv: header: field larger than field limit"):
+        load_dataset(path, manifest)
 
 # --- the streaming loader against the row-by-row reference ------------------
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import dropcast.models.knn as knn_mod
 from dropcast.errors import InsufficientRowsError, WidthMismatchError
-from dropcast.models import HyperParams, score, train_knn_model
+from dropcast.models import HyperParams, ModelKind, score, train_model
 from dropcast.models.knn import knn_scores, train_knn
 
 from conftest import make_binary
@@ -87,14 +87,14 @@ def test_chunking_matches_single_block():
 
 def test_empty_query_list():
     ds = make_binary(np.arange(40, dtype=float).reshape(20, 2), [0, 1] * 10)
-    model = train_knn_model(ds, HyperParams(knn_k=5))
+    model = train_model(ModelKind.KNN, ds, HyperParams(knn_k=5))
     assert score(model, np.zeros((0, 2))).tolist() == []
     assert score(model, []).tolist() == []
 
 
 def test_width_mismatch():
     ds = make_binary(np.arange(40, dtype=float).reshape(20, 2), [0, 1] * 10)
-    model = train_knn_model(ds, HyperParams(knn_k=5))
+    model = train_model(ModelKind.KNN, ds, HyperParams(knn_k=5))
     with pytest.raises(WidthMismatchError):
         score(model, np.zeros((3, 4)))
 

@@ -8,7 +8,7 @@ from dropcast.metrics import (
     forest_importance,
     roc_curve,
 )
-from dropcast.models import HyperParams, train_random_forest
+from dropcast.models import HyperParams, ModelKind, train_model
 
 from conftest import make_binary
 from oracles import pair_count_auc, trapezoid_area
@@ -143,7 +143,7 @@ class TestForestImportance:
         x = np.zeros((n, 5))
         x[:, 2] = y * 4 + rng.normal(scale=0.1, size=n)  # only column 2 carries signal
         ds = make_binary(x, y)
-        model = train_random_forest(ds, HyperParams(forest_n_trees=20, seed=1))
+        model = train_model(ModelKind.RANDOM_FOREST, ds, HyperParams(forest_n_trees=20, seed=1))
         report = forest_importance(model, ds.column_names)
         top_name, top_value = report.entries[0]
         assert top_name == "f2"
@@ -154,22 +154,20 @@ class TestForestImportance:
         x = rng.normal(size=(120, 6))
         y = (x[:, 0] + x[:, 3] > 0).astype(int)
         ds = make_binary(x, y)
-        model = train_random_forest(ds, HyperParams(forest_n_trees=15, seed=2))
+        model = train_model(ModelKind.RANDOM_FOREST, ds, HyperParams(forest_n_trees=15, seed=2))
         report = forest_importance(model, ds.column_names)
         assert sum(v for _, v in report.entries) == pytest.approx(1.0, abs=1e-9)
         assert all(v >= 0 for _, v in report.entries)
 
     def test_kind_mismatch(self):
-        from dropcast.models import train_decision_tree
-
         ds = make_binary(np.array([[0.0], [1.0]]), [0, 1])
-        model = train_decision_tree(ds, HyperParams())
+        model = train_model(ModelKind.DECISION_TREE, ds, HyperParams())
         with pytest.raises(KindMismatchError):
             forest_importance(model, ds.column_names)
 
     def test_no_split_error(self):
         # All-identical rows: no tree can split.
         ds = make_binary(np.ones((10, 3)), [1] * 10)
-        model = train_random_forest(ds, HyperParams(forest_n_trees=5, seed=3))
+        model = train_model(ModelKind.RANDOM_FOREST, ds, HyperParams(forest_n_trees=5, seed=3))
         with pytest.raises(NoSplitError):
             forest_importance(model, ds.column_names)

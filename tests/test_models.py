@@ -7,7 +7,6 @@ from dropcast.models import (
     HyperParams,
     ModelKind,
     score,
-    train_linear_svm,
     train_model,
 )
 
@@ -18,10 +17,6 @@ def test_defaults_match_documented_configuration():
     hp = HyperParams()
     assert hp.tree_max_depth == 5
     assert hp.forest_n_trees == 100
-    assert hp.forest_feature_rule == "sqrt"
-    assert hp.forest_min_leaf == 1
-    assert hp.forest_max_depth is None
-    assert hp.forest_bootstrap is True
     assert hp.svm_regularization_c == 1.0
     assert hp.svm_epochs == 200
     assert hp.knn_k == 20
@@ -33,14 +28,11 @@ def test_defaults_match_documented_configuration():
     [
         {"tree_max_depth": 0},
         {"forest_n_trees": 0},
-        {"forest_min_leaf": -1},
-        {"forest_max_depth": 0},
         {"svm_regularization_c": 0.0},
         {"svm_regularization_c": -2.0},
         {"svm_epochs": 0},
         {"knn_k": 0},
         {"seed": -1},
-        {"forest_feature_rule": "half"},
         {"svm_regularization_c": float("nan")},
         {"svm_regularization_c": float("inf")},
         {"seed": 1 << 64},
@@ -78,7 +70,7 @@ def test_train_model_dispatch():
 def test_svm_single_class_via_dispatch():
     ds = make_binary(np.ones((5, 2)), [1] * 5)
     with pytest.raises(SingleClassError):
-        train_linear_svm(ds, HyperParams())
+        train_model(ModelKind.LINEAR_SVM, ds, HyperParams())
 
 
 def test_empty_training_set_rejected():

@@ -69,7 +69,7 @@ def test_written_json_is_loadable_and_sorted(tmp_path, run_config, baseline_repo
     path = tmp_path / "report.json"
     write_json(doc, path)
     loaded = json.loads(path.read_text())
-    assert loaded["schema_version"] == "dropcast-report-1"
+    assert loaded["schema_version"] == "dropcast-report-2"
     assert loaded["tool"]["name"] == "dropcast"
     assert len(loaded["runs"]) == len(baseline_reports)
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,11 +8,7 @@ from dropcast.models import (
     HyperParams,
     ModelKind,
     score,
-    train_decision_tree,
-    train_knn_model,
-    train_linear_svm,
-    train_random_forest,
-    with_standardizer,
+    train_model,
 )
 from dropcast.models.serialize import load_model, model_from_text, model_to_text, save_model
 from dropcast.preprocess import fit_standardizer
@@ -30,17 +28,10 @@ def training_data():
 def test_round_trip_preserves_scores(kind, training_data):
     ds, queries = training_data
     hp = HyperParams(forest_n_trees=6, svm_epochs=30, knn_k=5)
-    if kind is ModelKind.DECISION_TREE:
-        model = train_decision_tree(ds, hp)
-    elif kind is ModelKind.RANDOM_FOREST:
-        model = train_random_forest(ds, hp)
-    elif kind is ModelKind.LINEAR_SVM:
-        model = train_linear_svm(ds, hp)
-    else:
-        model = train_knn_model(ds, hp)
+    model = train_model(kind, ds, hp)
     std = fit_standardizer(ds.feature_matrix, np.arange(ds.n_rows))
     if kind.needs_standardization:
-        model = with_standardizer(model, std)
+        model = replace(model, standardizer=std)
 
     text = model_to_text(model)
     restored = model_from_text(text)
@@ -53,7 +44,7 @@ def test_round_trip_preserves_scores(kind, training_data):
 
 def test_save_and_load_file(tmp_path, training_data):
     ds, queries = training_data
-    model = train_decision_tree(ds, HyperParams())
+    model = train_model(ModelKind.DECISION_TREE, ds, HyperParams())
     path = tmp_path / "model.txt"
     save_model(model, path)
     restored = load_model(path)
@@ -67,7 +58,7 @@ def test_bad_magic_rejected():
 
 def test_truncated_text_rejected(training_data):
     ds, _ = training_data
-    model = train_decision_tree(ds, HyperParams())
+    model = train_model(ModelKind.DECISION_TREE, ds, HyperParams())
     text = model_to_text(model)
     with pytest.raises(InvalidArgumentError):
         model_from_text("\n".join(text.splitlines()[:2]))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dropcast.errors import SingleClassError
-from dropcast.models import HyperParams, score, train_linear_svm
+from dropcast.models import HyperParams, ModelKind, score, train_model
 from dropcast.models.svm import svm_scores, train_svm
 
 from conftest import make_binary
@@ -19,7 +19,8 @@ def test_two_point_problem_separates():
     # analytic optimum for large C is w=1, b=0: any sign(w) > 0 solution
     # classifies both points correctly.
     ds = make_binary(np.array([[-1.0], [1.0]]), [0, 1])
-    model = train_linear_svm(ds, HyperParams(svm_regularization_c=100.0, svm_epochs=300))
+    hp = HyperParams(svm_regularization_c=100.0, svm_epochs=300)
+    model = train_model(ModelKind.LINEAR_SVM, ds, hp)
     assert model.payload.weights[0] > 0.0
     predictions = (score(model, ds.feature_matrix) >= 0.0).astype(int)
     assert predictions.tolist() == [0, 1]
@@ -28,7 +29,7 @@ def test_two_point_problem_separates():
 def test_single_class_raises():
     ds = make_binary(np.array([[-1.0], [1.0]]), [1, 1])
     with pytest.raises(SingleClassError):
-        train_linear_svm(ds, HyperParams())
+        train_model(ModelKind.LINEAR_SVM, ds, HyperParams())
 
 
 def test_objective_never_exceeds_initialization():

@@ -4,9 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dropcast.models.tree as tree_module
-from dropcast.models import HyperParams, score, train_decision_tree
-from dropcast.models.forest import build_forest, candidate_count
-from dropcast.models.tree import _code_columns, _key_shift, _subset_draws, build_tree, tree_scores
+from dropcast.models import HyperParams, ModelKind, score, train_model
+from dropcast.models.forest import build_forest
+from dropcast.models.tree import (
+    _code_columns,
+    _grow_trees,
+    _key_shift,
+    _subset_draws,
+    build_tree,
+    tree_scores,
+)
 from dropcast.rng import SeededRng
 
 from conftest import make_binary
@@ -17,21 +24,20 @@ from oracles import (
     gini_fraction,
     max_node_depth,
     reference_build_tree,
-    walk_nodes_with_samples,
 )
 
 
 class TestPureAndDegenerate:
     def test_all_positive_gives_single_leaf_scoring_one(self):
         ds = make_binary(np.arange(8, dtype=float).reshape(4, 2), [1, 1, 1, 1])
-        model = train_decision_tree(ds, HyperParams())
+        model = train_model(ModelKind.DECISION_TREE, ds, HyperParams())
         tree = model.payload
         assert tree.n_nodes == 1
         assert score(model, np.array([[5.0, -3.0], [0.0, 0.0]])).tolist() == [1.0, 1.0]
 
     def test_constant_features_single_leaf(self):
         ds = make_binary(np.ones((6, 3)), [1, 0, 1, 0, 1, 0])
-        tree = train_decision_tree(ds, HyperParams()).payload
+        tree = train_model(ModelKind.DECISION_TREE, ds, HyperParams()).payload
         assert tree.n_nodes == 1
         assert tree.pos_fraction[0] == 0.5
 
@@ -52,7 +58,7 @@ class TestXor:
 
     def test_builder_stops_at_root(self):
         ds = make_binary(self.X, self.Y)
-        tree = train_decision_tree(ds, HyperParams()).payload
+        tree = train_model(ModelKind.DECISION_TREE, ds, HyperParams()).payload
         assert tree.n_nodes == 1
         assert tree.pos_fraction[0] == 0.5
 
@@ -65,7 +71,7 @@ class TestXor:
         best = min(w for _, _, w in enumerate_axis_splits(x, y.tolist()))
         assert best < parent
         ds = make_binary(x, y)
-        model = train_decision_tree(ds, HyperParams())
+        model = train_model(ModelKind.DECISION_TREE, ds, HyperParams())
         assert max_node_depth(model.payload) == 2
         predictions = (score(model, x) >= 0.5).astype(int)
         assert predictions.tolist() == y.tolist()
@@ -114,17 +120,8 @@ class TestGreedyChoice:
         x = rng.normal(size=(300, 6))
         y = rng.integers(0, 2, size=300)
         ds = make_binary(x, y)
-        model = train_decision_tree(ds, HyperParams())  # default depth 5
+        model = train_model(ModelKind.DECISION_TREE, ds, HyperParams())  # default depth 5
         assert max_node_depth(model.payload) <= 5
-
-    def test_min_leaf_respected(self):
-        rng = np.random.default_rng(13)
-        x = rng.normal(size=(60, 3))
-        y = rng.integers(0, 2, size=60)
-        tree = build_tree(x, y, min_leaf=7)
-        for node, idx in walk_nodes_with_samples(tree, x):
-            if tree.feature[node] < 0:
-                assert len(idx) >= 7 or node == 0
 
 
 class TestInvariance:
@@ -169,7 +166,7 @@ class TestInvariance:
         x = rng.normal(size=(100, 3))
         y = rng.integers(0, 2, size=100)
         ds = make_binary(x, y)
-        model = train_decision_tree(ds, HyperParams())
+        model = train_model(ModelKind.DECISION_TREE, ds, HyperParams())
         out = score(model, rng.normal(size=(30, 3)))
         assert ((out >= 0.0) & (out <= 1.0)).all()
 
@@ -192,7 +189,6 @@ def tree_problems(draw):
     kwargs = {
         "sample_idx": g.integers(0, n, size=n) if draw(st.booleans()) else None,
         "max_depth": draw(st.one_of(st.none(), st.integers(1, 5))),
-        "min_leaf": draw(st.integers(0, 4)),
         "n_candidates": draw(st.one_of(st.none(), st.integers(1, p))),
     }
     return x, y, kwargs, seed
@@ -231,20 +227,21 @@ class TestAgainstReferenceGrower:
 
 @st.composite
 def forest_problems(draw):
-    """(x, y, build_forest kwargs, elements per chunk)."""
-    x, y, _, seed = draw(tree_problems())
+    """(x, y, tree seeds, bootstrap, max_depth, n_candidates, elements per chunk)."""
+    x, y, kwargs, seed = draw(tree_problems())
     if draw(st.booleans()):  # duplicate rows with conflicting labels
         half = len(y) // 2
         x[half : 2 * half] = x[:half]
-    kwargs = {
-        "n_trees": draw(st.integers(1, 40)),
-        "seed": seed,
-        "feature_rule": draw(st.sampled_from(["sqrt", "all"])),
-        "bootstrap": draw(st.booleans()),
-        "max_depth": draw(st.one_of(st.none(), st.integers(1, 5))),
-        "min_leaf": draw(st.integers(0, 4)),
-    }
-    return x, y, kwargs, draw(st.integers(20, 400))
+    seeds = [seed ^ i for i in range(draw(st.integers(1, 40)))]
+    return (x, y, seeds, draw(st.booleans()), kwargs["max_depth"], kwargs["n_candidates"],
+            draw(st.integers(20, 400)))
+
+
+def forest_tree_args(n_rows, tree_seed, bootstrap):
+    """(sample, stream) of a tree grown as ``build_forest`` grows one: the
+    bootstrap sample, when drawn, comes first from the tree's stream."""
+    stream = SeededRng(tree_seed)
+    return (stream.integers(n_rows, n_rows) if bootstrap else None), stream
 
 
 class TestLockstepAgainstPerNodeGrower:
@@ -252,18 +249,15 @@ class TestLockstepAgainstPerNodeGrower:
     @given(forest_problems())
     def test_every_tree_equals_the_per_node_grower(self, problem):
         # Small chunks: a step's nodes are searched in several chunks or alone.
-        x, y, kwargs, chunk = problem
+        x, y, seeds, bootstrap, max_depth, n_candidates, chunk = problem
+        coded = _code_columns(x, y)
+        trees = [forest_tree_args(len(y), seed, bootstrap) for seed in seeds]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(tree_module, "_CHUNK_ELEMENTS", chunk)
-            grown = build_forest(x, y, **kwargs)
-        n_rows, n_features = x.shape
-        k = candidate_count(n_features, kwargs["feature_rule"])
-        coded = _code_columns(x, y)
-        for lockstep, tree_seed in zip(grown.trees, grown.tree_seeds):
-            stream = SeededRng(tree_seed)
-            sample = stream.integers(n_rows, n_rows) if kwargs["bootstrap"] else None
-            expected = _grow(coded, sample, kwargs["max_depth"], kwargs["min_leaf"],
-                             k if k < n_features else None, stream)
+            grown = _grow_trees(coded, trees, max_depth, n_candidates)
+        for lockstep, seed in zip(grown, seeds):
+            sample, stream = forest_tree_args(len(y), seed, bootstrap)
+            expected = _grow(coded, sample, max_depth, 1, n_candidates, stream)
             for name in TREE_ARRAYS:
                 assert np.array_equal(getattr(lockstep, name), getattr(expected, name)), name
 
