@@ -48,10 +48,7 @@ class CorrelationMatrix:
 
 
 def class_distribution(dataset: Dataset) -> dict[Outcome, int]:
-    counts = {outcome: 0 for outcome in Outcome}
-    for outcome in dataset.outcomes:
-        counts[outcome] += 1
-    return counts
+    return {outcome: dataset.outcomes.count(outcome) for outcome in Outcome}
 
 
 def _column(binary: BinaryDataset, feature_name: str) -> np.ndarray:

@@ -7,18 +7,26 @@ columns are assigned to one of four groups (demographic, socioeconomic,
 macroeconomic, academic) by an external manifest file so that schema
 variants of the records file can be mapped without code changes.
 
-``load_dataset`` parses the data rows in one streaming pass: one
-``np.fromiter`` converts the manifest cells of every non-blank record
-with ``float`` while each ``Target`` is looked up, so a load peaks near
-the size of its matrix. If the pass meets a bad cell, a short row or an
-unknown ``Target``, ``_parse_rows`` reads the file again cell by cell
-and raises the error a plain row loop raises, with its data-row number
-and text. That loop also accepts cells that are good once stripped
-(``str.strip`` removes the separators U+001C to U+001F from a cell's
-edges, ``float`` does not). A manifest or records file that is not
-UTF-8 text, or a record the csv reader cannot split (a cell over its
-field limit), raises one ``FileFormatError`` line naming the file and,
-for a record, its data row.
+``load_dataset`` parses the data rows in one streaming pass: numpy's C
+text reader (``np.loadtxt``) converts the manifest cells of the lines a
+generator hands it, while the generator looks up each line's ``Target``,
+so a load peaks near the size of its matrix. The generator hands over a
+line only if ``csv.reader`` would split it as ``str.split`` does and
+``loadtxt`` parses its numbers as ``float`` does: printable ASCII apart
+from the delimiter, no ``"``, ended by LF, CRLF or the end of the
+file, no longer than the csv field limit, with the header's field
+count. A line that is not, a cell ``loadtxt`` cannot parse (it takes a
+subset of what ``float`` takes, ``1_0`` is not in it), a non-finite
+cell or an unknown ``Target`` sends the load to ``_parse_rows``, which
+reads the file again cell by cell and raises the error a plain row loop
+raises, with its data-row number and text. Both paths give the same
+matrix and outcomes for every file one of them loads. The row loop also
+accepts quoted cells and cells that are good once stripped (``str.strip``
+removes the separators U+001C to U+001F from a cell's edges, ``float``
+does not). A manifest or records file that is not UTF-8 text, or a
+record the csv reader cannot split (a cell over its field limit), raises
+one ``FileFormatError`` line naming the file and, for a record, its data
+row. Both files may open with a byte-order mark.
 """
 
 from __future__ import annotations
@@ -27,7 +35,6 @@ import csv
 import enum
 import itertools
 import math
-import operator
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -167,7 +174,7 @@ def load_manifest(path: str | Path) -> GroupManifest:
     entries: list[tuple[str, FeatureGroup]] = []
     seen: set[str] = set()
     version_tag = "unversioned"
-    with _open_text(path, encoding="utf-8") as handle:
+    with _open_text(path, encoding="utf-8-sig") as handle:
         for line_no, raw in enumerate(handle, start=1):
             line = raw.rstrip("\n")
             if not line.strip():
@@ -229,20 +236,47 @@ def load_dataset(
         target_pos = positions[TARGET_COLUMN]
 
         outcomes: list[Outcome | None] = []
+        limit = csv.field_size_limit()
+        n_delimiters = len(header) - 1
+        tail = len(header) - target_pos  # Target's place, counted from the right
+        # A delimiter outside printable ASCII (a tab, say) is spaced out
+        # before a line's characters are checked.
+        plain_delimiter = delimiter.isascii() and delimiter.isprintable()
 
-        def keep(record: list[str]) -> bool:
-            if record:
-                outcomes.append(_OUTCOMES.get(record[target_pos].strip()))
-            return bool(record)
+        def plain_lines():
+            """Yield the non-blank data lines, appending each one's
+            outcome, while each is a line ``csv.reader`` splits as
+            ``str.split`` does and has the header's field count. The
+            first other line, or an unknown ``Target``, appends None and
+            ends them, so outcomes outnumber the rows ``loadtxt`` read."""
+            for line in handle:
+                body = line[:-2] if line.endswith("\r\n") else line.rstrip("\n")
+                if not body:
+                    continue
+                text = body if plain_delimiter else body.replace(delimiter, " ")
+                outcome = None
+                if (text.isascii() and text.isprintable() and '"' not in text
+                        and len(line) <= limit and body.count(delimiter) == n_delimiters):
+                    outcome = _OUTCOMES.get(body.rsplit(delimiter, tail)[-tail].strip())
+                outcomes.append(outcome)
+                if outcome is None:
+                    return
+                yield body
 
-        rows = map(operator.itemgetter(*feature_pos), filter(keep, reader))
-        # itemgetter of one index yields the cell itself, not a 1-tuple.
-        cells = itertools.chain.from_iterable(rows) if len(columns) > 1 else rows
-        try:
-            values = np.fromiter(map(float, cells), dtype=np.float64)
-        except (IndexError, ValueError, csv.Error):
-            values = None
-    if values is None or None in outcomes or not np.isfinite(values).all():
+        lines = plain_lines()
+        # loadtxt warns on an input with no lines, so a file with no data
+        # line, or whose first one fails the check, never reaches it.
+        first = next(lines, None)
+        values = np.empty((0, len(columns)))
+        if first is not None:
+            try:
+                values = np.loadtxt(
+                    itertools.chain((first,), lines), delimiter=delimiter, usecols=feature_pos,
+                    comments=None, dtype=np.float64, ndmin=2,
+                )
+            except (IndexError, ValueError):
+                values = None
+    if values is None or len(values) != len(outcomes) or not np.isfinite(values).all():
         values, outcomes = _parse_rows(csv_path, delimiter, columns, feature_pos, target_pos)
 
     matrix = np.asarray(values).reshape(len(outcomes), len(columns))

@@ -1,8 +1,13 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dropcast
 from dropcast.cli import _config_from_args, build_parser, main
 from dropcast.fixture import generate_fixture
 from dropcast.ingest import FeatureGroup
@@ -46,6 +51,22 @@ def test_missing_file_is_runtime_error(tmp_path, capsys):
     assert err.startswith("dropcast: error:")
     assert err.count("\n") == 1
 
+
+
+def test_header_only_records_file_is_one_stderr_line(fixture_dir, tmp_path):
+    # A child process, so that any warning reaches its stderr uncaptured.
+    header = (fixture_dir / "data.csv").read_text().splitlines()[0]
+    data = tmp_path / "header.csv"
+    data.write_text(header + "\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(dropcast.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-m", "dropcast.cli", "eda", "--data", str(data),
+         "--manifest", str(fixture_dir / "manifest.tsv"), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert result.returncode == 1
+    assert result.stderr.startswith("dropcast: error:")
+    assert result.stderr.count("\n") == 1
 
 
 def test_non_finite_cell_is_one_line_runtime_error(fixture_dir, tmp_path, capsys):

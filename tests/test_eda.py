@@ -30,6 +30,10 @@ class TestClassDistribution:
         counts = class_distribution(ds)
         assert counts == {Outcome.DROPOUT: 1, Outcome.GRADUATE: 2, Outcome.ENROLLED: 1}
 
+    def test_keys_in_outcome_order(self):
+        counts = class_distribution(_dataset([Outcome.ENROLLED, Outcome.GRADUATE]))
+        assert list(counts) == [Outcome.DROPOUT, Outcome.GRADUATE, Outcome.ENROLLED]
+
     def test_single_graduate(self):
         counts = class_distribution(_dataset([Outcome.GRADUATE]))
         assert counts == {Outcome.DROPOUT: 0, Outcome.GRADUATE: 1, Outcome.ENROLLED: 0}

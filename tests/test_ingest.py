@@ -1,11 +1,13 @@
 import csv
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dropcast import ingest
 from dropcast.errors import (
     CellParseError,
     DropcastError,
@@ -77,6 +79,19 @@ def test_manifest_malformed_line(tmp_path):
     path.write_text("A academic\n")  # space, not a tab
     with pytest.raises(ManifestParseError):
         load_manifest(path)
+
+
+@pytest.mark.parametrize("text", [
+    "# version: test-3\nAge\tdemographic\nDebt\tsocioeconomic\n",
+    "Age\tdemographic\nDebt\tsocioeconomic\n",
+    default_manifest_path("default-34").read_text(encoding="utf-8"),
+], ids=["version-comment", "no-comment", "default-34"])
+def test_manifest_with_a_byte_order_mark_loads_as_without(tmp_path, text):
+    plain, marked = tmp_path / "plain.tsv", tmp_path / "marked.tsv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert load_manifest(marked) == load_manifest(plain)
 
 
 @pytest.fixture
@@ -341,12 +356,31 @@ def test_error_row_numbers_count_blank_lines(tmp_path, small_manifest, rows_befo
     assert str(err.value) == "missing value at data row 4, column 'GDP'"
 
 
+def test_quoted_cell_spanning_two_lines_is_one_record(tmp_path, small_manifest):
+    # Each line alone looks like a plain row; csv reads one record.
+    path = tmp_path / "d.csv"
+    path.write_text('Age;Debt;GDP;Target;Note\n20;1;1.5;Dropout;"a\n21;0;1.0;Graduate;b"\n')
+    ds = load_dataset(path, small_manifest)
+    assert ds.feature_matrix.tolist() == [[20.0, 1.0, 1.5]]
+    assert ds.outcomes == (Outcome.DROPOUT,)
+
+
 def test_cells_padded_with_separator_characters_load(tmp_path, small_manifest):
     # str.strip() removes \x1c-\x1f, which float() does not skip.
     path = tmp_path / "d.csv"
     path.write_text("Age;Debt;GDP;Target\n20\x1c;\x1f1;1.5;Dropout\n")
     ds = load_dataset(path, small_manifest)
     assert ds.feature_matrix.tolist() == [[20.0, 1.0, 1.5]]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rows", ["", "\n\n", '"20";1;1.5;Dropout\n'],
+                         ids=["header-only", "blank-lines", "quoted-first-row"])
+def test_file_without_a_plain_first_row_loads_without_warnings(tmp_path, small_manifest, rows):
+    path = tmp_path / "d.csv"
+    path.write_text("Age;Debt;GDP;Target\n" + rows)
+    ds = load_dataset(path, small_manifest)
+    assert ds.feature_matrix.shape == (rows.count(";") // 3, 3)
 
 
 @pytest.fixture(scope="module")
@@ -382,6 +416,25 @@ def test_padded_cell_in_last_of_5000_rows_loads_bit_equal(generated, tmp_path):
     assert padded.feature_matrix.tobytes() == plain.feature_matrix.tobytes()
     assert padded.feature_matrix.shape == plain.feature_matrix.shape == (5000, 34)
     assert padded.outcomes == plain.outcomes
+
+
+@pytest.mark.parametrize("copy", ["crlf", "quoted"])
+def test_crlf_and_quoted_copies_of_5000_rows_load_bit_equal(generated, tmp_path, copy):
+    folder, manifest, lines = generated
+    path = tmp_path / "d.csv"
+    if copy == "crlf":
+        path.write_bytes("\r\n".join(lines).encode() + b"\r\n")
+    else:
+        quoted = (";".join(f'"{cell}"' for cell in line.split(";")) for line in lines)
+        path.write_text("\n".join(quoted) + "\n")
+    plain = load_dataset(folder / "d.csv", manifest)
+    with mock.patch.object(ingest, "_parse_rows", wraps=ingest._parse_rows) as row_loop:
+        ds = load_dataset(path, manifest)
+    # CRLF lines take numpy's reader; quoted cells take the row loop.
+    assert row_loop.called == (copy == "quoted")
+    assert ds.feature_matrix.tobytes() == plain.feature_matrix.tobytes()
+    assert ds.feature_matrix.shape == plain.feature_matrix.shape == (5000, 34)
+    assert ds.outcomes == plain.outcomes
 
 
 def test_load_peak_memory_is_near_the_matrix(tmp_path):
@@ -533,3 +586,98 @@ def test_load_write_load_round_trip(tmp_path_factory, case):
     assert first.feature_matrix.tobytes() == second.feature_matrix.tobytes()
     assert first.feature_matrix.shape == second.feature_matrix.shape
     assert first.outcomes == second.outcomes
+
+
+# --- unquoted files, most of which take numpy's reader ----------------------
+
+PLAIN_GOOD_CELLS = st.one_of(
+    st.integers(-10**6, 10**6).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["+3", "-0.0", ".5", "5.", "1E-3", "1e308", "4.9e-325", "1e-400", " 2 "]),
+)
+# Cells numpy's reader rejects or the line check sends to the row loop;
+# "1_000", "\t7" and the fullwidth "１" still load there.
+PLAIN_ODD_CELLS = st.sampled_from(
+    ["", " ", "x", "1_000", "0x10", "1d5", "１", "\t7", "7\t", "\t", "1\x1c"]
+)
+# Cells numpy's reader parses that the loader must still reject.
+NON_FINITE_CELLS = st.sampled_from(["nan", " NaN ", "inf", "-Infinity", "1e999"])
+LINE_KINDS = ["blank", "whitespace", "lone-cr", "extra", "short", "cells", "non-finite", "target"]
+
+
+@st.composite
+def plain_records_files(draw):
+    """(manifest, delimiter, file bytes): no quotes, LF or CRLF line
+    ends, an optional BOM and final newline, zero or more data rows. In
+    half the files every row is plain; in the others one line, or about
+    a third of them, is blank, whitespace-only or ended by a lone CR, or
+    is a row with extra or missing columns, odd or non-finite cells or a
+    bad Target word."""
+    delimiter = draw(st.sampled_from([";", ";", ",", "\t"]))
+    tab = "\x0b" if delimiter == "\t" else "\t"  # padding other than the delimiter
+    chosen = draw(st.lists(st.sampled_from(COLUMNS), min_size=1, max_size=3, unique=True))
+    manifest = GroupManifest(
+        entries=tuple((name, FeatureGroup.ACADEMIC) for name in chosen), version_tag="t"
+    )
+    header = draw(st.permutations(list(COLUMNS) + ["Target", "Note"]))
+    n_rows = draw(st.integers(0, 24))
+    odd_lines = draw(st.sampled_from(["none", "none", "one", "many"]))
+    odd_line = draw(st.integers(0, max(n_rows - 1, 0)))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    notes = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E,
+                                  exclude_characters='"' + delimiter), max_size=3)
+    lines = [(delimiter.join(header), newline)]
+    for i in range(n_rows):
+        if odd_lines == "one":
+            odd = i == odd_line
+        else:
+            odd = odd_lines == "many" and draw(st.integers(0, 2)) == 0
+        kind = draw(st.sampled_from(LINE_KINDS)) if odd else None
+        if kind == "blank":
+            lines.append(("", newline))
+            continue
+        if kind == "whitespace":
+            lines.append((draw(st.sampled_from([" ", "  ", tab, " " + tab])), newline))
+            continue
+        row = []
+        for name in header:
+            if name == "Target":
+                cells = BAD_TARGETS if kind == "target" else GOOD_TARGETS
+            elif name == "Note":
+                cells = notes
+            elif kind in ("cells", "non-finite") and draw(st.booleans()):
+                bad = PLAIN_ODD_CELLS if kind == "cells" else NON_FINITE_CELLS
+                cells = bad.map(lambda c: c.replace("\t", tab))
+            else:
+                cells = PLAIN_GOOD_CELLS
+            row.append(draw(cells))
+        if kind == "extra":
+            row += draw(st.lists(PLAIN_GOOD_CELLS, min_size=1, max_size=2))
+        if kind == "short":
+            row = row[: draw(st.integers(0, len(row) - 1))]
+        end = "\r" if kind == "lone-cr" else newline
+        lines.append((delimiter.join(row) if kind != "lone-cr" or draw(st.booleans()) else "", end))
+    text = "".join(body + end for body, end in lines)
+    if not draw(st.booleans()):
+        text = text.removesuffix(lines[-1][1])  # no final line end
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return manifest, delimiter, (bom + text).encode("utf-8")
+
+
+def test_plain_records_files_match_reference(tmp_path_factory):
+    took_numpy = []
+
+    @settings(max_examples=300, deadline=None)
+    @given(plain_records_files())
+    def check(case):
+        manifest, delimiter, data = case
+        path = tmp_path_factory.mktemp("plain") / "d.csv"
+        path.write_bytes(data)
+        with mock.patch.object(ingest, "_parse_rows", wraps=ingest._parse_rows) as row_loop:
+            got = _outcome(lambda p, m: load_dataset(p, m, delimiter), path, manifest)
+        assert got == _outcome(lambda p, m: reference_load_dataset(p, m, delimiter), path, manifest)
+        # Rows came from numpy's reader: some loaded, no row loop.
+        took_numpy.append(not row_loop.called and len(got) == 4 and got[1][0] > 0)
+
+    check()
+    assert sum(took_numpy) >= len(took_numpy) / 4
