@@ -243,9 +243,7 @@ def _cmd_train(args, command: str = "train") -> int:
         if getattr(args, "save_models", False):
             save_model(model, out / f"model_{rep.model_kind.value}_seed{rep.seed}.txt")
         reports.append(rep)
-    doc = report_ops.build_run_document(
-        command, config, manifest_version, reports, include_curves=True
-    )
+    doc = report_ops.build_run_document(command, config, manifest_version, reports)
     report_ops.write_json(doc, out / "report.json")
     if command == "roc":
         emit_roc_svg(reports, out / "roc.svg")

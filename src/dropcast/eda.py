@@ -1,9 +1,11 @@
 """Exploratory statistics: class counts, per-category outcome rates,
 gender breakdown, and the all-features Pearson correlation matrix.
 
-Correlations are computed over the raw integer-coded feature values,
-including categorical codes; the matrix is a descriptive artifact, not
-an inferential claim.
+Rates and the gender breakdown share one count of rows and dropout
+rows per distinct code. Correlations are computed over the raw
+integer-coded feature values, including categorical codes, standardized
+over all rows; the matrix is a descriptive artifact, not an inferential
+claim.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import numpy as np
 
 from .errors import UnknownFeatureError
 from .ingest import BinaryDataset, Dataset, Outcome
+from .preprocess import apply_standardizer, fit_standardizer
 
 GENDER_COLUMN = "Gender"
 
@@ -59,27 +62,29 @@ def _column(binary: BinaryDataset, feature_name: str) -> np.ndarray:
     return binary.feature_matrix[:, index]
 
 
+def _counts_by_code(binary: BinaryDataset, feature_name: str):
+    """Distinct codes of one feature, ascending, and their row and dropout counts."""
+    codes, code_of_row = np.unique(_column(binary, feature_name), return_inverse=True)
+    n_rows = np.bincount(code_of_row, minlength=codes.shape[0])
+    n_dropout = np.bincount(code_of_row[binary.labels == 1], minlength=codes.shape[0])
+    return codes, n_rows, n_dropout
+
+
 def rate_by_category(binary: BinaryDataset, feature_name: str) -> CategoryRateTable:
     """Per-code dropout/graduate rates; every observed value is a code."""
-    column = _column(binary, feature_name)
-    rows = []
-    for code in np.unique(column):
-        mask = column == code
-        n = int(mask.sum())
-        dropout_rate = float(binary.labels[mask].mean())
-        rows.append((float(code), n, dropout_rate, 1.0 - dropout_rate))
+    codes, n_rows, n_dropout = _counts_by_code(binary, feature_name)
+    rows = [(float(code), int(n), float(rate), 1.0 - float(rate))
+            for code, n, rate in zip(codes, n_rows, n_dropout / n_rows)]
     return CategoryRateTable(feature_name=feature_name, rows=tuple(rows))
 
 
 def gender_distribution(binary: BinaryDataset) -> dict[tuple[float, int], int]:
     """Counts per (gender code, label). In the source records file the
     gender column codes female as 0 and male as 1."""
-    column = _column(binary, GENDER_COLUMN)
     counts: dict[tuple[float, int], int] = {}
-    for code in np.unique(column):
-        mask = column == code
-        for label in (0, 1):
-            counts[(float(code), label)] = int((binary.labels[mask] == label).sum())
+    for code, n, n_dropout in zip(*_counts_by_code(binary, GENDER_COLUMN)):
+        counts[(float(code), 0)] = int(n - n_dropout)
+        counts[(float(code), 1)] = int(n_dropout)
     return counts
 
 
@@ -92,12 +97,9 @@ def correlation_matrix(binary: BinaryDataset) -> CorrelationMatrix:
     """
     matrix = binary.feature_matrix
     n = matrix.shape[0]
-    mean = matrix.mean(axis=0)
-    centered = matrix - mean
-    std = np.sqrt((centered**2).mean(axis=0))
-    constant = std == 0.0
-    safe_std = np.where(constant, 1.0, std)
-    normalized = centered / safe_std
+    standardizer = fit_standardizer(matrix, np.arange(n))
+    normalized = apply_standardizer(standardizer, matrix)
+    constant = standardizer.constant
     values = (normalized.T @ normalized) / n
     values = (values + values.T) / 2.0  # force exact symmetry
     values[constant, :] = 0.0

@@ -32,7 +32,7 @@ from .models import (
     score,
     train_model,
 )
-from .preprocess import SplitIndices, exclude_group, fit_standardizer, split
+from .preprocess import SplitIndices, apply_standardizer, exclude_group, fit_standardizer, split
 from .rng import check_seeds
 
 DEFAULT_SEEDS = (42, 43, 44, 45, 46)
@@ -101,7 +101,7 @@ def evaluate_single(
     standardizer = None
     if kind.needs_standardization:
         standardizer = fit_standardizer(matrix, indices.train_rows)
-        train_matrix = (train_matrix - standardizer.mean) / standardizer.std
+        train_matrix = apply_standardizer(standardizer, train_matrix)
 
     train_ds = BinaryDataset(
         feature_matrix=train_matrix,

@@ -3,14 +3,14 @@
 AUC follows the Mann-Whitney convention: over all (positive, negative)
 pairs a strict win counts 1 and a tied pair counts 0.5. Scores from the
 tree-based models and k-NN are heavily quantized, so the tie rule is
-load-bearing here, not a corner case. The rank-based computation below
-is exact: every intermediate is an integer or half-integer well inside
-float64's exact range, so the result equals brute-force pair counting
-bit for bit.
+load-bearing here, not a corner case.
 
 ROC curves carry one point per distinct score (tied rows move across
 the threshold together) plus the (0, 0) anchor, whose threshold is
-+infinity.
++infinity. The trapezoid area under that curve is the Mann-Whitney
+statistic (Bamber 1975), so the AUC comes from the curve's tie runs as
+twice the win count, an exact integer, over 2 * n_pos * n_neg; it
+equals brute-force pair counting bit for bit.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import KindMismatchError, LengthMismatchError, NoSplitError, SingleClassError
+from .errors import InvalidArgumentError, KindMismatchError, LengthMismatchError, NoSplitError, SingleClassError
 from .ingest import FeatureGroup
 from .models import ModelKind, TrainedModel
 from .models.forest import Forest
@@ -67,34 +67,34 @@ def _validate_pair(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, 
         raise LengthMismatchError(
             f"scores and labels must be equal-length vectors, got {scores.shape} and {labels.shape}"
         )
+    if not np.isin(labels, (0, 1)).all():
+        raise InvalidArgumentError("labels must be 0 or 1")
     return scores, labels
 
 
-def _require_both_classes(labels: np.ndarray) -> tuple[int, int]:
+def _tie_runs(scores, labels):
+    """n_pos, n_neg and, for each distinct score, descending, the score
+    and the cumulative integer true- and false-positive counts of the
+    rows scoring at least it. Both classes must be present."""
+    scores, labels = _validate_pair(scores, labels)
     n_pos = int((labels == 1).sum())
     n_neg = labels.shape[0] - n_pos
     if n_pos == 0 or n_neg == 0:
         raise SingleClassError("need at least one positive and one negative label")
-    return n_pos, n_neg
+    order = np.argsort(-scores, kind="stable")
+    sorted_scores = scores[order]
+    # Last index of each distinct-score run.
+    run_ends = np.append(np.nonzero(np.diff(sorted_scores))[0], scores.shape[0] - 1)
+    tp = np.cumsum(labels[order])[run_ends]
+    return n_pos, n_neg, sorted_scores[run_ends], tp, (run_ends + 1) - tp
 
 
 def roc_curve(scores, labels) -> RocCurve:
     """Sweep thresholds over distinct score values, descending."""
-    scores, labels = _validate_pair(scores, labels)
-    n_pos, n_neg = _require_both_classes(labels)
-
-    order = np.argsort(-scores, kind="stable")
-    sorted_scores = scores[order]
-    sorted_labels = labels[order]
-    # Last index of each distinct-score run.
-    boundary = np.nonzero(np.diff(sorted_scores))[0]
-    run_ends = np.concatenate([boundary, [scores.shape[0] - 1]])
-
-    tp = np.cumsum(sorted_labels)[run_ends]
-    fp = (run_ends + 1) - tp
+    n_pos, n_neg, run_scores, tp, fp = _tie_runs(scores, labels)
     fpr = np.concatenate([[0.0], fp / n_neg])
     tpr = np.concatenate([[0.0], tp / n_pos])
-    thresholds = np.concatenate([[np.inf], sorted_scores[run_ends]])
+    thresholds = np.concatenate([[np.inf], run_scores])
     for arr in (fpr, tpr, thresholds):
         arr.setflags(write=False)
     return RocCurve(fpr=fpr, tpr=tpr, thresholds=thresholds)
@@ -103,27 +103,12 @@ def roc_curve(scores, labels) -> RocCurve:
 def auc(scores, labels) -> float:
     """Mann-Whitney AUC with ties counting one half.
 
-    Computed from mid-ranks: all intermediates are exact half-integers,
-    so the value equals exhaustive pair counting exactly.
+    Twice the win count is the integer sum of Δfp * (tp_prev + tp) over
+    the ROC's tie runs, so the value equals exhaustive pair counting.
     """
-    scores, labels = _validate_pair(scores, labels)
-    n_pos, n_neg = _require_both_classes(labels)
-
-    order = np.argsort(scores, kind="stable")
-    sorted_scores = scores[order]
-    n = scores.shape[0]
-    boundary = np.nonzero(np.diff(sorted_scores))[0]
-    run_ends = np.concatenate([boundary, [n - 1]]).astype(np.float64)
-    run_starts = np.concatenate([[0.0], boundary.astype(np.float64) + 1.0])
-    # 1-based mid-rank of each tie run, a half-integer.
-    mid = (run_starts + run_ends) / 2.0 + 1.0
-    run_of_row = np.zeros(n, dtype=np.int64)
-    run_of_row[run_starts[1:].astype(np.int64)] = 1
-    run_of_row = np.cumsum(run_of_row)
-    ranks = mid[run_of_row]
-
-    pos_rank_sum = float(ranks[labels[order] == 1].sum())
-    return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    n_pos, n_neg, _, tp, fp = _tie_runs(scores, labels)
+    twice_wins = int(np.diff(fp, prepend=0) @ (tp + np.concatenate([[0], tp[:-1]])))
+    return twice_wins / (2 * n_pos * n_neg)
 
 
 def accuracy(scores, labels, threshold: float) -> float:

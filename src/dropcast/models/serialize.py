@@ -118,7 +118,10 @@ def _read_tree(reader: _Reader, n_features: int) -> Tree:
     i = np.arange(n_nodes)
     split_ok = (i < left) & (left < n_nodes) & (i < right) & (right < n_nodes)
     ok = np.where(feature >= 0, split_ok, (left == -1) & (right == -1))
-    ok &= (feature >= -1) & (feature < n_features)
+    ok &= (feature >= -1) & (feature < n_features) & np.isfinite(threshold)
+    # A score is the builder's class fraction, so it lies in [0, 1].
+    ok &= (0 <= n_positive) & (n_positive <= n_samples) & (n_samples >= 1)
+    ok &= pos_fraction == n_positive / np.maximum(n_samples, 1)
     if not ok.all():
         raise InvalidArgumentError(f"malformed tree: bad node {np.argmin(ok)}")
     return Tree(
@@ -167,6 +170,8 @@ def _read_model(reader: _Reader) -> TrainedModel:
     elif kind is ModelKind.RANDOM_FOREST:
         n_trees = int(reader.expect("trees "))
         tree_seeds = tuple(int(v) for v in reader.expect("tree_seeds ").split())
+        if n_trees < 1 or len(tree_seeds) != n_trees:
+            raise InvalidArgumentError(f"malformed forest: {n_trees} trees, {len(tree_seeds)} seeds")
         trees = tuple(_read_tree(reader, n_features) for _ in range(n_trees))
         payload = Forest(trees=trees, tree_seeds=tree_seeds)
     elif kind is ModelKind.LINEAR_SVM:
@@ -200,8 +205,8 @@ def _read_model(reader: _Reader) -> TrainedModel:
             train_y[i] = float(label)
         if not 1 <= k <= n_rows:
             raise InvalidArgumentError(f"malformed k-NN model: k {k} outside [1, {n_rows}]")
-        if not (np.isfinite(train_x).all() and np.isfinite(train_y).all()):
-            raise InvalidArgumentError("malformed k-NN model: non-finite training value")
+        if not (np.isfinite(train_x).all() and np.isin(train_y, (0.0, 1.0)).all()):
+            raise InvalidArgumentError("malformed k-NN model: non-finite value or non-0/1 label")
         payload = KnnModel(train_x=train_x, train_y=train_y, k=k)
 
     return TrainedModel(kind=kind, n_features=n_features, payload=payload,

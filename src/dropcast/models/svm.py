@@ -19,10 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import SingleClassError
+from ..errors import InvalidArgumentError, SingleClassError
 from ..rng import SeededRng
 
 BATCH_SIZE = 64
+_MAX_NORM = float(np.sqrt(np.finfo(np.float64).max))
 
 
 @dataclass(frozen=True)
@@ -42,13 +43,25 @@ def _objective(xb: np.ndarray, y_signed: np.ndarray, w: np.ndarray, c: float) ->
 def train_svm(
     x: np.ndarray, y: np.ndarray, c: float, epochs: int, seed: int
 ) -> LinearSvm:
+    """Pegasos fit. C is rejected unless B = sqrt(C n) + C n R is below
+    sqrt(float max), with R = sqrt(p + 1) max|[x, 1]| bounding row norms:
+    step t (eta = C n / t) moves an iterate of norm <= sqrt(C n), the
+    projection radius, to norm <= (1 - 1/t) sqrt(C n) + (C n / t) R <= B.
+    So every squared norm stays finite, as do margins (<= sqrt(C n) R)
+    and the objective (<= C n + (C n)^1.5 R < B^2).
+    """
     n, p = x.shape
     if int(y.sum()) in (0, n):
         raise SingleClassError("linear SVM training needs both classes present")
     y_signed = np.where(y == 1, 1.0, -1.0)
     xb = np.concatenate([x, np.ones((n, 1))], axis=1)
 
-    lam = 1.0 / (c * n)
+    cn = c * n
+    if not cn**0.5 + cn * (p + 1) ** 0.5 * float(np.abs(xb).max()) < _MAX_NORM:
+        raise InvalidArgumentError(
+            f"SVM C = {c!r} is too large for {n} training rows: Pegasos steps could overflow"
+        )
+    lam = 1.0 / cn
     radius = 1.0 / np.sqrt(lam)
     rng = SeededRng(seed)
     w = np.zeros(p + 1, dtype=np.float64)

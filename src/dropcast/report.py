@@ -68,10 +68,9 @@ def build_run_document(
     config: RunConfig,
     manifest_version: str,
     reports: list[RocReport],
-    include_curves: bool = True,
 ) -> dict:
     doc = _provenance(command, config, manifest_version)
-    doc["runs"] = [_run_json(r, include_curves) for r in reports]
+    doc["runs"] = [_run_json(r, include_curve=True) for r in reports]
     return doc
 
 

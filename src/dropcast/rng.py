@@ -62,17 +62,11 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def _mix64_int(z: int) -> int:
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
-
-
 class SeededRng:
     """One SplitMix64 stream per seed, consumed in counter order."""
 
     def __init__(self, seed: int):
-        self._seed = np.uint64(_mix64_int(seed & _MASK64))
+        self._seed = _mix64(np.array([seed & _MASK64], dtype=np.uint64))[0]
         self._counter = 0
 
     def uint64(self, n: int) -> np.ndarray:

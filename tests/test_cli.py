@@ -346,6 +346,8 @@ def test_largest_seed_is_accepted(fixture_dir, tmp_path):
 @pytest.mark.parametrize("argv", [
     ["train", "--model", "svc", "--svm-c", "nan"],
     ["train", "--model", "svc", "--svm-c", "inf"],
+    ["train", "--model", "svc", "--svm-c", "1e308"],  # Pegasos steps would overflow
+    ["train", "--model", "svc", "--svm-c", "1e200"],
     ["train", "--model", "dt", "--train-seed", "18446744073709551616"],
     ["fixture", "--rows", "50", "--planted-group", "academic", "--strength", "nan"],
     ["fixture", "--rows", "50", "--planted-group", "academic", "--strength", "inf"],

@@ -90,6 +90,14 @@ class TestGenderDistribution:
         counts = gender_distribution(make_binary(x, y, names=("Gender",)))
         assert sum(counts.values()) == 60
 
+    def test_codes_with_only_one_label(self):
+        # The highest code has no dropout rows, so its dropout count
+        # exists only through the per-code count's full length.
+        x = np.array([[0.0], [0.0], [1.0], [1.0], [1.0]])
+        ds = make_binary(x, [1, 1, 0, 0, 0], names=("Gender",))
+        assert rate_by_category(ds, "Gender").rows == ((0.0, 2, 1.0, 0.0), (1.0, 3, 0.0, 1.0))
+        assert gender_distribution(ds) == {(0.0, 0): 0, (0.0, 1): 2, (1.0, 0): 3, (1.0, 1): 0}
+
     def test_requires_gender_column(self):
         with pytest.raises(UnknownFeatureError):
             gender_distribution(make_binary(np.ones((2, 1)), [0, 1], names=("Other",)))

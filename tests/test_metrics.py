@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dropcast.errors import KindMismatchError, LengthMismatchError, NoSplitError, SingleClassError
+from dropcast.errors import InvalidArgumentError, KindMismatchError, LengthMismatchError, NoSplitError, SingleClassError
 from dropcast.metrics import (
     accuracy,
     auc,
@@ -119,6 +119,14 @@ class TestAuc:
             value = auc(scores, labels)
             area = trapezoid_area(roc_curve(scores, labels))
             assert abs(value - area) < 1e-12
+
+
+@pytest.mark.parametrize("metric", [roc_curve, auc, lambda s, y: accuracy(s, y, threshold=0.5)],
+                         ids=["roc_curve", "auc", "accuracy"])
+def test_labels_other_than_zero_and_one_rejected(metric):
+    # Counting a 2 as a positive or as a negative would each give a number.
+    with pytest.raises(InvalidArgumentError, match="0 or 1"):
+        metric([0.1, 0.2, 0.3], [0, 2, 1])
 
 
 class TestAccuracy:

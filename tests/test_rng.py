@@ -47,7 +47,7 @@ def _splitmix64_reference(seed: int, n: int) -> list[int]:
 
 
 def test_matches_scalar_splitmix64_reference():
-    for seed in (0, 1, 42, 1234567, 2**63):
+    for seed in (0, 1, 42, 1234567, 2**63, 2**64 - 1):
         expected = _splitmix64_reference(seed, 50)
         got = SeededRng(seed).uint64(50).tolist()
         assert got == expected

@@ -94,6 +94,17 @@ def test_well_formed_tree_text_loads():
     # too few and too many fields
     ("1 0.5 1",),
     ("-1 0.0 -1 -1 0.0 2 0 9",),
+    # a score outside [0, 1] or not n_positive / n_samples
+    ("-1 0.0 -1 -1 nan 2 0",),
+    ("-1 0.0 -1 -1 7.0 2 0",),
+    ("-1 0.0 -1 -1 1.0 2 0",),
+    # counts outside 0 <= n_positive <= n_samples, 1 <= n_samples
+    ("-1 0.0 -1 -1 1.5 2 3",),
+    ("-1 0.0 -1 -1 -0.5 2 -1",),
+    ("-1 0.0 -1 -1 0.0 0 0",),
+    # a non-finite threshold sends every row one way
+    ("0 nan 1 2 0.5 4 2", "-1 0.0 -1 -1 0.0 2 0", "-1 0.0 -1 -1 1.0 2 2"),
+    ("0 inf 1 2 0.5 4 2", "-1 0.0 -1 -1 0.0 2 0", "-1 0.0 -1 -1 1.0 2 2"),
 ])
 def test_malformed_tree_rejected(nodes):
     with pytest.raises(InvalidArgumentError, match="malformed tree"):
@@ -109,6 +120,25 @@ def test_malformed_tree_rejected(nodes):
 def test_non_numeric_or_unknown_field_rejected(text):
     with pytest.raises(InvalidArgumentError, match="malformed model text at line"):
         model_from_text(text)
+
+
+def _forest_text(n_trees, seeds) -> str:
+    return "\n".join([
+        "dropcast-model 1", "kind rf", "n_features 2", "standardizer none",
+        f"trees {n_trees}", f"tree_seeds {seeds}", "tree 1", "-1 0.0 -1 -1 0.5 2 1",
+    ]) + "\n"
+
+
+def test_well_formed_forest_text_loads():
+    model = model_from_text(_forest_text(1, "7"))
+    assert score(model, np.array([[0.0, 0.0]])).tolist() == [0.5]
+
+
+@pytest.mark.parametrize("n_trees, seeds", [(1, "7 8 9"), (2, "7"), (0, "")],
+                         ids=["extra-seeds", "missing-seed", "no-trees"])
+def test_malformed_forest_rejected(n_trees, seeds):
+    with pytest.raises(InvalidArgumentError, match="malformed forest"):
+        model_from_text(_forest_text(n_trees, seeds))
 
 
 def _knn_text(rows, k="2", n_features=2) -> str:
@@ -138,6 +168,8 @@ def test_well_formed_knn_text_loads():
     (("nan 0.0 | 1.0",) + GOOD_KNN_ROWS[1:], "2"),  # non-finite cells
     (("0.0 inf | 1.0",) + GOOD_KNN_ROWS[1:], "2"),
     (("0.0 0.0 | nan",) + GOOD_KNN_ROWS[1:], "2"),
+    (("0.0 0.0 | 5.0",) + GOOD_KNN_ROWS[1:], "2"),  # a label outside {0, 1}
+    (("0.0 0.0 | 0.5",) + GOOD_KNN_ROWS[1:], "2"),
 ])
 def test_malformed_knn_text_rejected(rows, k):
     with pytest.raises(InvalidArgumentError, match="malformed"):
