@@ -16,7 +16,7 @@ labeled accordingly. Either is zero when there is a single sample.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -32,8 +32,11 @@ from .models import (
     score,
     train_model,
 )
-from .preprocess import SplitIndices, apply_standardizer, exclude_group, fit_standardizer, split
+from .preprocess import SplitIndices, exclude_group, split
 from .rng import check_seeds
+
+# Unused here; bound only because the trace in perfbench/spans.py patches this name.
+from .preprocess import fit_standardizer  # noqa: F401
 
 DEFAULT_SEEDS = (42, 43, 44, 45, 46)
 
@@ -96,23 +99,13 @@ def evaluate_single(
     """Train one model on the train rows and score the held-out rows."""
     matrix = binary.feature_matrix
     labels = binary.labels
-    train_matrix = matrix[indices.train_rows]
-    train_labels = labels[indices.train_rows]
-    standardizer = None
-    if kind.needs_standardization:
-        standardizer = fit_standardizer(matrix, indices.train_rows)
-        train_matrix = apply_standardizer(standardizer, train_matrix)
-
     train_ds = BinaryDataset(
-        feature_matrix=train_matrix,
+        feature_matrix=matrix[indices.train_rows],
         column_names=binary.column_names,
         column_groups=binary.column_groups,
-        labels=train_labels,
+        labels=labels[indices.train_rows],
     )
     model = train_model(kind, train_ds, hp)
-    if standardizer is not None:
-        model = replace(model, standardizer=standardizer)
-
     test_scores = score(model, matrix[indices.test_rows])
     test_labels = labels[indices.test_rows]
     curve = roc_curve(test_scores, test_labels)

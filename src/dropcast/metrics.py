@@ -62,14 +62,15 @@ class ImportanceReport:
 
 def _validate_pair(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise LengthMismatchError(
             f"scores and labels must be equal-length vectors, got {scores.shape} and {labels.shape}"
         )
+    # Checked before the cast, which would truncate a fractional label to 0 or 1.
     if not np.isin(labels, (0, 1)).all():
         raise InvalidArgumentError("labels must be 0 or 1")
-    return scores, labels
+    return scores, labels.astype(np.int64, copy=False)
 
 
 def _tie_runs(scores, labels):

@@ -2,11 +2,10 @@
 
 ``train_model`` is the one trainer, a pure function of (model kind,
 dataset, hyperparameters); scoring returns one finite real per row,
-higher meaning more dropout-like. Tree and forest consume raw feature
-values; the SVM and k-NN expect standardized inputs. Their caller fits
-the standardizer on the training rows and attaches it to the returned
-model with ``dataclasses.replace(model, standardizer=...)``, so that
-``score`` standardizes incoming raw rows itself.
+higher meaning more dropout-like. Both take raw feature values for all
+four kinds: for the SVM and k-NN, ``train_model`` fits a standardizer on
+the training rows and the model carries it, so ``score`` standardizes
+incoming rows itself.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ import numpy as np
 
 from ..errors import InvalidArgumentError, WidthMismatchError
 from ..ingest import BinaryDataset
-from ..preprocess import Standardizer, apply_standardizer
+from ..preprocess import Standardizer, apply_standardizer, fit_standardizer
 from ..rng import check_seed
 from .forest import Forest, build_forest, forest_scores
 from .knn import KnnModel, knn_scores, train_knn as _fit_knn
@@ -101,12 +100,28 @@ class TrainedModel:
     standardizer: Standardizer | None = None
 
 
+def _check_finite(rows: np.ndarray, task: str) -> None:
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        raise InvalidArgumentError(
+            f"row {int(np.argmin(finite))} has a non-finite feature value; {task} needs finite rows"
+        )
+
+
 def train_model(kind: ModelKind, train: BinaryDataset, hp: HyperParams) -> TrainedModel:
-    """Fit one model of ``kind`` on ``train``; the result carries no
-    standardizer."""
+    """Fit one model of ``kind`` on the raw rows of ``train``; an SVM or
+    k-NN model carries the standardizer fitted on them. Non-finite
+    features and labels other than 0 or 1 are rejected."""
     if train.n_rows == 0:
         raise InvalidArgumentError("training set is empty")
     x, y = train.feature_matrix, train.labels
+    _check_finite(x, "training")
+    if not np.isin(y, (0, 1)).all():
+        raise InvalidArgumentError("training labels must be 0 or 1")
+    standardizer = None
+    if kind.needs_standardization:
+        standardizer = fit_standardizer(x, np.arange(train.n_rows))
+        x = apply_standardizer(standardizer, x)
     if kind is ModelKind.DECISION_TREE:
         payload = build_tree(x, y, max_depth=hp.tree_max_depth)
     elif kind is ModelKind.RANDOM_FOREST:
@@ -115,7 +130,7 @@ def train_model(kind: ModelKind, train: BinaryDataset, hp: HyperParams) -> Train
         payload = _fit_svm(x, y, c=hp.svm_regularization_c, epochs=hp.svm_epochs, seed=hp.seed)
     else:
         payload = _fit_knn(x, y, k=hp.knn_k)
-    return TrainedModel(kind, train.n_columns, payload)
+    return TrainedModel(kind, train.n_columns, payload, standardizer)
 
 
 def score(model: TrainedModel, rows: np.ndarray) -> np.ndarray:
@@ -133,11 +148,7 @@ def score(model: TrainedModel, rows: np.ndarray) -> np.ndarray:
         raise WidthMismatchError(
             f"model fitted on {model.n_features} features, rows have {got}"
         )
-    finite = np.isfinite(rows).all(axis=1)
-    if not finite.all():
-        raise InvalidArgumentError(
-            f"row {int(np.argmin(finite))} has a non-finite feature value; scoring needs finite rows"
-        )
+    _check_finite(rows, "scoring")
     if model.standardizer is not None:
         rows = apply_standardizer(model.standardizer, rows)
     if model.kind is ModelKind.DECISION_TREE:

@@ -177,18 +177,20 @@ def _read_model(reader: _Reader) -> TrainedModel:
     elif kind is ModelKind.LINEAR_SVM:
         weights = np.array([float(v) for v in reader.expect("weights ").split()])
         bias = float(reader.expect("bias "))
+        objective = float(reader.expect("objective "))
+        epochs = int(reader.expect("epochs "))
         if len(weights) != n_features:
             raise InvalidArgumentError(
                 f"malformed SVM model: {len(weights)} weights, not {n_features}"
             )
         if not (np.isfinite(weights).all() and np.isfinite(bias)):
             raise InvalidArgumentError("malformed SVM model: non-finite weight or bias")
-        payload = LinearSvm(
-            weights=weights,
-            bias=bias,
-            objective=float(reader.expect("objective ")),
-            epochs=int(reader.expect("epochs ")),
-        )
+        if not (np.isfinite(objective) and objective >= 0 and epochs >= 1):
+            raise InvalidArgumentError(
+                f"malformed SVM model: objective {objective!r} is not finite and >= 0 "
+                f"or epochs {epochs} is below 1"
+            )
+        payload = LinearSvm(weights=weights, bias=bias, objective=objective, epochs=epochs)
     else:
         k = int(reader.expect("k "))
         n_rows = int(reader.expect("train_rows "))

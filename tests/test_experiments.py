@@ -7,6 +7,7 @@ from dropcast.experiments import (
     AblationReport,
     RunConfig,
     column_label,
+    evaluate_single,
     rank_group_influence,
     run_ablation,
     run_baseline,
@@ -14,6 +15,10 @@ from dropcast.experiments import (
 from dropcast.fixture import generate_fixture
 from dropcast.ingest import FeatureGroup
 from dropcast.models import HyperParams, ModelKind
+from dropcast.models.serialize import model_to_text
+from dropcast.preprocess import split
+
+from conftest import make_binary
 
 
 @pytest.fixture(scope="module")
@@ -189,6 +194,24 @@ def test_split_consistency_across_columns(null_fixture, monkeypatch):
     assert set(by_seed) == {42, 43}
     for seed, combos in by_seed.items():
         assert len(combos) == 1  # one split, reused everywhere
+
+
+@pytest.mark.parametrize("kind", [ModelKind.LINEAR_SVM, ModelKind.KNN])
+def test_no_leakage_from_test_rows(kind):
+    """Shifting every held-out row leaves the trained model's standardizer
+    and payload bit-identical: only training rows reach the fit."""
+    rng = np.random.default_rng(13)
+    matrix = rng.normal(loc=5.0, scale=2.0, size=(100, 3))
+    labels = (matrix[:, 0] + rng.normal(size=100) > 5).astype(int)
+    indices = split(100, 0.2, 42)
+    tampered = matrix.copy()
+    tampered[indices.test_rows] += 1000.0
+    hp = HyperParams(svm_epochs=10, knn_k=5)
+    model, _ = evaluate_single(make_binary(matrix, labels), indices, kind, hp)
+    other, _ = evaluate_single(make_binary(tampered, labels), indices, kind, hp)
+    assert model.standardizer is not None
+    # The text holds the standardizer and every payload field, floats in repr.
+    assert model_to_text(other) == model_to_text(model)
 
 
 def test_excluding_noise_group_barely_moves_auc(planted_fixture):

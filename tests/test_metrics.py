@@ -127,6 +127,9 @@ def test_labels_other_than_zero_and_one_rejected(metric):
     # Counting a 2 as a positive or as a negative would each give a number.
     with pytest.raises(InvalidArgumentError, match="0 or 1"):
         metric([0.1, 0.2, 0.3], [0, 2, 1])
+    # A fractional label must not be truncated to 0 first.
+    with pytest.raises(InvalidArgumentError, match="0 or 1"):
+        metric([0.1, 0.9, 0.5], [0.7, 1, 0])
 
 
 class TestAccuracy:

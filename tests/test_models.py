@@ -1,3 +1,5 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,9 @@ from dropcast.models import (
     score,
     train_model,
 )
+from dropcast.models.knn import train_knn
+from dropcast.models.svm import train_svm
+from dropcast.preprocess import apply_standardizer, fit_standardizer
 
 from conftest import make_binary
 
@@ -62,6 +67,8 @@ def test_train_model_dispatch():
     for kind in ModelKind:
         model = train_model(kind, ds, hp)
         assert model.kind is kind
+        # SVM and k-NN carry their standardizer; DT and RF carry none.
+        assert (model.standardizer is not None) == kind.needs_standardization
         out = score(model, x)
         assert out.shape == (40,)
         assert np.isfinite(out).all()
@@ -91,3 +98,68 @@ def test_score_rejects_non_finite_rows(kind, bad):
     with pytest.raises(InvalidArgumentError, match="row 2 has a non-finite") as info:
         score(model, rows)
     assert "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_train_rejects_non_finite_rows(kind, bad):
+    rng = np.random.default_rng(72)
+    x = rng.normal(size=(30, 3))
+    x[4, 2] = bad
+    ds = make_binary(x, (x[:, 0] > 0).astype(int))
+    with pytest.raises(InvalidArgumentError, match="row 4 has a non-finite feature value; training") as info:
+        train_model(kind, ds, HyperParams(forest_n_trees=3, svm_epochs=5, knn_k=3))
+    assert "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+@pytest.mark.parametrize("bad", [2, -1, 0.5], ids=["two", "minus-one", "half"])
+def test_train_rejects_labels_other_than_zero_and_one(kind, bad):
+    rng = np.random.default_rng(73)
+    x = rng.normal(size=(30, 3))
+    labels = (x[:, 0] > 0).astype(np.float64)
+    labels[5] = bad
+    # Built past make_binary, whose int64 cast would truncate 0.5 to 0.
+    ds = replace(make_binary(x, np.zeros(30)), labels=labels)
+    with pytest.raises(InvalidArgumentError, match="0 or 1") as info:
+        train_model(kind, ds, HyperParams(forest_n_trees=3, svm_epochs=5, knn_k=3))
+    assert "\n" not in str(info.value)
+
+
+def _same_bits(a, b) -> bool:
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    return type(a) is type(b) and a == b
+
+
+@pytest.mark.parametrize("kind", [ModelKind.LINEAR_SVM, ModelKind.KNN])
+def test_train_model_equals_the_three_step_protocol(kind):
+    """Reference: the standardizer fitted on the full matrix's train rows,
+    the payload trainer run on the standardized rows, then attached."""
+    rng = np.random.default_rng(74)
+    matrix = np.column_stack([
+        rng.integers(0, 9, size=120).astype(float),
+        rng.normal(loc=40.0, scale=7.0, size=120),
+        np.full(120, 3.0),  # constant column
+        rng.integers(0, 2, size=120).astype(float),
+    ])
+    labels = (matrix[:, 0] + rng.normal(size=120) > 4).astype(np.int64)
+    train_rows = rng.permutation(120)[:90]
+    hp = HyperParams(svm_epochs=15, knn_k=7)
+
+    standardizer = fit_standardizer(matrix, train_rows)
+    standardized = apply_standardizer(standardizer, matrix[train_rows])
+    if kind is ModelKind.LINEAR_SVM:
+        payload = train_svm(standardized, labels[train_rows], c=hp.svm_regularization_c,
+                            epochs=hp.svm_epochs, seed=hp.seed)
+    else:
+        payload = train_knn(standardized, labels[train_rows], k=hp.knn_k)
+
+    model = train_model(kind, make_binary(matrix[train_rows], labels[train_rows]), hp)
+    assert model.standardizer is not None
+    assert model.standardizer.constant.tolist() == [False, False, True, False]
+    for name in ("mean", "std", "constant"):
+        assert _same_bits(getattr(model.standardizer, name), getattr(standardizer, name)), name
+    assert type(model.payload) is type(payload)
+    for field in fields(payload):
+        assert _same_bits(getattr(model.payload, field.name), getattr(payload, field.name)), field.name

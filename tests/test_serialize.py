@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -11,7 +9,6 @@ from dropcast.models import (
     train_model,
 )
 from dropcast.models.serialize import load_model, model_from_text, model_to_text, save_model
-from dropcast.preprocess import fit_standardizer
 
 from conftest import make_binary
 
@@ -29,10 +26,6 @@ def test_round_trip_preserves_scores(kind, training_data):
     ds, queries = training_data
     hp = HyperParams(forest_n_trees=6, svm_epochs=30, knn_k=5)
     model = train_model(kind, ds, hp)
-    std = fit_standardizer(ds.feature_matrix, np.arange(ds.n_rows))
-    if kind.needs_standardization:
-        model = replace(model, standardizer=std)
-
     text = model_to_text(model)
     restored = model_from_text(text)
     assert restored.kind is model.kind
@@ -177,11 +170,11 @@ def test_malformed_knn_text_rejected(rows, k):
 
 
 def _svm_text(weights="0.5 -0.5", bias="0.25", mean="0.0 1.0", std="1.0 2.0",
-              constant="0 0", n_features=2) -> str:
+              constant="0 0", n_features=2, objective="1.5", epochs="3") -> str:
     return "\n".join([
         "dropcast-model 1", "kind svc", f"n_features {n_features}", "standardizer fitted",
         f"mean {mean}", f"std {std}", f"constant {constant}",
-        f"weights {weights}", f"bias {bias}", "objective 1.5", "epochs 3",
+        f"weights {weights}", f"bias {bias}", f"objective {objective}", f"epochs {epochs}",
     ]) + "\n"
 
 
@@ -216,8 +209,14 @@ def test_malformed_standardizer_rejected(fields):
     dict(weights="inf -0.5"),
     dict(bias="nan"),
     dict(bias="-inf"),
+    dict(objective="nan"),  # an objective that is not finite and >= 0
+    dict(objective="inf"),
+    dict(objective="-1"),
+    dict(epochs="0"),  # fewer than one epoch
+    dict(epochs="-3"),
 ], ids=["weights-long", "weights-short", "weights-empty", "weight-nan", "weight-inf",
-        "bias-nan", "bias-inf"])
+        "bias-nan", "bias-inf", "objective-nan", "objective-inf", "objective-negative",
+        "epochs-zero", "epochs-negative"])
 def test_malformed_svm_rejected(fields):
     with pytest.raises(InvalidArgumentError, match="malformed SVM model"):
         model_from_text(_svm_text(**fields))
