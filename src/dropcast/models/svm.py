@@ -5,7 +5,12 @@ labels mapped to {-1, +1}. The optimizer is the Pegasos schedule: the
 bias is folded in as a constant input column (and therefore regularized
 with the weights), lambda = 1 / (C * n), each update uses a mini-batch
 of a seeded epoch shuffle with step size 1 / (lambda * t), followed by
-projection onto the ball of radius 1 / sqrt(lambda). The full objective
+projection onto the ball of radius 1 / sqrt(lambda). Each epoch gathers
+its shuffled rows once and takes the batches as consecutive slices. A
+step's subgradient push is the sum of y * x over the batch's margin
+violators (Shalev-Shwartz et al. 2011), computed as one product over
+the whole batch, (y * violator) @ x, with every other row weighted 0;
+so its float sums run over the full batch. The full objective
 is evaluated after every epoch and the best (w, b) seen is kept, so the
 reported objective can never exceed its value at w = 0, which is C * n.
 
@@ -15,6 +20,7 @@ features.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,17 +77,16 @@ def train_svm(
     t = 0
     for _ in range(epochs):
         order = rng.permutation(n)
+        x_epoch, y_epoch = xb[order], y_signed[order]
         for start in range(0, n, BATCH_SIZE):
-            batch = order[start : start + BATCH_SIZE]
+            x_batch = x_epoch[start : start + BATCH_SIZE]
+            y_batch = y_epoch[start : start + BATCH_SIZE]
             t += 1
             eta = 1.0 / (lam * t)
-            margins = y_signed[batch] * (xb[batch] @ w)
-            violators = margins < 1.0
+            violators = y_batch * (x_batch @ w) < 1.0
             w *= 1.0 - eta * lam
-            if violators.any():
-                push = y_signed[batch][violators] @ xb[batch][violators]
-                w += (eta / batch.shape[0]) * push
-            norm = np.linalg.norm(w)
+            w += (eta / y_batch.shape[0]) * ((y_batch * violators) @ x_batch)
+            norm = math.sqrt(w @ w)
             if norm > radius:
                 w *= radius / norm
         obj = _objective(xb, y_signed, w, c)

@@ -96,8 +96,14 @@ class SeededRng:
         return np.floor(self.uniforms(n) * bound).astype(np.int64)
 
     def permutation(self, n: int) -> np.ndarray:
-        """Permutation of range(n): argsort of n raw keys, stable on ties."""
-        return np.argsort(self.uint64(n), kind="stable").astype(np.int64)
+        """Permutation of range(n): argsort of n raw keys.
+
+        The keys of one call are distinct: their counters are distinct,
+        so are the counters times the odd ``_GAMMA`` (mod 2**64), and
+        ``_mix64`` is a bijection. So any sort gives the one order that
+        a stable sort gives, and the faster unstable sort is used.
+        """
+        return np.argsort(self.uint64(n)).astype(np.int64, copy=False)
 
     def subset(self, n: int, k: int) -> np.ndarray:
         """k distinct ints from range(n), returned sorted ascending."""

@@ -27,8 +27,10 @@ from dropcast.ingest import (
     _freeze,
 )
 from dropcast.metrics import RocCurve
+from dropcast.models.svm import BATCH_SIZE, LinearSvm, _objective
 from dropcast.models.tree import _NO_NODE, Tree, _strictly_improves, _subset_draws
 from dropcast.preprocess import Standardizer, apply_standardizer
+from dropcast.rng import SeededRng
 
 
 def gini_fraction(labels) -> Fraction:
@@ -264,6 +266,47 @@ def _grow(coded, sample_idx, max_depth, min_leaf, n_candidates, rng) -> Tree:
     for arr in arrays:
         arr.setflags(write=False)
     return Tree(*arrays)
+
+
+def reference_train_svm(x: np.ndarray, y: np.ndarray, c: float, epochs: int,
+                        seed: int) -> LinearSvm:
+    """The Pegasos loop as first written: per step, the batch's rows are
+    gathered from the whole matrix, and the violators' rows are gathered
+    again for the push, which is skipped when there are none. The
+    objective of ``train_svm`` must stay within rounding of this one."""
+    n, p = x.shape
+    y_signed = np.where(y == 1, 1.0, -1.0)
+    xb = np.concatenate([x, np.ones((n, 1))], axis=1)
+    lam = 1.0 / (c * n)
+    radius = 1.0 / np.sqrt(lam)
+    rng = SeededRng(seed)
+    w = np.zeros(p + 1, dtype=np.float64)
+    best_w = w.copy()
+    best_obj = _objective(xb, y_signed, w, c)
+
+    t = 0
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, BATCH_SIZE):
+            batch = order[start : start + BATCH_SIZE]
+            t += 1
+            eta = 1.0 / (lam * t)
+            margins = y_signed[batch] * (xb[batch] @ w)
+            violators = margins < 1.0
+            w *= 1.0 - eta * lam
+            if violators.any():
+                push = y_signed[batch][violators] @ xb[batch][violators]
+                w += (eta / batch.shape[0]) * push
+            norm = np.linalg.norm(w)
+            if norm > radius:
+                w *= radius / norm
+        obj = _objective(xb, y_signed, w, c)
+        if obj < best_obj:
+            best_obj = obj
+            best_w = w.copy()
+
+    return LinearSvm(weights=best_w[:p].copy(), bias=float(best_w[p]), objective=best_obj,
+                     epochs=epochs)
 
 
 def pair_count_auc(scores, labels) -> float:

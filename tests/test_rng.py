@@ -80,6 +80,17 @@ def test_permutation_is_a_permutation():
     assert sorted(perm.tolist()) == list(range(500))
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 321, 3176, 100_000])
+@pytest.mark.parametrize("seed", [0, 7, 42, 2**64 - 1])
+def test_permutation_is_the_stable_argsort_of_the_stream(n, seed):
+    keys = SeededRng(seed).uint64(n)
+    assert np.unique(keys).size == n
+    expected = np.argsort(keys, kind="stable")
+    perm = SeededRng(seed).permutation(n)
+    assert perm.dtype == np.int64
+    assert np.array_equal(perm, expected)
+
+
 def test_subset_distinct_and_sorted():
     sub = SeededRng(8).subset(30, 6)
     assert len(set(sub.tolist())) == 6

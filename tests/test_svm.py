@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dropcast.errors import SingleClassError
 from dropcast.models import HyperParams, ModelKind, score, train_model
 from dropcast.models.svm import svm_scores, train_svm
 
 from conftest import make_binary
+from oracles import reference_train_svm
 
 
 def hinge_objective(x, y01, w, b, c) -> float:
@@ -105,3 +108,29 @@ def test_scores_are_affine_in_inputs():
     q = rng.normal(size=(5, 4))
     expected = q @ model.weights + model.bias
     assert np.array_equal(svm_scores(model, q), expected)
+
+
+@st.composite
+def svm_problems(draw):
+    """(x, y, C, epochs, seed) with both classes; n is often not a
+    multiple of the batch size, so the last batch is partial."""
+    n = draw(st.integers(2, 300))
+    p = draw(st.integers(1, 12))
+    seed = draw(st.integers(0, 2**32 - 1))
+    g = np.random.default_rng(seed)
+    x = g.normal(size=(n, p)) * draw(st.sampled_from([0.1, 1.0, 3.0]))
+    y = g.integers(0, 2, size=n)
+    y[:2] = (0, 1)
+    c = draw(st.floats(0.01, 10.0))
+    return x, y, c, draw(st.integers(1, 4)), seed
+
+
+@settings(max_examples=150, deadline=None)
+@given(svm_problems())
+def test_fit_matches_the_reference_loop(problem):
+    x, y, c, epochs, seed = problem
+    model = train_svm(x, y, c=c, epochs=epochs, seed=seed)
+    reference = reference_train_svm(x, y, c=c, epochs=epochs, seed=seed)
+    assert model.objective == pytest.approx(reference.objective, rel=1e-9)
+    recomputed = hinge_objective(x, y, model.weights, model.bias, c)
+    assert recomputed == pytest.approx(model.objective, rel=1e-12)
