@@ -212,11 +212,11 @@ def _cmd_eda(args) -> int:
     out = _out_dir(args)
     manifest = load_manifest(args.manifest or default_manifest_path())
     dataset = load_dataset(args.data, manifest, delimiter=args.delimiter)
+    classes = eda_ops.class_distribution(dataset)
     binary = to_binary(dataset)
+    del dataset  # free the three-outcome matrix before the correlation's copies
 
-    report_ops.write_class_distribution_csv(
-        eda_ops.class_distribution(dataset), out / "eda_class_distribution.csv"
-    )
+    report_ops.write_class_distribution_csv(classes, out / "eda_class_distribution.csv")
     if eda_ops.GENDER_COLUMN in binary.column_names:
         report_ops.write_gender_csv(
             eda_ops.gender_distribution(binary), out / "eda_gender_distribution.csv"

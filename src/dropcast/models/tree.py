@@ -18,21 +18,34 @@ Trees grow in lockstep; a forest passes all of its trees to one call.
 Each tree keeps its own depth-first stack, left child first, and its
 own subset stream; at each step every tree pops its next node that may
 split and draws that node's feature subset, so a tree's draws and nodes
-come in the order a lone tree would make them. All popped nodes are
-then searched by one set of numpy calls: a node's rows are gathered
-once per candidate feature, tagged with the node's index above the key
-bits (``node << shift | key``) and sorted together. Because bins are
-numbered feature-major and subsets are drawn sorted, each node's keys
-sort candidate by candidate, in candidate order, and within a candidate
-by threshold, so the first minimum of a node's scores in sorted order
-is its tie-break winner. Cuts are where the bin (``key >> 1``) changes
-inside one candidate's run; positive counts are prefix sums of bit 0.
-Only each node's winner is put to the exact test, and the winners' rows
-are partitioned stably in place. A step's nodes are searched in chunks
-of at most ``_CHUNK_ELEMENTS`` (node, candidate, row) elements, which
-bounds the search's memory however many trees grow together; a larger
-node is searched alone. With feature subsampling, ``rng`` is consumed
-in blocks of 64 subset draws, whose values and order are those of
+come in the order a lone tree would make them. The popped nodes are
+searched in chunks of at most ``_CHUNK_ELEMENTS`` (node, candidate,
+row) elements, which bounds the search's memory however many trees
+grow together; a larger node is searched alone.
+
+A chunk is searched in one of two ways, which find the same split:
+
+- Sorted (``_search``). A node's rows are gathered once per candidate
+  feature, tagged with the node's index above the key bits
+  (``node << shift | key``) and sorted together. Because bins are
+  numbered feature-major and subsets are drawn sorted, each node's keys
+  sort candidate by candidate, in candidate order, and within a
+  candidate by threshold. Cuts are where the bin (``key >> 1``) changes
+  inside one candidate's run; positive counts are prefix sums of bit 0.
+- Counted (``_count_search``), for a chunk of one node whose rows times
+  candidates are at least ``2 * n_bins``, the length of the count array
+  (one slot per possible key). One ``np.bincount`` of the node's keys counts
+  each (bin, label); a bin holds one distinct value, so the prefix sums
+  of the counts over the present bins, in bin order, are the sorted
+  search's counts at its cuts, in its order. This is the decision
+  tree's path on large data; forests' batched small nodes keep the sort.
+
+Either way each cut's left size and positives are the same integers,
+scored by the same float64 expression, and the first minimum in
+(candidate, threshold) order is the tie-break winner. Only each node's
+winner is put to the exact test, and the winners' rows are partitioned
+stably in place. With feature subsampling, ``rng`` is consumed in
+blocks of 64 subset draws, whose values and order are those of
 successive ``rng.subset`` calls.
 
 Leaves store the positive-class fraction of their training samples,
@@ -227,7 +240,11 @@ def _grow_trees(coded, trees, max_depth, n_candidates) -> list[Tree]:
 
         for lo, hi in _chunks([entry[3] * k for entry in batch]):
             splits = []  # (start, size, feature, low bin, left size)
-            found = _search(keys, values, order, batch[lo:hi], shift)
+            # A lone node with at least one key per count slot is counted.
+            if hi - lo == 1 and batch[lo][3] * k >= 2 * len(values):
+                found = _count_search(keys, values, order, batch[lo])
+            else:
+                found = _search(keys, values, order, batch[lo:hi], shift)
             for i, feature, thr, left_size, left_pos, low_bin in zip(*found):
                 state, node, start, size, positives, depth, _ = batch[lo + i]
                 if not _strictly_improves(size, positives, left_size, left_pos):
@@ -312,18 +329,7 @@ def _search(keys, values, order, batch, shift):
     cut_at = at - seg_start[seg]
     node = seg // k
 
-    # Weighted Gini * m, dropping the constant factor: lower is better.
-    m, pos = sizes[node], positives[node]
-    left_pos = left_count.astype(np.float64)
-    left_n = cut_at + 1.0
-    right_n = m - left_n
-    right_pos = pos - left_pos
-    left_neg = left_n - left_pos
-    right_neg = right_n - right_pos
-    score = (
-        left_n - (left_pos**2 + left_neg**2) / left_n
-        + right_n - (right_pos**2 + right_neg**2) / right_n
-    )
+    score = _scores(sizes[node], positives[node], cut_at + 1.0, left_count.astype(np.float64))
     # Cuts are sorted node-major, then by feature and threshold, so each
     # node's first minimum is its tie-break winner.
     new_node = np.empty(node.size, dtype=bool)
@@ -337,17 +343,67 @@ def _search(keys, values, order, batch, shift):
     key_mask = (1 << shift) - 1
     won = at[win]
     low_bin = (packed[won] & key_mask) >> 1
-    low, high = values[low_bin], values[(packed[won + 1] & key_mask) >> 1]
-    thr = (low + high) / 2.0
-    thr = np.where(thr >= high, low, thr)  # adjacent floats: midpoint may round up
     return (
         node[win].tolist(),
         candidates.ravel()[seg[win]].tolist(),
-        thr.tolist(),
+        _midpoints(values, low_bin, (packed[won + 1] & key_mask) >> 1).tolist(),
         (cut_at[win] + 1).tolist(),
         left_count[win].tolist(),
         low_bin.tolist(),
     )
+
+
+def _count_search(keys, values, order, node):
+    """``_search`` of a chunk holding the one batch entry ``node``, from
+    one ``np.bincount`` of the node's keys instead of a sort."""
+    _, _, start, size, positives, _, candidates = node
+    rows = order[start:start + size]
+    counts = np.bincount(keys[candidates[:, None], rows].ravel(), minlength=2 * len(values))
+    counts = counts.reshape(-1, 2)  # (bin, label); absent bins, other features' too, are 0
+    present = np.flatnonzero(counts.any(axis=1))
+    # Rows and positives at or below each present bin, over the candidates
+    # so far. Every candidate holds all ``size`` rows, so a candidate's run
+    # of bins ends exactly where the running row count is a multiple of
+    # ``size``; a cut follows each present bin that does not end a run.
+    n_at = counts[present].sum(axis=1).cumsum()
+    pos_at = counts[present, 1].cumsum()
+    at = np.flatnonzero(n_at % size)
+    if at.size == 0:
+        return ()
+    run = (n_at[at] - 1) // size
+    left_n = n_at[at] - run * size
+    left_pos = pos_at[at] - run * positives
+    score = _scores(size, positives, left_n.astype(np.float64), left_pos.astype(np.float64))
+    win = int(np.argmin(score))  # the first minimum: candidate, then threshold order
+    low_bin, high_bin = present[at[win]], present[at[win] + 1]
+    return (
+        [0],
+        [int(candidates[run[win]])],
+        [float(_midpoints(values, low_bin, high_bin))],
+        [int(left_n[win])],
+        [int(left_pos[win])],
+        [int(low_bin)],
+    )
+
+
+def _scores(m, pos, left_n, left_pos):
+    """Weighted Gini * m of each cut, dropping the constant factor: lower
+    is better. ``left_n`` and ``left_pos`` are float64 arrays of counts."""
+    right_n = m - left_n
+    right_pos = pos - left_pos
+    left_neg = left_n - left_pos
+    right_neg = right_n - right_pos
+    return (
+        left_n - (left_pos**2 + left_neg**2) / left_n
+        + right_n - (right_pos**2 + right_neg**2) / right_n
+    )
+
+
+def _midpoints(values, low_bin, high_bin):
+    """Thresholds between the values of bins ``low_bin`` and ``high_bin``."""
+    low, high = values[low_bin], values[high_bin]
+    thr = (low + high) / 2.0
+    return np.where(thr >= high, low, thr)  # adjacent floats: midpoint may round up
 
 
 def _partition(keys, order, starts, sizes, features, low_bins, left_sizes):

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ import pytest
 import dropcast
 from dropcast.cli import _config_from_args, build_parser, main
 from dropcast.fixture import generate_fixture
-from dropcast.ingest import FeatureGroup
+from dropcast.ingest import FeatureGroup, load_dataset, load_manifest
 from dropcast.models import HyperParams
 
 
@@ -216,6 +217,35 @@ def test_eda_without_gender_column_skips_the_gender_table(fixture_dir, tmp_path)
     assert not (out / "eda_gender_distribution.csv").exists()
     for name in ("eda_class_distribution.csv", "eda_correlation.csv", "eda_rates_debtor.csv"):
         assert (out / name).exists()
+
+
+def test_eda_without_dropout_or_graduate_rows_writes_no_file(fixture_dir, tmp_path, capsys):
+    lines = (fixture_dir / "data.csv").read_text().splitlines()
+    data = tmp_path / "enrolled.csv"
+    data.write_text("\n".join([lines[0]] + [line.rsplit(";", 1)[0] + ";Enrolled"
+                                            for line in lines[1:]]) + "\n")
+    out = tmp_path / "out"
+    code = main(["eda", "--data", str(data), "--manifest", str(fixture_dir / "manifest.tsv"),
+                 "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "dropcast: error: no Dropout or Graduate rows in dataset\n"
+    assert list(out.iterdir()) == []
+
+
+def test_eda_peak_memory_is_near_the_matrix(tmp_path):
+    data, manifest = tmp_path / "d.csv", tmp_path / "m.tsv"
+    generate_fixture(data, manifest, n_rows=20000, seed=7)
+    matrix_bytes = load_dataset(data, load_manifest(manifest)).feature_matrix.nbytes
+    tracemalloc.start()
+    try:
+        code = main(["eda", "--data", str(data), "--manifest", str(manifest),
+                     "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    # Measured 2.80x: the binary table and the correlation's copies of it.
+    assert peak <= 3.5 * matrix_bytes
 
 
 def test_importance_outputs(fixture_dir, tmp_path):

@@ -1,15 +1,22 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dropcast.models.tree as tree_module
+from dropcast.fixture import generate_fixture
+from dropcast.ingest import load_dataset, load_manifest, to_binary
 from dropcast.models import HyperParams, ModelKind, score, train_model
 from dropcast.models.forest import build_forest
 from dropcast.models.tree import (
     _code_columns,
+    _count_search,
     _grow_trees,
     _key_shift,
+    _search,
     _subset_draws,
     build_tree,
     tree_scores,
@@ -268,6 +275,82 @@ class TestLockstepAgainstPerNodeGrower:
             _key_shift(3, 2**61)
         with pytest.raises(OverflowError, match="int64 sort key"):
             _key_shift(25, 2**58)
+
+
+@st.composite
+def lone_nodes(draw):
+    """(coded columns, row order, one batch entry) of a node searched alone."""
+    n = draw(st.integers(1, 80))
+    p = draw(st.integers(1, 6))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):  # few codes: ties, constant columns, absent bins
+        x = g.integers(0, draw(st.integers(1, 5)), size=(n, p)).astype(float)
+    else:
+        x = np.round(g.normal(size=(n, p)) * 10.0, draw(st.integers(0, 2)))
+    labels = draw(st.sampled_from(["random", "all 0", "all 1"]))
+    y = g.integers(0, 2, size=n) if labels == "random" else np.full(n, int(labels[-1]))
+    coded = _code_columns(x, y)
+    # The rows of every tree; a bootstrap repeats rows.
+    order = g.integers(0, n, size=n) if draw(st.booleans()) else g.permutation(n)
+    start = draw(st.integers(0, n - 1))
+    size = draw(st.integers(1, n - start))
+    k = draw(st.integers(1, p))
+    candidates = np.sort(g.permutation(p)[:k])
+    positives = int(coded[2][order[start:start + size]].sum())
+    return coded, order, (None, 0, start, size, positives, 0, candidates)
+
+
+class TestCountedSearch:
+    @settings(max_examples=400, deadline=None)
+    @given(lone_nodes())
+    def test_counts_find_the_sorted_search_split(self, problem):
+        (keys, values, _), order, node = problem
+        shift = _key_shift(1, len(values))
+        assert _count_search(keys, values, order, node) == _search(keys, values, order, [node], shift)
+
+    @pytest.mark.parametrize("offset, counted", [(-1, False), (0, True), (1, True)])
+    def test_a_lone_node_is_counted_from_twice_the_bins(self, offset, counted):
+        # Three columns of 4 codes: 12 bins, and one candidate per node.
+        g = np.random.default_rng(5)
+        x = np.array([g.permutation(np.arange(40) % 4) for _ in range(3)], dtype=float).T
+        y = np.arange(40) % 2
+        sample = g.integers(0, 40, size=2 * 12 + offset)  # size * k at 2 * n_bins + offset
+        with mock.patch.object(tree_module, "_count_search", wraps=_count_search) as count, \
+             mock.patch.object(tree_module, "_search", wraps=_search) as sort:
+            tree = build_tree(x, y, sample, max_depth=1, n_candidates=1, rng=SeededRng(3))
+        assert (count.call_count, sort.call_count) == ((1, 0) if counted else (0, 1))
+        expected = _grow(_code_columns(x, y), sample, 1, 1, 1, SeededRng(3))
+        for name in TREE_ARRAYS:
+            assert np.array_equal(getattr(tree, name), getattr(expected, name)), name
+
+
+def generated_binary(folder, n_rows):
+    """The binary table of a generated records file of ``n_rows`` rows."""
+    generate_fixture(folder / "d.csv", folder / "m.tsv", n_rows=n_rows, seed=7)
+    return to_binary(load_dataset(folder / "d.csv", load_manifest(folder / "m.tsv")))
+
+
+def test_large_nodes_of_a_decision_tree_are_counted(tmp_path):
+    binary = generated_binary(tmp_path, 5000)
+    x, y = binary.feature_matrix, binary.labels
+    with mock.patch.object(tree_module, "_count_search", wraps=_count_search) as count:
+        tree = build_tree(x, y, max_depth=5)
+    assert count.call_count > 0
+    expected = _grow(_code_columns(x, y), None, 5, 1, None, None)
+    for name in TREE_ARRAYS:
+        assert np.array_equal(getattr(tree, name), getattr(expected, name)), name
+
+
+def test_depth_5_tree_peak_memory_is_near_the_matrix(tmp_path):
+    binary = generated_binary(tmp_path, 20000)
+    tracemalloc.start()
+    try:
+        build_tree(binary.feature_matrix, binary.labels, max_depth=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Measured 2.07x: the int64 keys and one node's gathered keys.
+    assert peak <= 2.6 * binary.feature_matrix.nbytes
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -1,0 +1,180 @@
+"""Run the benchmark on two checkouts in alternating pairs and summarise.
+
+    python3 tools/bench_pairs.py --parent P --change C --out BENCH_14.json \
+        ingest-large=10 margin=4 ablate-importance=6 dt-fit
+
+For each ``WORKLOAD=N`` it runs N pairs of
+
+    python3 perfbench/run.py --workload W --seed 7 --seconds 30 --trace 0
+
+once from the parent checkout P and once from the change checkout C, one
+process at a time, alternating which side runs first. Before every run a
+short child process makes one multithreaded matrix product, so that a
+slow first BLAS call after an idle gap lands outside the measured run.
+
+The JSON written to ``--out`` holds every run (its result line and the
+output digests it printed) and, per workload, each metric's quartiles
+on each side (``statistics.quantiles(n=4, method='inclusive')``), the
+pairs the change wins and ties (by the metric's direction in
+``BENCHMARK.json``), failed and attempted operations, and whether every
+output digest is the same on both sides. Naming ``dt-fit`` among the
+workloads adds ``DT_FIT_ROUNDS`` rounds of ``tools/dt_fit.py``, alternating
+sides: the in-process CPU time and tracemalloc peak of the decision-tree
+fit on the 88 480-row fixture.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+SECONDS = "30"
+SEED = 7  # the benchmark's default fixture seed
+WARM_UP = "import numpy as np; a = np.ones((512, 512)); a @ a"
+DT_FIT_ROWS = "88480"
+DT_FIT_ROUNDS = 4
+
+
+def run_benchmark(checkout: Path, workload: str) -> dict:
+    subprocess.run([sys.executable, "-c", WARM_UP], check=True)
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+         "--seconds", SECONDS, "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True,
+    )
+    lines = proc.stdout.splitlines()
+    digests = dict(line.split()[2:4] for line in lines if line.startswith("# digest "))
+    if proc.returncode != 0 or not lines:
+        return {"correct": False, "attempted": 0, "failed": 1, "metrics": {},
+                "returncode": proc.returncode, "stderr": proc.stderr[-2000:], "digests": digests}
+    return {**json.loads(lines[-1]), "digests": digests}
+
+
+def quartiles(values: list[float]) -> dict:
+    if len(values) == 1:
+        return {"q1": values[0], "median": values[0], "q3": values[0]}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": round(q1, 4), "median": round(median, 4), "q3": round(q3, 4)}
+
+
+def summarise(workload: str, runs: list[dict], better: dict[str, str]) -> dict:
+    by_pair: dict[int, dict[str, dict]] = {}
+    for run in runs:
+        by_pair.setdefault(run["pair"], {})[run["side"]] = run["result"]
+    pairs = [p for _, p in sorted(by_pair.items()) if len(p) == 2]
+    metrics = {}
+    for name, direction in better.items():
+        values = {side: [p[side]["metrics"].get(name, {}).get("value") for p in pairs]
+                  for side in ("parent", "change")}
+        if any(v is None for side in values.values() for v in side):
+            continue
+        sign = 1 if direction == "lower" else -1
+        wins = sum(sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"]))
+        ties = sum(c == p for p, c in zip(values["parent"], values["change"]))
+        metrics[name] = {"parent": quartiles(values["parent"]),
+                         "change": quartiles(values["change"]),
+                         "change_wins": wins, "ties": ties}
+    digests = {side: {} for side in ("parent", "change")}
+    for run in runs:
+        for label, digest in run["result"]["digests"].items():
+            digests[run["side"]].setdefault(label, set()).add(digest)
+    flat = {side: {label: sorted(d) for label, d in sorted(found.items())}
+            for side, found in digests.items()}
+    return {
+        "workload": workload, "seed": SEED, "pairs": len(pairs),
+        "metrics": metrics,
+        "failed_ops": {side: sum(p[side]["failed"] for p in pairs) for side in ("parent", "change")},
+        "attempted_ops": {side: sum(p[side]["attempted"] for p in pairs)
+                          for side in ("parent", "change")},
+        "output_digests": {"equal": flat["parent"] == flat["change"]
+                           and all(len(d) == 1 for d in flat["parent"].values()),
+                           **flat},
+    }
+
+
+def dt_fit(checkouts: dict[str, Path]) -> dict:
+    """``tools/dt_fit.py`` on each side, ``DT_FIT_ROUNDS`` times, alternating."""
+    results: dict[str, list[dict]] = {side: [] for side in checkouts}
+    with tempfile.TemporaryDirectory() as folder:
+        subprocess.run(
+            [sys.executable, "-m", "dropcast.cli", "fixture", "--rows", DT_FIT_ROWS,
+             "--seed", str(SEED), "--planted-group", "academic", "--strength", "3.0",
+             "--out", folder],
+            env={**os.environ, "PYTHONPATH": str(checkouts["change"] / "src")}, check=True,
+            stdout=subprocess.DEVNULL,
+        )
+        for r in range(DT_FIT_ROUNDS):
+            sides = list(checkouts) if r % 2 == 0 else list(reversed(checkouts))
+            for side in sides:
+                subprocess.run([sys.executable, "-c", WARM_UP], check=True)
+                proc = subprocess.run(
+                    [sys.executable, str(HERE / "dt_fit.py"),
+                     "--data", f"{folder}/fixture.csv", "--manifest", f"{folder}/fixture_manifest.tsv"],
+                    env={**os.environ, "PYTHONPATH": str(checkouts[side] / "src")},
+                    capture_output=True, text=True, check=True,
+                )
+                results[side].append(json.loads(proc.stdout.splitlines()[-1]))
+    fits = len(results["change"][0]["cpu_s"])
+    return {
+        "what": f"tools/dt_fit.py: build_tree(max_depth=5) on the seed-42 training split of the "
+                f"{DT_FIT_ROWS}-row seed-{SEED} fixture, CPU seconds of {fits} fits and the "
+                f"tracemalloc peak of one more, per round; rounds alternate which side runs first",
+        **results,
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--parent", type=Path, required=True, help="parent commit's checkout")
+    parser.add_argument("--change", type=Path, required=True, help="change's checkout")
+    parser.add_argument("--out", type=Path, required=True, help="JSON file to write")
+    parser.add_argument("pairs", nargs="+", metavar="WORKLOAD=N | dt-fit")
+    args = parser.parse_args(argv)
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    benchmark = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+
+    runs, summary = [], []
+    for spec in (s for s in args.pairs if s != "dt-fit"):
+        workload, n = spec.split("=")
+        workload_runs = []
+        for pair in range(int(n)):
+            sides = ["parent", "change"] if pair % 2 == 0 else ["change", "parent"]
+            for order, side in enumerate(sides, 1):
+                result = run_benchmark(checkouts[side], workload)
+                run = {"workload": workload, "seed": SEED, "trace": 0, "pair": pair,
+                       "side": side, "order": order, "result": result}
+                workload_runs.append(run)
+                print(json.dumps({k: run[k] for k in ("workload", "pair", "side")}
+                                 | {k: v["value"] for k, v in result["metrics"].items()}),
+                      flush=True)
+        runs += workload_runs
+        summary.append(summarise(workload, workload_runs, better))
+
+    doc = {
+        "what": f"perfbench/run.py --workload W --seed S --seconds {SECONDS} --trace 0, parent "
+                "checkout against change checkout, run by tools/bench_pairs.py; pairs alternate "
+                "which side runs first (order 1 or 2). Quartiles are statistics.quantiles(n=4, "
+                "method='inclusive') over the pairs; a win is a pair where the change's value "
+                "is better.",
+        "machine": f"{platform.machine()}, {len(os.sched_getaffinity(0))} CPUs, "
+                   f"Python {platform.python_version()}",
+        "summary": summary,
+    }
+    if "dt-fit" in args.pairs:
+        doc["in_process"] = {"dt_fit": dt_fit(checkouts)}
+    doc["runs"] = runs
+    args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    return 0 if all(r["result"]["correct"] for r in runs) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
