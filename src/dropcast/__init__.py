@@ -20,7 +20,7 @@ from .ingest import (
     load_manifest,
     to_binary,
 )
-from .metrics import ImportanceReport, RocCurve, RocReport, accuracy, auc, forest_importance, roc_curve
+from .metrics import RocCurve, RocReport, accuracy, auc, forest_importance, roc_curve
 from .models import HyperParams, ModelKind, TrainedModel, score, train_model
 from .preprocess import SplitIndices, Standardizer, apply_standardizer, exclude_group, fit_standardizer, split
 
@@ -31,7 +31,6 @@ __all__ = [
     "FeatureGroup",
     "GroupManifest",
     "HyperParams",
-    "ImportanceReport",
     "ModelKind",
     "Outcome",
     "RocCurve",

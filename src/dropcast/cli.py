@@ -274,23 +274,15 @@ def _cmd_importance(args) -> int:
     if config.excluded_group is not None:
         binary = exclude_group(binary, config.excluded_group)
     # The exclusion is applied above, so the cells use every column left.
-    per_seed = [
-        forest_importance(model, binary.column_names)
-        for model, _ in evaluate_cells(binary, (None,), config)
-    ]
-
-    # Average the per-seed importance vectors for the CSV.
-    combined: dict[str, float] = {name: 0.0 for name in binary.column_names}
-    for report in per_seed:
-        for name, value in report.entries:
-            combined[name] += value / len(per_seed)
-    ranked = sorted(combined.items(), key=lambda item: (-item[1], item[0]))
+    per_seed = [forest_importance(model) for model, _ in evaluate_cells(binary, (None,), config)]
+    # Average the per-seed vectors in seed order, then rank by value, then name.
+    combined = sum(vector / len(per_seed) for vector in per_seed)
+    ranked = sorted(zip(binary.column_names, combined.tolist()),
+                    key=lambda item: (-item[1], item[0]))
     report_ops.write_importance_csv(ranked, out / "importance.csv")
 
     doc = report_ops.build_run_document("importance", config, manifest_version, [])
-    doc["importance"] = [
-        {"feature": name, "importance": float(v)} for name, v in ranked
-    ]
+    doc["importance"] = [{"feature": name, "importance": v} for name, v in ranked]
     report_ops.write_json(doc, out / "report.json")
     return 0
 

@@ -29,25 +29,12 @@ class CategoryRateTable:
     # (category code, row count, dropout rate, graduate rate), code ascending
     rows: tuple[tuple[float, int, float, float], ...]
 
-    def rate_for(self, code: float) -> tuple[float, float]:
-        for row_code, _, dropout_rate, graduate_rate in self.rows:
-            if row_code == code:
-                return dropout_rate, graduate_rate
-        raise UnknownFeatureError(
-            f"no category code {code} observed for {self.feature_name!r}"
-        )
-
 
 @dataclass(frozen=True)
 class CorrelationMatrix:
     values: np.ndarray
     column_names: tuple[str, ...]
     constant_flags: tuple[bool, ...]
-
-    def pair(self, name_a: str, name_b: str) -> float:
-        i = self.column_names.index(name_a)
-        j = self.column_names.index(name_b)
-        return float(self.values[i, j])
 
 
 def class_distribution(dataset: Dataset) -> dict[Outcome, int]:
@@ -91,13 +78,14 @@ def gender_distribution(binary: BinaryDataset) -> dict[tuple[float, int], int]:
 def correlation_matrix(binary: BinaryDataset) -> CorrelationMatrix:
     """Pearson r for every feature pair.
 
-    Constant columns get r = 0 against every column including
+    Constant columns (every value equal to the first row's, or a
+    standard deviation of 0) get r = 0 against every column including
     themselves, and are flagged so consumers can tell that apart from
     genuine zero correlation.
     """
     matrix = binary.feature_matrix
     n = matrix.shape[0]
-    standardizer = fit_standardizer(matrix, np.arange(n))
+    standardizer = fit_standardizer(matrix)
     normalized = apply_standardizer(standardizer, matrix)
     constant = standardizer.constant
     values = (normalized.T @ normalized) / n

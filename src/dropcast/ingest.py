@@ -97,12 +97,6 @@ class GroupManifest:
     def column_groups(self) -> tuple[FeatureGroup, ...]:
         return tuple(group for _, group in self.entries)
 
-    def group_sizes(self) -> dict[FeatureGroup, int]:
-        sizes = {group: 0 for group in FeatureGroup}
-        for _, group in self.entries:
-            sizes[group] += 1
-        return sizes
-
 
 @dataclass(frozen=True)
 class Dataset:

@@ -31,10 +31,6 @@ class RocCurve:
     tpr: np.ndarray
     thresholds: np.ndarray  # thresholds[0] is +inf for the (0, 0) anchor
 
-    @property
-    def n_points(self) -> int:
-        return self.fpr.shape[0]
-
 
 @dataclass(frozen=True)
 class RocReport:
@@ -47,17 +43,6 @@ class RocReport:
     accuracy: float
     curve: RocCurve
     svm_objective: float | None = None
-
-
-@dataclass(frozen=True)
-class ImportanceReport:
-    """(feature name, importance) sorted by descending importance;
-    importances are normalized to sum to 1."""
-
-    entries: tuple[tuple[str, float], ...]
-
-    def top_names(self, k: int) -> set[str]:
-        return {name for name, _ in self.entries[:k]}
 
 
 def _validate_pair(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -121,8 +106,9 @@ def accuracy(scores, labels, threshold: float) -> float:
     return float((predicted == labels).mean())
 
 
-def forest_importance(model: TrainedModel, feature_names) -> ImportanceReport:
-    """Mean decrease in impurity, averaged over trees, normalized to 1.
+def forest_importance(model: TrainedModel) -> np.ndarray:
+    """Mean decrease in impurity, averaged over trees, normalized to 1,
+    one value per feature column in column order.
 
     Each split contributes (node samples / root samples) times the drop
     from its node's Gini to the weighted Gini of its children.
@@ -130,12 +116,6 @@ def forest_importance(model: TrainedModel, feature_names) -> ImportanceReport:
     if model.kind is not ModelKind.RANDOM_FOREST:
         raise KindMismatchError(f"feature importance needs a random forest, got {model.kind.value}")
     forest: Forest = model.payload
-    feature_names = tuple(feature_names)
-    if len(feature_names) != model.n_features:
-        raise LengthMismatchError(
-            f"{model.n_features} features in model, {len(feature_names)} names given"
-        )
-
     totals = np.zeros(model.n_features, dtype=np.float64)
     any_split = False
     for tree in forest.trees:
@@ -157,5 +137,4 @@ def forest_importance(model: TrainedModel, feature_names) -> ImportanceReport:
 
     totals /= len(forest.trees)
     totals /= totals.sum()
-    ranked = sorted(zip(feature_names, totals), key=lambda item: (-item[1], item[0]))
-    return ImportanceReport(entries=tuple((name, float(v)) for name, v in ranked))
+    return totals

@@ -120,7 +120,7 @@ def train_model(kind: ModelKind, train: BinaryDataset, hp: HyperParams) -> Train
         raise InvalidArgumentError("training labels must be 0 or 1")
     standardizer = None
     if kind.needs_standardization:
-        standardizer = fit_standardizer(x, np.arange(train.n_rows))
+        standardizer = fit_standardizer(x)
         x = apply_standardizer(standardizer, x)
     if kind is ModelKind.DECISION_TREE:
         payload = build_tree(x, y, max_depth=hp.tree_max_depth)

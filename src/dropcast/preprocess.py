@@ -22,15 +22,16 @@ class SplitIndices:
     train_rows: np.ndarray
     test_rows: np.ndarray
     seed: int
-    test_fraction: float
 
 
 @dataclass(frozen=True)
 class Standardizer:
     """Per-column center/scale fitted on training rows only.
 
-    Constant training columns are flagged and store a standard
-    deviation of 1, so transforming maps them to exactly 0.
+    A column is constant when all its values equal the first row's (the
+    float mean of 3176 copies of 10.8 is not 10.8) or its deviation is
+    0. It is flagged and stores deviation 1, and an all-equal column its
+    value as the mean, so transforming maps it to exactly 0.
     """
 
     mean: np.ndarray
@@ -66,18 +67,21 @@ def split(n_rows: int, test_fraction: float, seed: int) -> SplitIndices:
         train_rows=train_rows,
         test_rows=test_rows,
         seed=seed,
-        test_fraction=test_fraction,
     )
 
 
-def fit_standardizer(matrix: np.ndarray, train_rows: np.ndarray) -> Standardizer:
-    train_rows = np.asarray(train_rows, dtype=np.int64)
-    if train_rows.size == 0:
+def fit_standardizer(rows: np.ndarray) -> Standardizer:
+    """Fit on every row given; pass only the training rows."""
+    # numpy sums a C-ordered column row by row but an F-ordered one
+    # pairwise, so fix the order to keep the fit independent of layout.
+    rows = np.ascontiguousarray(rows)
+    if rows.shape[0] == 0:
         raise InvalidArgumentError("cannot fit standardizer on zero training rows")
-    sub = matrix[train_rows]
-    mean = sub.mean(axis=0)
-    std = np.sqrt(((sub - mean) ** 2).mean(axis=0))
-    constant = std == 0.0
+    mean = rows.mean(axis=0)
+    std = np.sqrt(((rows - mean) ** 2).mean(axis=0))
+    all_equal = (rows == rows[0]).all(axis=0)
+    constant = all_equal | (std == 0.0)
+    mean = np.where(all_equal, rows[0], mean)
     std = np.where(constant, 1.0, std)
     for arr in (mean, std, constant):
         arr.setflags(write=False)

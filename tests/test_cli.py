@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import os
@@ -6,12 +7,15 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dropcast
 from dropcast.cli import _config_from_args, build_parser, main
+from dropcast.experiments import evaluate_cells, load_binary
 from dropcast.fixture import generate_fixture
 from dropcast.ingest import FeatureGroup, load_dataset, load_manifest
+from dropcast.metrics import forest_importance
 from dropcast.models import HyperParams
 
 
@@ -261,6 +265,30 @@ def test_importance_outputs(fixture_dir, tmp_path):
     assert len(lines) == 1 + 34
     report = json.loads((out / "report.json").read_text())
     assert len(report["importance"]) == 34
+
+
+def test_importance_averages_seeds_in_order_then_ranks_by_value_and_name(fixture_dir, tmp_path):
+    flags = [
+        "--data", str(fixture_dir / "data.csv"), "--manifest", str(fixture_dir / "manifest.tsv"),
+        *_fast_flags(seeds="42,43,44"),
+    ]
+    out = tmp_path / "out"
+    assert main(["importance", *flags, "--out", str(out)]) == 0
+
+    config = _config_from_args(build_parser().parse_args(["importance", *flags]))
+    binary, _ = load_binary(config)
+    vectors = [forest_importance(model) for model, _ in evaluate_cells(binary, (None,), config)]
+    assert len(vectors) == 3
+    assert not np.array_equal(vectors[0], vectors[1])
+    mean = [sum(float(v[i]) / len(vectors) for v in vectors) for i in range(binary.n_columns)]
+    expected = sorted(zip(binary.column_names, mean), key=lambda item: (-item[1], item[0]))
+
+    with open(out / "importance.csv", newline="") as handle:
+        rows = list(csv.reader(handle))
+    assert rows[0] == ["feature", "importance"]
+    assert [(name, float(value)) for name, value in rows[1:]] == expected
+    report = json.loads((out / "report.json").read_text())
+    assert [(e["feature"], e["importance"]) for e in report["importance"]] == expected
 
 
 def test_exclude_flag(fixture_dir, tmp_path):

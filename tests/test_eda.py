@@ -115,7 +115,7 @@ class TestCorrelationMatrix:
         col = rng.normal(size=40)
         x = np.column_stack([col, -col])
         matrix = correlation_matrix(make_binary(x, rng.integers(0, 2, 40)))
-        assert matrix.pair("f0", "f1") == pytest.approx(-1.0, abs=1e-12)
+        assert matrix.values[0, 1] == pytest.approx(-1.0, abs=1e-12)
 
     def test_constant_column_zeroed_and_flagged(self):
         rng = np.random.default_rng(54)
@@ -147,4 +147,6 @@ class TestCorrelationMatrix:
         nationality = next(
             name for name in matrix.column_names if name in ("Nationality", "Nacionality")
         )
-        assert abs(matrix.pair(nationality, "International")) > 0.3
+        i = matrix.column_names.index(nationality)
+        j = matrix.column_names.index("International")
+        assert abs(matrix.values[i, j]) > 0.3

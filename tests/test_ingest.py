@@ -1,5 +1,6 @@
 import csv
 import tracemalloc
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -37,7 +38,7 @@ from oracles import reference_load_dataset, write_dataset_csv
 def test_default_manifest_counts():
     manifest = load_manifest(default_manifest_path("default-34"))
     assert len(manifest.entries) == 34
-    sizes = manifest.group_sizes()
+    sizes = Counter(manifest.column_groups)
     assert sizes[FeatureGroup.DEMOGRAPHIC] == 6
     assert sizes[FeatureGroup.SOCIOECONOMIC] == 8
     assert sizes[FeatureGroup.MACROECONOMIC] == 3
@@ -48,7 +49,7 @@ def test_default_manifest_counts():
 def test_variant_manifest_counts():
     manifest = load_manifest(default_manifest_path("variant-36"))
     assert len(manifest.entries) == 36
-    sizes = manifest.group_sizes()
+    sizes = Counter(manifest.column_groups)
     assert sizes[FeatureGroup.ACADEMIC] == 19
     assert manifest.version_tag == "variant-36"
 

@@ -155,10 +155,9 @@ class TestForestImportance:
         x[:, 2] = y * 4 + rng.normal(scale=0.1, size=n)  # only column 2 carries signal
         ds = make_binary(x, y)
         model = train_model(ModelKind.RANDOM_FOREST, ds, HyperParams(forest_n_trees=20, seed=1))
-        report = forest_importance(model, ds.column_names)
-        top_name, top_value = report.entries[0]
-        assert top_name == "f2"
-        assert top_value > 0.9
+        importance = forest_importance(model)
+        assert int(np.argmax(importance)) == 2
+        assert importance[2] > 0.9
 
     def test_importances_sum_to_one(self):
         rng = np.random.default_rng(4)
@@ -166,19 +165,20 @@ class TestForestImportance:
         y = (x[:, 0] + x[:, 3] > 0).astype(int)
         ds = make_binary(x, y)
         model = train_model(ModelKind.RANDOM_FOREST, ds, HyperParams(forest_n_trees=15, seed=2))
-        report = forest_importance(model, ds.column_names)
-        assert sum(v for _, v in report.entries) == pytest.approx(1.0, abs=1e-9)
-        assert all(v >= 0 for _, v in report.entries)
+        importance = forest_importance(model)
+        assert importance.shape == (6,)
+        assert importance.sum() == pytest.approx(1.0, abs=1e-9)
+        assert (importance >= 0).all()
 
     def test_kind_mismatch(self):
         ds = make_binary(np.array([[0.0], [1.0]]), [0, 1])
         model = train_model(ModelKind.DECISION_TREE, ds, HyperParams())
         with pytest.raises(KindMismatchError):
-            forest_importance(model, ds.column_names)
+            forest_importance(model)
 
     def test_no_split_error(self):
         # All-identical rows: no tree can split.
         ds = make_binary(np.ones((10, 3)), [1] * 10)
         model = train_model(ModelKind.RANDOM_FOREST, ds, HyperParams(forest_n_trees=5, seed=3))
         with pytest.raises(NoSplitError):
-            forest_importance(model, ds.column_names)
+            forest_importance(model)

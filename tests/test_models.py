@@ -147,7 +147,7 @@ def test_train_model_equals_the_three_step_protocol(kind):
     train_rows = rng.permutation(120)[:90]
     hp = HyperParams(svm_epochs=15, knn_k=7)
 
-    standardizer = fit_standardizer(matrix, train_rows)
+    standardizer = fit_standardizer(matrix[train_rows])
     standardized = apply_standardizer(standardizer, matrix[train_rows])
     if kind is ModelKind.LINEAR_SVM:
         payload = train_svm(standardized, labels[train_rows], c=hp.svm_regularization_c,

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from dropcast.eda import correlation_matrix
 from dropcast.errors import ColumnMismatchError, InvalidFractionError, UnknownGroupError
 from dropcast.ingest import FeatureGroup
 from dropcast.preprocess import (
@@ -63,7 +66,7 @@ class TestSplit:
 class TestStandardizer:
     def test_constant_column_flagged(self):
         matrix = np.full((4, 1), 5.0)
-        std = fit_standardizer(matrix, np.arange(4))
+        std = fit_standardizer(matrix)
         assert std.mean[0] == 5.0
         assert std.constant[0]
         assert std.std[0] == 1.0
@@ -72,21 +75,21 @@ class TestStandardizer:
     def test_hand_arithmetic(self):
         # column values {0, 2}: mean 1, population stddev 1
         matrix = np.array([[0.0], [2.0]])
-        std = fit_standardizer(matrix, np.arange(2))
+        std = fit_standardizer(matrix)
         assert std.mean[0] == 1.0
         assert std.std[0] == 1.0
 
     def test_population_convention(self):
         # {0, 1, 2}: population variance 2/3 (sample variance would be 1)
         matrix = np.array([[0.0], [1.0], [2.0]])
-        std = fit_standardizer(matrix, np.arange(3))
+        std = fit_standardizer(matrix)
         assert std.std[0] == pytest.approx(np.sqrt(2.0 / 3.0), abs=1e-15)
 
     def test_train_rows_standardize_to_zero_mean(self):
         rng = np.random.default_rng(0)
         matrix = rng.normal(size=(50, 4)) * 3 + 1
         train = np.arange(0, 30)
-        std = fit_standardizer(matrix, train)
+        std = fit_standardizer(matrix[train])
         transformed = apply_standardizer(std, matrix)
         assert np.abs(transformed[train].mean(axis=0)).max() < 1e-9
 
@@ -94,16 +97,16 @@ class TestStandardizer:
         rng = np.random.default_rng(1)
         matrix = rng.normal(size=(20, 3))
         train = np.arange(10)
-        std_a = fit_standardizer(matrix, train)
+        std_a = fit_standardizer(matrix[train])
         tampered = matrix.copy()
         tampered[10:] += 1000.0
-        std_b = fit_standardizer(tampered, train)
+        std_b = fit_standardizer(tampered[train])
         assert np.array_equal(std_a.mean, std_b.mean)
         assert np.array_equal(std_a.std, std_b.std)
 
     def test_value_at_mean_maps_to_zero_and_one_sigma_to_one(self):
         matrix = np.array([[1.0], [3.0]])  # mean 2, std 1
-        std = fit_standardizer(matrix, np.arange(2))
+        std = fit_standardizer(matrix)
         out = apply_standardizer(std, np.array([[2.0], [3.0]]))
         assert out[0, 0] == 0.0
         assert out[1, 0] == 1.0
@@ -111,14 +114,38 @@ class TestStandardizer:
     def test_standardize_standardized_is_noop(self):
         rng = np.random.default_rng(2)
         matrix = rng.normal(size=(40, 3))
-        first = fit_standardizer(matrix, np.arange(40))
+        first = fit_standardizer(matrix)
         once = apply_standardizer(first, matrix)
-        second = fit_standardizer(once, np.arange(40))
+        second = fit_standardizer(once)
         twice = apply_standardizer(second, once)
         assert np.allclose(once, twice, atol=1e-12)
 
+    # A column of |c| near the float max overflows its sum; the all-equal
+    # test still flags it.
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @settings(max_examples=200, deadline=None)
+    @given(c=st.floats(allow_nan=False, allow_infinity=False), n_rows=st.integers(1, 4000))
+    @example(c=10.8, n_rows=3176)  # the float mean is 10.799999999999638
+    def test_constant_column_of_any_value_is_flagged(self, c, n_rows):
+        matrix = np.column_stack([np.full(n_rows, c), np.arange(n_rows) % 10.0])
+        std = fit_standardizer(matrix)
+        assert std.constant[0]
+        assert std.std[0] == 1.0
+        assert (apply_standardizer(std, matrix)[:, 0] == 0.0).all()
+        r = correlation_matrix(make_binary(matrix, np.arange(n_rows) % 2))
+        assert r.constant_flags[0]
+        assert (r.values[0] == 0.0).all() and (r.values[:, 0] == 0.0).all()
+
+    def test_fit_does_not_depend_on_memory_layout(self):
+        # numpy would sum these F-ordered columns pairwise, to other bits.
+        matrix = np.random.default_rng(3).normal(size=(3000, 5)) * 1e3 + 7
+        c_fit = fit_standardizer(matrix)
+        f_fit = fit_standardizer(np.asfortranarray(matrix))
+        assert c_fit.mean.tobytes() == f_fit.mean.tobytes()
+        assert c_fit.std.tobytes() == f_fit.std.tobytes()
+
     def test_width_mismatch(self):
-        std = fit_standardizer(np.ones((3, 2)), np.arange(3))
+        std = fit_standardizer(np.ones((3, 2)))
         with pytest.raises(ColumnMismatchError):
             apply_standardizer(std, np.ones((3, 5)))
 
@@ -169,7 +196,7 @@ class TestExcludeGroup:
 
 def test_standardize_dataset_wraps_matrix():
     ds = make_binary(np.array([[0.0], [2.0]]), [0, 1])
-    std = fit_standardizer(ds.feature_matrix, np.arange(2))
+    std = fit_standardizer(ds.feature_matrix)
     out = standardize_dataset(ds, std)
     assert out.feature_matrix[:, 0].tolist() == [-1.0, 1.0]
     assert out.column_names == ds.column_names

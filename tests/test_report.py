@@ -100,12 +100,12 @@ def test_roc_csv_round_trip(tmp_path, baseline_reports):
     write_roc_csv(report.curve, path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "threshold,fpr,tpr"
-    assert len(lines) == 1 + report.curve.n_points
+    assert len(lines) == 1 + len(report.curve.fpr)
     first = lines[1].split(",")
     assert float(first[0]) == float("inf")
     assert float(first[1]) == 0.0 and float(first[2]) == 0.0
     parsed = [tuple(float(v) for v in line.split(",")) for line in lines[2:]]
-    for (threshold, fpr, tpr), i in zip(parsed, range(1, report.curve.n_points)):
+    for (threshold, fpr, tpr), i in zip(parsed, range(1, len(report.curve.fpr))):
         assert threshold == report.curve.thresholds[i]
         assert fpr == report.curve.fpr[i]
         assert tpr == report.curve.tpr[i]
