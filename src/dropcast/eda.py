@@ -22,15 +22,6 @@ GENDER_COLUMN = "Gender"
 
 
 @dataclass(frozen=True)
-class CategoryRateTable:
-    """Dropout/graduate rates per distinct code of one feature."""
-
-    feature_name: str
-    # (category code, row count, dropout rate, graduate rate), code ascending
-    rows: tuple[tuple[float, int, float, float], ...]
-
-
-@dataclass(frozen=True)
 class CorrelationMatrix:
     values: np.ndarray
     column_names: tuple[str, ...]
@@ -57,12 +48,14 @@ def _counts_by_code(binary: BinaryDataset, feature_name: str):
     return codes, n_rows, n_dropout
 
 
-def rate_by_category(binary: BinaryDataset, feature_name: str) -> CategoryRateTable:
-    """Per-code dropout/graduate rates; every observed value is a code."""
+def rate_by_category(
+    binary: BinaryDataset, feature_name: str
+) -> tuple[tuple[float, int, float, float], ...]:
+    """(code, row count, dropout rate, graduate rate) per distinct code of
+    one feature, code ascending; every observed value is a code."""
     codes, n_rows, n_dropout = _counts_by_code(binary, feature_name)
-    rows = [(float(code), int(n), float(rate), 1.0 - float(rate))
-            for code, n, rate in zip(codes, n_rows, n_dropout / n_rows)]
-    return CategoryRateTable(feature_name=feature_name, rows=tuple(rows))
+    return tuple((float(code), int(n), float(rate), 1.0 - float(rate))
+                 for code, n, rate in zip(codes, n_rows, n_dropout / n_rows))
 
 
 def gender_distribution(binary: BinaryDataset) -> dict[tuple[float, int], int]:

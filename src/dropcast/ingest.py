@@ -7,25 +7,23 @@ columns are assigned to one of four groups (demographic, socioeconomic,
 macroeconomic, academic) by an external manifest file so that schema
 variants of the records file can be mapped without code changes.
 
-``load_dataset`` parses the data rows in one streaming pass: numpy's C
-text reader (``np.loadtxt``) converts the manifest cells of the lines a
-generator hands it, while the generator looks up each line's ``Target``,
-so a load peaks near the size of its matrix. The generator hands over a
-line only if ``csv.reader`` would split it as ``str.split`` does and
-``loadtxt`` parses its numbers as ``float`` does: printable ASCII apart
-from the delimiter, no ``"``, ended by LF, CRLF or the end of the
-file, no longer than the csv field limit, with the header's field
-count. A line that is not, a cell ``loadtxt`` cannot parse (it takes a
-subset of what ``float`` takes, ``1_0`` is not in it), a non-finite
-cell or an unknown ``Target`` sends the load to ``_parse_rows``, which
+``load_dataset`` parses the data rows in one call to numpy's C text
+reader (``np.loadtxt``), which splits records as ``csv.reader`` does,
+unquotes ``"``-quoted cells, converts the manifest cells and maps each
+``Target`` word to its place in ``Outcome``, so a load peaks near the
+size of its matrix. If that reader raises (on a short row, a cell it
+cannot parse, the delimiter ``"``) or gives a value that is not finite
+(a ``nan`` or ``inf`` cell, an unknown ``Target``), ``_parse_rows``
 reads the file again cell by cell and raises the error a plain row loop
-raises, with its data-row number and text. Both paths give the same
-matrix and outcomes for every file one of them loads. The row loop also
-accepts quoted cells and cells that are good once stripped (``str.strip``
-removes the separators U+001C to U+001F from a cell's edges, ``float``
-does not). A manifest or records file that is not UTF-8 text, or a
-record the csv reader cannot split (a cell over its field limit), raises
-one ``FileFormatError`` line naming the file and, for a record, its data
+raises, with its data-row number and text. It also loads what only
+``float`` parses (``1_000``, ``１``). Both paths give the same matrix and
+outcomes for every file the row loop loads. numpy's reader has no field
+limit, so a file it reads whole loads even with a data cell longer than
+``csv.field_size_limit()``; ``"1" * 131073`` reads as ``inf`` and takes
+the row loop, where the csv reader cannot split its record. A manifest
+or records file that is not UTF-8 text, or a header or, in the row
+loop, a record the csv reader cannot split, raises one
+``FileFormatError`` line naming the file and, for a record, its data
 row. Both files may open with a byte-order mark.
 """
 
@@ -33,8 +31,8 @@ from __future__ import annotations
 
 import csv
 import enum
-import itertools
 import math
+import warnings
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -78,8 +76,15 @@ class Outcome(enum.Enum):
 
 
 _OUTCOMES = {outcome.value: outcome for outcome in Outcome}
+_OUTCOME_LIST = tuple(Outcome)
+_OUTCOME_CODES = {outcome.value: float(i) for i, outcome in enumerate(Outcome)}
 # to_binary's codes: a kept row's label is its code, Enrolled rows are dropped.
 _BINARY_CODES = {Outcome.GRADUATE: 0, Outcome.DROPOUT: 1, Outcome.ENROLLED: 2}
+
+
+def _outcome_code(text: str) -> float:
+    """A ``Target`` cell's index in ``Outcome``, nan for an unknown word."""
+    return _OUTCOME_CODES.get(text.strip(), math.nan)
 
 
 @dataclass(frozen=True)
@@ -229,51 +234,23 @@ def load_dataset(
         feature_pos = [positions[name] for name in columns]
         target_pos = positions[TARGET_COLUMN]
 
-        outcomes: list[Outcome | None] = []
-        limit = csv.field_size_limit()
-        n_delimiters = len(header) - 1
-        tail = len(header) - target_pos  # Target's place, counted from the right
-        # A delimiter outside printable ASCII (a tab, say) is spaced out
-        # before a line's characters are checked.
-        plain_delimiter = delimiter.isascii() and delimiter.isprintable()
-
-        def plain_lines():
-            """Yield the non-blank data lines, appending each one's
-            outcome, while each is a line ``csv.reader`` splits as
-            ``str.split`` does and has the header's field count. The
-            first other line, or an unknown ``Target``, appends None and
-            ends them, so outcomes outnumber the rows ``loadtxt`` read."""
-            for line in handle:
-                body = line[:-2] if line.endswith("\r\n") else line.rstrip("\n")
-                if not body:
-                    continue
-                text = body if plain_delimiter else body.replace(delimiter, " ")
-                outcome = None
-                if (text.isascii() and text.isprintable() and '"' not in text
-                        and len(line) <= limit and body.count(delimiter) == n_delimiters):
-                    outcome = _OUTCOMES.get(body.rsplit(delimiter, tail)[-tail].strip())
-                outcomes.append(outcome)
-                if outcome is None:
-                    return
-                yield body
-
-        lines = plain_lines()
-        # loadtxt warns on an input with no lines, so a file with no data
-        # line, or whose first one fails the check, never reaches it.
-        first = next(lines, None)
-        values = np.empty((0, len(columns)))
-        if first is not None:
-            try:
+        try:
+            with warnings.catch_warnings():
+                # A file with no data row is an empty matrix, not a warning.
+                warnings.simplefilter("ignore", UserWarning)
                 values = np.loadtxt(
-                    itertools.chain((first,), lines), delimiter=delimiter, usecols=feature_pos,
-                    comments=None, dtype=np.float64, ndmin=2,
+                    handle, delimiter=delimiter, quotechar='"', comments=None,
+                    usecols=[*feature_pos, target_pos], converters={target_pos: _outcome_code},
+                    dtype=np.float64, ndmin=2,
                 )
-            except (IndexError, ValueError):
-                values = None
-    if values is None or len(values) != len(outcomes) or not np.isfinite(values).all():
+        except (IndexError, TypeError, ValueError):  # TypeError: the delimiter is '"'
+            values = None
+    if values is not None and np.isfinite(values).all():
+        matrix = values[:, :-1]
+        outcomes = [_OUTCOME_LIST[i] for i in values[:, -1].astype(np.intp).tolist()]
+    else:
         values, outcomes = _parse_rows(csv_path, delimiter, columns, feature_pos, target_pos)
-
-    matrix = np.asarray(values).reshape(len(outcomes), len(columns))
+        matrix = np.asarray(values).reshape(len(outcomes), len(columns))
     return Dataset(
         feature_matrix=_freeze(matrix),
         column_names=columns,

@@ -71,18 +71,28 @@ def split(n_rows: int, test_fraction: float, seed: int) -> SplitIndices:
 
 
 def fit_standardizer(rows: np.ndarray) -> Standardizer:
-    """Fit on every row given; pass only the training rows."""
+    """Fit on every row given; pass only the training rows. A column
+    whose sum or squared deviations overflow, so that its mean or std is
+    not finite, raises ``InvalidArgumentError``; an all-equal column is
+    constant and never does."""
     # numpy sums a C-ordered column row by row but an F-ordered one
     # pairwise, so fix the order to keep the fit independent of layout.
     rows = np.ascontiguousarray(rows)
     if rows.shape[0] == 0:
         raise InvalidArgumentError("cannot fit standardizer on zero training rows")
-    mean = rows.mean(axis=0)
-    std = np.sqrt(((rows - mean) ** 2).mean(axis=0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = rows.mean(axis=0)
+        std = np.sqrt(((rows - mean) ** 2).mean(axis=0))
     all_equal = (rows == rows[0]).all(axis=0)
     constant = all_equal | (std == 0.0)
     mean = np.where(all_equal, rows[0], mean)
     std = np.where(constant, 1.0, std)
+    bad = ~(np.isfinite(mean) & np.isfinite(std))
+    if bad.any():
+        raise InvalidArgumentError(
+            f"cannot standardize column {int(np.argmax(bad))}: its mean or standard deviation "
+            "is not finite"
+        )
     for arr in (mean, std, constant):
         arr.setflags(write=False)
     return Standardizer(mean=mean, std=std, constant=constant)
@@ -94,7 +104,9 @@ def apply_standardizer(standardizer: Standardizer, matrix: np.ndarray) -> np.nda
             f"standardizer fitted on {standardizer.n_columns} columns, "
             f"matrix has {matrix.shape[1]}"
         )
-    return (matrix - standardizer.mean) / standardizer.std
+    out = matrix - standardizer.mean
+    out /= standardizer.std
+    return out
 
 
 def exclude_group(dataset: BinaryDataset, group: FeatureGroup) -> BinaryDataset:

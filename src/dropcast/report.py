@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .eda import CategoryRateTable, CorrelationMatrix
+from .eda import CorrelationMatrix
 from .experiments import AblationReport, RunConfig, rank_group_influence
 from .ingest import Outcome
 from .metrics import RocCurve, RocReport
@@ -131,10 +131,12 @@ def write_class_distribution_csv(counts: dict[Outcome, int], path: str | Path) -
                ([outcome.value, counts[outcome]] for outcome in Outcome))
 
 
-def write_category_rates_csv(table: CategoryRateTable, path: str | Path) -> None:
+def write_category_rates_csv(
+    rows: tuple[tuple[float, int, float, float], ...], path: str | Path
+) -> None:
     _write_csv(path, ["category_code", "n", "dropout_rate", "graduate_rate"], (
         [repr(code), n, repr(dropout_rate), repr(graduate_rate)]
-        for code, n, dropout_rate, graduate_rate in table.rows
+        for code, n, dropout_rate, graduate_rate in rows
     ))
 
 

@@ -206,8 +206,8 @@ class TestCriterion4:
 
         def rates(feature, code):
             """(dropout rate, graduate rate) of one code of ``feature``."""
-            table = rate_by_category(real_binary, feature)
-            return next((d, g) for c, _, d, g in table.rows if c == code)
+            rows = rate_by_category(real_binary, feature)
+            return next((d, g) for c, _, d, g in rows if c == code)
 
         dropout_rate, _ = rates("Tuition fees up to date", 0.0)
         if abs(dropout_rate - 0.94) > 0.01:

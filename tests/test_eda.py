@@ -50,24 +50,24 @@ class TestRateByCategory:
     def test_rates_per_code(self):
         x = np.array([[0.0], [0.0], [0.0], [1.0], [1.0]])
         y = np.array([1, 1, 0, 0, 0])
-        table = rate_by_category(make_binary(x, y), "f0")
-        assert table.rows[0][:3] == (0.0, 3, pytest.approx(2.0 / 3.0))
-        assert table.rows[1][:3] == (1.0, 2, 0.0)
+        rows = rate_by_category(make_binary(x, y), "f0")
+        assert rows[0][:3] == (0.0, 3, pytest.approx(2.0 / 3.0))
+        assert rows[1][:3] == (1.0, 2, 0.0)
         # complementary rates
-        for _, _, dropout_rate, graduate_rate in table.rows:
+        for _, _, dropout_rate, graduate_rate in rows:
             assert dropout_rate + graduate_rate == pytest.approx(1.0, abs=1e-12)
 
     def test_counts_partition_rows(self):
         rng = np.random.default_rng(50)
         x = rng.integers(0, 5, size=(77, 2)).astype(float)
         y = rng.integers(0, 2, size=77)
-        table = rate_by_category(make_binary(x, y), "f1")
-        assert sum(n for _, n, _, _ in table.rows) == 77
+        rows = rate_by_category(make_binary(x, y), "f1")
+        assert sum(n for _, n, _, _ in rows) == 77
 
     def test_rows_sorted_by_code(self):
         x = np.array([[3.0], [1.0], [2.0], [1.0]])
-        table = rate_by_category(make_binary(x, [0, 1, 0, 1]), "f0")
-        codes = [code for code, *_ in table.rows]
+        rows = rate_by_category(make_binary(x, [0, 1, 0, 1]), "f0")
+        codes = [code for code, *_ in rows]
         assert codes == sorted(codes)
 
     def test_unknown_feature(self):
@@ -95,7 +95,7 @@ class TestGenderDistribution:
         # exists only through the per-code count's full length.
         x = np.array([[0.0], [0.0], [1.0], [1.0], [1.0]])
         ds = make_binary(x, [1, 1, 0, 0, 0], names=("Gender",))
-        assert rate_by_category(ds, "Gender").rows == ((0.0, 2, 1.0, 0.0), (1.0, 3, 0.0, 1.0))
+        assert rate_by_category(ds, "Gender") == ((0.0, 2, 1.0, 0.0), (1.0, 3, 0.0, 1.0))
         assert gender_distribution(ds) == {(0.0, 0): 0, (0.0, 1): 2, (1.0, 0): 3, (1.0, 1): 0}
 
     def test_requires_gender_column(self):

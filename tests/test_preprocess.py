@@ -1,11 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dropcast.eda import correlation_matrix
-from dropcast.errors import ColumnMismatchError, InvalidFractionError, UnknownGroupError
+from dropcast.errors import (
+    ColumnMismatchError,
+    InvalidArgumentError,
+    InvalidFractionError,
+    UnknownGroupError,
+)
 from dropcast.ingest import FeatureGroup
+from dropcast.models import HyperParams, ModelKind, train_model
+from dropcast.models.serialize import model_from_text, model_to_text
 from dropcast.preprocess import (
     apply_standardizer,
     exclude_group,
@@ -143,6 +152,49 @@ class TestStandardizer:
         f_fit = fit_standardizer(np.asfortranarray(matrix))
         assert c_fit.mean.tobytes() == f_fit.mean.tobytes()
         assert c_fit.std.tobytes() == f_fit.std.tobytes()
+
+    def test_ordinary_columns_keep_the_plain_formula_bits(self):
+        matrix = np.random.default_rng(5).normal(size=(3000, 5)) * 1e3 + 7
+        fit = fit_standardizer(matrix)
+        mean = matrix.mean(axis=0)
+        assert fit.mean.tobytes() == mean.tobytes()
+        assert fit.std.tobytes() == np.sqrt(((matrix - mean) ** 2).mean(axis=0)).tobytes()
+        assert apply_standardizer(fit, matrix).tobytes() == ((matrix - mean) / fit.std).tobytes()
+
+    def test_apply_holds_one_matrix(self):
+        matrix = np.random.default_rng(6).normal(size=(20000, 34))
+        fit = fit_standardizer(matrix)
+        tracemalloc.start()
+        try:
+            apply_standardizer(fit, matrix)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * matrix.nbytes
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=200, deadline=None)
+    @given(column=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=2, max_size=40))
+    @example(column=[1e200, -1e200, 3e199])  # squared deviations overflow
+    @example(column=[1.7e308, 1.7e308, 0.0])  # the sum overflows
+    @example(column=[-1.7e308, 1.7e308])  # the mean is 0, deviations overflow
+    @example(column=[1e154, -1e154, 0.0])  # the squares stay finite
+    def test_finite_column_fits_or_is_one_error(self, column):
+        matrix = np.column_stack([column, np.arange(len(column)) % 3.0])
+        train = make_binary(matrix, np.arange(len(column)) % 2)
+        try:
+            model = train_model(ModelKind.LINEAR_SVM, train, HyperParams(svm_epochs=3))
+        except InvalidArgumentError as exc:
+            assert str(exc) == (
+                "cannot standardize column 0: its mean or standard deviation is not finite"
+            )
+            return
+        std = model.standardizer.std
+        assert np.isfinite(std).all() and (std > 0).all()
+        restored = model_from_text(model_to_text(model))
+        assert restored.standardizer.std.tobytes() == std.tobytes()
+        assert restored.standardizer.mean.tobytes() == model.standardizer.mean.tobytes()
 
     def test_width_mismatch(self):
         std = fit_standardizer(np.ones((3, 2)))
