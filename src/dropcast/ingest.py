@@ -191,6 +191,8 @@ def load_manifest(path: str | Path) -> GroupManifest:
             name = parts[0].strip()
             if not name:
                 raise ManifestParseError(f"{path}:{line_no}: empty column name")
+            if name == TARGET_COLUMN:
+                raise ManifestParseError(f"{path}:{line_no}: {name!r} is the label, not a feature")
             group = FeatureGroup.from_tag(parts[1].strip())
             if name in seen:
                 raise DuplicateColumnError(f"column listed twice in manifest: {name!r}")

@@ -100,12 +100,10 @@ class TrainedModel:
     standardizer: Standardizer | None = None
 
 
-def _check_finite(rows: np.ndarray, task: str) -> None:
+def _check_finite(rows: np.ndarray, problem: str) -> None:
     finite = np.isfinite(rows).all(axis=1)
     if not finite.all():
-        raise InvalidArgumentError(
-            f"row {int(np.argmin(finite))} has a non-finite feature value; {task} needs finite rows"
-        )
+        raise InvalidArgumentError(f"row {int(np.argmin(finite))} {problem}")
 
 
 def train_model(kind: ModelKind, train: BinaryDataset, hp: HyperParams) -> TrainedModel:
@@ -115,7 +113,7 @@ def train_model(kind: ModelKind, train: BinaryDataset, hp: HyperParams) -> Train
     if train.n_rows == 0:
         raise InvalidArgumentError("training set is empty")
     x, y = train.feature_matrix, train.labels
-    _check_finite(x, "training")
+    _check_finite(x, "has a non-finite feature value; training needs finite rows")
     if not np.isin(y, (0, 1)).all():
         raise InvalidArgumentError("training labels must be 0 or 1")
     standardizer = None
@@ -138,7 +136,8 @@ def score(model: TrainedModel, rows: np.ndarray) -> np.ndarray:
 
     ``rows`` are raw (unstandardized) feature values; the model applies
     its own standardizer when it carries one. A row with a ``nan`` or
-    infinite value is rejected with ``InvalidArgumentError``.
+    infinite value is rejected with ``InvalidArgumentError``, and so is a
+    row too far from the training data to standardize to finite values.
     """
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim == 1 and rows.size == 0:
@@ -148,9 +147,11 @@ def score(model: TrainedModel, rows: np.ndarray) -> np.ndarray:
         raise WidthMismatchError(
             f"model fitted on {model.n_features} features, rows have {got}"
         )
-    _check_finite(rows, "scoring")
+    _check_finite(rows, "has a non-finite feature value; scoring needs finite rows")
     if model.standardizer is not None:
-        rows = apply_standardizer(model.standardizer, rows)
+        with np.errstate(over="ignore"):
+            rows = apply_standardizer(model.standardizer, rows)
+        _check_finite(rows, "is too far from the training data to standardize")
     if model.kind is ModelKind.DECISION_TREE:
         return tree_scores(model.payload, rows)
     if model.kind is ModelKind.RANDOM_FOREST:

@@ -15,13 +15,14 @@ bins' values) are computed as from the raw values, so the coding
 changes no tree.
 
 Trees grow in lockstep; a forest passes all of its trees to one call.
-Each tree keeps its own depth-first stack, left child first, and its
-own subset stream; at each step every tree pops its next node that may
-split and draws that node's feature subset, so a tree's draws and nodes
-come in the order a lone tree would make them. The popped nodes are
-searched in chunks of at most ``_CHUNK_ELEMENTS`` (node, candidate,
-row) elements, which bounds the search's memory however many trees
-grow together; a larger node is searched alone.
+Each tree keeps its own subset stream and its own depth-first stack,
+left child first, which holds only nodes that may split. At each step
+every growing tree pops one node, and one ``subsets`` call draws all of
+their feature subsets as one block, so a tree's draws and nodes come in
+the order a lone tree would make them. The popped nodes are searched in
+chunks of at most ``_CHUNK_ELEMENTS`` (node, candidate, row) elements,
+which bounds the search's memory however many trees grow together; a
+larger node is searched alone.
 
 A chunk is searched in one of two ways, which find the same split:
 
@@ -44,9 +45,8 @@ Either way each cut's left size and positives are the same integers,
 scored by the same float64 expression, and the first minimum in
 (candidate, threshold) order is the tie-break winner. Only each node's
 winner is put to the exact test, and the winners' rows are partitioned
-stably in place. With feature subsampling, ``rng`` is consumed in
-blocks of 64 subset draws, whose values and order are those of
-successive ``rng.subset`` calls.
+stably in place. With feature subsampling, each split attempt advances
+its tree's stream by one subset draw of ``n_features`` counters.
 
 Leaves store the positive-class fraction of their training samples,
 which is the tree's score. Trees are flat parallel arrays; traversal is
@@ -61,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..rng import SeededRng
+from ..rng import SeededRng, subsets
 
 _NO_NODE = -1
 
@@ -121,15 +121,6 @@ def _code_columns(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
     return keys, np.concatenate(values), y
 
 
-def _subset_draws(rng: SeededRng, n_features: int, k: int):
-    """Successive ``rng.subset(n_features, k)`` results, drawn 64 at a time."""
-    while True:
-        raw = rng.uint64(64 * n_features).reshape(64, n_features)
-        draws = np.sort(np.argsort(raw, axis=1, kind="stable")[:, :k], axis=1)
-        del raw  # a forest keeps one suspended generator per tree
-        yield from draws
-
-
 def _key_shift(n_nodes: int, n_bins: int) -> int:
     """Bit position of the node index in the sort key ``node << shift | key``.
 
@@ -165,19 +156,17 @@ def build_tree(
 
 
 class _Growing:
-    """One tree mid-growth: per-node counts, split records, the stack of
-    (node, start, size, positives, depth) nodes still to visit, and the
-    tree's subset stream (None when every feature is a candidate)."""
+    """One tree mid-growth: per-node counts, split records, and the stack
+    of (node, start, size, positives, depth) nodes still to search."""
 
     __slots__ = ("n_samples", "n_positive", "split_node", "split_feature", "split_threshold",
-                 "stack", "subsets")
+                 "stack")
 
-    def __init__(self, start: int, size: int, positives: int, subsets):
+    def __init__(self, size: int, positives: int):
         self.n_samples, self.n_positive = array("q", [size]), array("q", [positives])
         self.split_node, self.split_feature = array("q"), array("q")
         self.split_threshold = array("d")
-        self.stack = [(0, start, size, positives, 0)]
-        self.subsets = subsets
+        self.stack = []
 
     def tree(self) -> Tree:
         n_samples = np.array(self.n_samples, dtype=np.int64)
@@ -209,6 +198,10 @@ def _grow_trees(coded, trees, max_depth, n_candidates) -> list[Tree]:
     shift = _key_shift(len(trees), len(values))
     depth_limit = math.inf if max_depth is None else max_depth
 
+    def push(state, node, start, size, positives, depth):
+        if depth < depth_limit and 0 < positives < size:
+            state.stack.append((node, start, size, positives, depth))
+
     # Every tree's rows, one range per tree; each node owns a subrange,
     # which its split partitions stably in place, left rows first.
     samples = [
@@ -219,34 +212,31 @@ def _grow_trees(coded, trees, max_depth, n_candidates) -> list[Tree]:
         raise ValueError("a tree needs at least one training row")
     order = np.concatenate(samples)
     states, start = [], 0
-    for sample, (_, rng) in zip(samples, trees):
-        subsets = _subset_draws(rng, n_features, k) if subsample else None
-        states.append(_Growing(start, len(sample), int(labels[sample].sum()), subsets))
-        start += len(sample)
+    for sample in samples:
+        size, positives = len(sample), int(labels[sample].sum())
+        states.append(_Growing(size, positives))
+        push(states[-1], 0, start, size, positives, 0)
+        start += size
     del samples
-    every_feature = np.arange(n_features)
 
-    growing = states
+    growing = [(state, rng) for state, (_, rng) in zip(states, trees) if state.stack]
     while growing:
-        batch = []  # (tree, node, start, size, positives, depth, candidates)
-        for state in growing:
-            stack = state.stack
-            while stack:
-                node, start, size, positives, depth = entry = stack.pop()
-                if depth < depth_limit and 0 < positives < size:
-                    subset = every_feature if state.subsets is None else next(state.subsets)
-                    batch.append((state, *entry, subset))
-                    break
+        # One (tree, node, start, size, positives, depth) per growing tree.
+        batch = [(state, *state.stack.pop()) for state, _ in growing]
+        if subsample:
+            candidates = subsets([rng for _, rng in growing], n_features, k)
+        else:
+            candidates = np.broadcast_to(np.arange(n_features), (len(batch), n_features))
 
         for lo, hi in _chunks([entry[3] * k for entry in batch]):
             splits = []  # (start, size, feature, low bin, left size)
             # A lone node with at least one key per count slot is counted.
             if hi - lo == 1 and batch[lo][3] * k >= 2 * len(values):
-                found = _count_search(keys, values, order, batch[lo])
+                found = _count_search(keys, values, order, batch[lo], candidates[lo])
             else:
-                found = _search(keys, values, order, batch[lo:hi], shift)
+                found = _search(keys, values, order, batch[lo:hi], candidates[lo:hi], shift)
             for i, feature, thr, left_size, left_pos, low_bin in zip(*found):
-                state, node, start, size, positives, depth, _ = batch[lo + i]
+                state, node, start, size, positives, depth = batch[lo + i]
                 if not _strictly_improves(size, positives, left_size, left_pos):
                     continue
                 child = len(state.n_samples)
@@ -256,13 +246,13 @@ def _grow_trees(coded, trees, max_depth, n_candidates) -> list[Tree]:
                 state.n_samples.extend((left_size, size - left_size))
                 state.n_positive.extend((left_pos, positives - left_pos))
                 # Push right first so the left child is expanded first.
-                state.stack.append((child + 1, start + left_size, size - left_size,
-                                    positives - left_pos, depth + 1))
-                state.stack.append((child, start, left_size, left_pos, depth + 1))
+                push(state, child + 1, start + left_size, size - left_size,
+                     positives - left_pos, depth + 1)
+                push(state, child, start, left_size, left_pos, depth + 1)
                 splits.append((start, size, feature, low_bin, left_size))
             if splits:
                 _partition(keys, order, *np.array(splits, dtype=np.int64).T)
-        growing = [state for state in growing if state.stack]
+        growing = [(state, rng) for state, rng in growing if state.stack]
     return [state.tree() for state in states]
 
 
@@ -279,16 +269,16 @@ def _chunks(elements: list[int]):
         yield lo, len(elements)
 
 
-def _search(keys, values, order, batch, shift):
-    """Each node's first-minimum valid cut, for the nodes that have one.
+def _search(keys, values, order, batch, candidates, shift):
+    """Each node's first-minimum valid cut, for the nodes that have one;
+    row i of ``candidates`` holds node i's candidate features.
 
     Returns parallel lists: the node's index in ``batch``, the winner's
     feature and threshold, its left child's size and positives, and the
     bin just below the cut.
     """
     n_rows = keys.shape[1]
-    _, _, starts, sizes, positives, _, candidates = zip(*batch)
-    candidates = np.array(candidates, dtype=np.int64)
+    _, _, starts, sizes, positives, _ = zip(*batch)
     n, k = candidates.shape
     if k == 0:
         return ()
@@ -353,10 +343,10 @@ def _search(keys, values, order, batch, shift):
     )
 
 
-def _count_search(keys, values, order, node):
+def _count_search(keys, values, order, node, candidates):
     """``_search`` of a chunk holding the one batch entry ``node``, from
     one ``np.bincount`` of the node's keys instead of a sort."""
-    _, _, start, size, positives, _, candidates = node
+    _, _, start, size, positives, _ = node
     rows = order[start:start + size]
     counts = np.bincount(keys[candidates[:, None], rows].ravel(), minlength=2 * len(values))
     counts = counts.reshape(-1, 2)  # (bin, label); absent bins, other features' too, are 0

@@ -105,10 +105,16 @@ class SeededRng:
         """
         return np.argsort(self.uint64(n)).astype(np.int64, copy=False)
 
-    def subset(self, n: int, k: int) -> np.ndarray:
-        """k distinct ints from range(n), returned sorted ascending."""
-        if k > n:
-            raise ValueError("subset size exceeds population")
-        picked = self.permutation(n)[:k]
-        picked.sort()
-        return picked
+
+def subsets(streams: list[SeededRng], n: int, k: int) -> np.ndarray:
+    """Row i: the first k of ``streams[i].permutation(n)``, sorted, from one
+    (streams × n) block of raw keys; each stream advances n counters."""
+    if k > n:
+        raise ValueError("subset size exceeds population")
+    seeds = np.array([stream._seed for stream in streams], dtype=np.uint64)
+    starts = np.array([stream._counter + 1 for stream in streams], dtype=np.uint64)
+    for stream in streams:
+        stream._counter += n
+    counters = starts[:, None] + np.arange(n, dtype=np.uint64)
+    keys = _mix64(seeds[:, None] + counters * _GAMMA)
+    return np.sort(np.argsort(keys, axis=1)[:, :k], axis=1)

@@ -28,9 +28,9 @@ from dropcast.ingest import (
 )
 from dropcast.metrics import RocCurve
 from dropcast.models.svm import BATCH_SIZE, LinearSvm, _objective
-from dropcast.models.tree import _NO_NODE, Tree, _strictly_improves, _subset_draws
+from dropcast.models.tree import _NO_NODE, Tree, _strictly_improves
 from dropcast.preprocess import Standardizer, apply_standardizer
-from dropcast.rng import SeededRng
+from dropcast.rng import SeededRng, subsets
 
 
 def gini_fraction(labels) -> Fraction:
@@ -141,8 +141,8 @@ def _reference_best_split(x, y, idx, candidates, min_leaf):
 def reference_build_tree(x, y, sample_idx=None, max_depth=None, min_leaf=1,
                          n_candidates=None, rng=None) -> Tree:
     """The CART grower as first written: per node, argsort the raw float
-    values of every candidate column and draw one ``rng.subset`` per
-    split, depth-first, left child first. ``build_tree`` must return
+    values of every candidate column and draw one ``subsets([rng], ...)``
+    row per split, depth-first, left child first. ``build_tree`` must return
     the same arrays for the same arguments."""
     if sample_idx is None:
         sample_idx = np.arange(x.shape[0], dtype=np.int64)
@@ -163,7 +163,7 @@ def reference_build_tree(x, y, sample_idx=None, max_depth=None, min_leaf=1,
         if at_depth_limit or pos == 0 or pos == m or m < 2 * min_leaf:
             continue
         if n_candidates is not None and n_candidates < n_features:
-            candidates = rng.subset(n_features, n_candidates)
+            candidates = subsets([rng], n_features, n_candidates)[0]
         else:
             candidates = np.arange(n_features, dtype=np.int64)
         found = _reference_best_split(x, y, idx, candidates, min_leaf)
@@ -194,10 +194,7 @@ def _grow(coded, sample_idx, max_depth, min_leaf, n_candidates, rng) -> Tree:
         sample_idx = np.arange(n_rows, dtype=np.int64)
     if len(sample_idx) == 0:
         raise ValueError("a tree needs at least one training row")
-    if n_candidates is not None and n_candidates < n_features:
-        subsets = _subset_draws(rng, n_features, n_candidates)
-    else:
-        subsets = None
+    subsample = n_candidates is not None and n_candidates < n_features
 
     # One [feature, threshold, left, right, n_samples, n_positive] row per
     # node; a split fills in its first four and appends its two children.
@@ -210,11 +207,11 @@ def _grow(coded, sample_idx, max_depth, min_leaf, n_candidates, rng) -> Tree:
         if at_depth_limit or pos == 0 or pos == m or m < 2 * min_leaf:
             continue
 
-        if subsets is None:
+        if not subsample:
             candidates = None
             packed = keys[:, idx]
         else:
-            candidates = next(subsets)
+            candidates = subsets([rng], n_features, n_candidates)[0]
             packed = keys[candidates[:, None], idx]
         packed.sort(axis=1)
         cuts = (packed[:, :-1] ^ packed[:, 1:]) > 1  # the bin changes

@@ -88,6 +88,17 @@ def test_non_finite_cell_is_one_line_runtime_error(fixture_dir, tmp_path, capsys
     assert err.startswith("dropcast: error: cannot parse cell at data row 3")
     assert err.count("\n") == 1
 
+def test_manifest_listing_target_as_a_feature_is_one_line_error(fixture_dir, tmp_path, capsys):
+    lines = (fixture_dir / "manifest.tsv").read_text().splitlines()
+    manifest = tmp_path / "target.tsv"
+    manifest.write_text("".join(f"{line}\n" for line in [*lines, "Target\tacademic"]))
+    code = main(["train", "--data", str(fixture_dir / "data.csv"), "--manifest", str(manifest),
+                 "--model", "dt", "--out", str(tmp_path / "out"), *_fast_flags()])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"dropcast: error: {manifest}:{len(lines) + 1}: 'Target' is the label, not a feature\n"
+
+
 def test_test_fraction_leaving_empty_test_set_is_one_line_error(fixture_dir, tmp_path, capsys):
     code = main(["train", "--data", str(fixture_dir / "data.csv"),
                  "--manifest", str(fixture_dir / "manifest.tsv"), "--model", "knn",

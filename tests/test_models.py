@@ -100,6 +100,16 @@ def test_score_rejects_non_finite_rows(kind, bad):
     assert "\n" not in str(info.value)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", [ModelKind.LINEAR_SVM, ModelKind.KNN])
+def test_score_rejects_a_finite_row_that_overflows_when_standardized(kind):
+    x = np.column_stack([np.arange(40) * 1e-3, np.arange(40) % 3])
+    model = train_model(kind, make_binary(x, np.arange(40) >= 20), HyperParams())
+    with pytest.raises(InvalidArgumentError, match="row 1 is too far from the training data") as info:
+        score(model, np.array([[0.01, 1.0], [1e308, 1.0]]))
+    assert "\n" not in str(info.value)
+
+
 @pytest.mark.parametrize("kind", list(ModelKind))
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_train_rejects_non_finite_rows(kind, bad):

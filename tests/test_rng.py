@@ -2,9 +2,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dropcast.errors import InvalidArgumentError
-from dropcast.rng import SeededRng, check_seed, check_seeds
+from dropcast.rng import SeededRng, check_seed, check_seeds, subsets
 
 
 def test_same_seed_same_stream():
@@ -92,10 +94,35 @@ def test_permutation_is_the_stable_argsort_of_the_stream(n, seed):
 
 
 def test_subset_distinct_and_sorted():
-    sub = SeededRng(8).subset(30, 6)
+    sub = subsets([SeededRng(8)], 30, 6)[0]
     assert len(set(sub.tolist())) == 6
     assert sub.tolist() == sorted(sub.tolist())
     assert all(0 <= v < 30 for v in sub)
+
+
+@st.composite
+def subset_calls(draw):
+    """(stream seeds, calls): each call draws (n, k) from some streams, in any order."""
+    seeds = draw(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8))
+    call = st.tuples(
+        st.lists(st.integers(0, len(seeds) - 1), unique=True),
+        st.integers(1, 40).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+    )
+    return seeds, draw(st.lists(call, max_size=8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(subset_calls())
+def test_subsets_rows_equal_each_streams_next_permutation(problem):
+    seeds, calls = problem
+    streams, fresh = [SeededRng(s) for s in seeds], [SeededRng(s) for s in seeds]
+    for drawn, (n, k) in calls:
+        block = subsets([streams[i] for i in drawn], n, k)
+        assert block.shape == (len(drawn), k)
+        for row, i in zip(block, drawn):
+            assert np.array_equal(row, np.sort(fresh[i].permutation(n)[:k]))
+    for stream, copy in zip(streams, fresh):  # each advanced by n per row drawn
+        assert stream.uint64(1) == copy.uint64(1)
 
 
 @pytest.mark.parametrize("seed, message", [

@@ -17,11 +17,10 @@ from dropcast.models.tree import (
     _grow_trees,
     _key_shift,
     _search,
-    _subset_draws,
     build_tree,
     tree_scores,
 )
-from dropcast.rng import SeededRng
+from dropcast.rng import SeededRng, subsets
 
 from conftest import make_binary
 from oracles import (
@@ -226,10 +225,23 @@ class TestAgainstReferenceGrower:
 
     @pytest.mark.parametrize("n_features, k", [(1, 1), (5, 2), (34, 6), (36, 6), (9, 9)])
     def test_batched_subsets_equal_successive_subset_calls(self, n_features, k):
-        draws = _subset_draws(SeededRng(11), n_features, k)
-        stream = SeededRng(11)
-        for _ in range(150):  # crosses two 64-draw blocks
-            assert np.array_equal(next(draws), stream.subset(n_features, k))
+        # Two streams drawn together, then apart, as trees stop growing.
+        streams, fresh = [SeededRng(11), SeededRng(12)], [SeededRng(11), SeededRng(12)]
+        for step in range(150):
+            drawn = [i for i in range(2) if step % 3 != i]
+            block = subsets([streams[i] for i in drawn], n_features, k)
+            assert block.shape == (len(drawn), k)
+            for row, i in zip(block, drawn):
+                assert np.array_equal(row, np.sort(fresh[i].permutation(n_features)[:k]))
+
+    def test_growth_leaves_the_stream_where_sequential_draws_leave_it(self):
+        rng = np.random.default_rng(28)
+        x = rng.integers(0, 8, size=(120, 9)).astype(float)
+        y = (x[:, 0] + rng.normal(size=120) > 4).astype(int)
+        a, b = SeededRng(5), SeededRng(5)
+        build_tree(x, y, n_candidates=3, rng=a)
+        reference_build_tree(x, y, n_candidates=3, rng=b)
+        assert a.uint64(1) == b.uint64(1)
 
 
 @st.composite
@@ -279,7 +291,8 @@ class TestLockstepAgainstPerNodeGrower:
 
 @st.composite
 def lone_nodes(draw):
-    """(coded columns, row order, one batch entry) of a node searched alone."""
+    """(coded columns, row order, one batch entry, its candidates) of a node
+    searched alone."""
     n = draw(st.integers(1, 80))
     p = draw(st.integers(1, 6))
     g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -297,16 +310,17 @@ def lone_nodes(draw):
     k = draw(st.integers(1, p))
     candidates = np.sort(g.permutation(p)[:k])
     positives = int(coded[2][order[start:start + size]].sum())
-    return coded, order, (None, 0, start, size, positives, 0, candidates)
+    return coded, order, (None, 0, start, size, positives, 0), candidates
 
 
 class TestCountedSearch:
     @settings(max_examples=400, deadline=None)
     @given(lone_nodes())
     def test_counts_find_the_sorted_search_split(self, problem):
-        (keys, values, _), order, node = problem
+        (keys, values, _), order, node, candidates = problem
         shift = _key_shift(1, len(values))
-        assert _count_search(keys, values, order, node) == _search(keys, values, order, [node], shift)
+        assert _count_search(keys, values, order, node, candidates) == _search(
+            keys, values, order, [node], candidates[None], shift)
 
     @pytest.mark.parametrize("offset, counted", [(-1, False), (0, True), (1, True)])
     def test_a_lone_node_is_counted_from_twice_the_bins(self, offset, counted):
