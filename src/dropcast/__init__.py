@@ -10,9 +10,9 @@ __version__ = "0.1.0"
 
 from .errors import DropcastError
 from .ingest import (
-    BinaryDataset,
     Dataset,
     FeatureGroup,
+    LABELS,
     GroupManifest,
     Outcome,
     default_manifest_path,
@@ -25,12 +25,12 @@ from .models import HyperParams, ModelKind, TrainedModel, score, train_model
 from .preprocess import SplitIndices, Standardizer, apply_standardizer, exclude_group, fit_standardizer, split
 
 __all__ = [
-    "BinaryDataset",
     "Dataset",
     "DropcastError",
     "FeatureGroup",
     "GroupManifest",
     "HyperParams",
+    "LABELS",
     "ModelKind",
     "Outcome",
     "RocCurve",

@@ -282,6 +282,8 @@ def _cmd_importance(args) -> int:
     report_ops.write_importance_csv(ranked, out / "importance.csv")
 
     doc = report_ops.build_run_document("importance", config, manifest_version, [])
+    group = config.excluded_group
+    doc["excluded_group"] = None if group is None else group.value
     doc["importance"] = [{"feature": name, "importance": v} for name, v in ranked]
     report_ops.write_json(doc, out / "report.json")
     return 0

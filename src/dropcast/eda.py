@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnknownFeatureError
-from .ingest import BinaryDataset, Dataset, Outcome
+from .ingest import LABELS, Dataset, Outcome
 from .preprocess import apply_standardizer, fit_standardizer
 
 GENDER_COLUMN = "Gender"
@@ -29,10 +29,11 @@ class CorrelationMatrix:
 
 
 def class_distribution(dataset: Dataset) -> dict[Outcome, int]:
-    return {outcome: dataset.outcomes.count(outcome) for outcome in Outcome}
+    counts = np.bincount(dataset.labels, minlength=len(LABELS))
+    return {outcome: int(counts[LABELS[outcome]]) for outcome in Outcome}
 
 
-def _column(binary: BinaryDataset, feature_name: str) -> np.ndarray:
+def _column(binary: Dataset, feature_name: str) -> np.ndarray:
     try:
         index = binary.column_names.index(feature_name)
     except ValueError:
@@ -40,7 +41,7 @@ def _column(binary: BinaryDataset, feature_name: str) -> np.ndarray:
     return binary.feature_matrix[:, index]
 
 
-def _counts_by_code(binary: BinaryDataset, feature_name: str):
+def _counts_by_code(binary: Dataset, feature_name: str):
     """Distinct codes of one feature, ascending, and their row and dropout counts."""
     codes, code_of_row = np.unique(_column(binary, feature_name), return_inverse=True)
     n_rows = np.bincount(code_of_row, minlength=codes.shape[0])
@@ -49,7 +50,7 @@ def _counts_by_code(binary: BinaryDataset, feature_name: str):
 
 
 def rate_by_category(
-    binary: BinaryDataset, feature_name: str
+    binary: Dataset, feature_name: str
 ) -> tuple[tuple[float, int, float, float], ...]:
     """(code, row count, dropout rate, graduate rate) per distinct code of
     one feature, code ascending; every observed value is a code."""
@@ -58,7 +59,7 @@ def rate_by_category(
                  for code, n, rate in zip(codes, n_rows, n_dropout / n_rows))
 
 
-def gender_distribution(binary: BinaryDataset) -> dict[tuple[float, int], int]:
+def gender_distribution(binary: Dataset) -> dict[tuple[float, int], int]:
     """Counts per (gender code, label). In the source records file the
     gender column codes female as 0 and male as 1."""
     counts: dict[tuple[float, int], int] = {}
@@ -68,7 +69,7 @@ def gender_distribution(binary: BinaryDataset) -> dict[tuple[float, int], int]:
     return counts
 
 
-def correlation_matrix(binary: BinaryDataset) -> CorrelationMatrix:
+def correlation_matrix(binary: Dataset) -> CorrelationMatrix:
     """Pearson r for every feature pair.
 
     Constant columns (every value equal to the first row's, or a

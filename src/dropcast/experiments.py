@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidArgumentError, InvalidFractionError
-from .ingest import BinaryDataset, FeatureGroup, load_dataset, load_manifest, to_binary
+from .ingest import Dataset, FeatureGroup, load_dataset, load_manifest, to_binary
 from .metrics import RocReport, accuracy, auc, roc_curve
 from .models import (
     GRID_MODEL_ORDER,
@@ -90,7 +90,7 @@ class AblationReport:
 
 
 def evaluate_single(
-    binary: BinaryDataset,
+    binary: Dataset,
     indices: SplitIndices,
     kind: ModelKind,
     hp: HyperParams,
@@ -99,7 +99,7 @@ def evaluate_single(
     """Train one model on the train rows and score the held-out rows."""
     matrix = binary.feature_matrix
     labels = binary.labels
-    train_ds = BinaryDataset(
+    train_ds = Dataset(
         feature_matrix=matrix[indices.train_rows],
         column_names=binary.column_names,
         column_groups=binary.column_groups,
@@ -121,7 +121,7 @@ def evaluate_single(
     return model, report
 
 
-def load_binary(config: RunConfig) -> tuple[BinaryDataset, str]:
+def load_binary(config: RunConfig) -> tuple[Dataset, str]:
     """The Dropout/Graduate table and the manifest's version tag."""
     manifest = load_manifest(config.manifest_path)
     dataset = load_dataset(config.data_path, manifest, delimiter=config.delimiter)
@@ -129,7 +129,7 @@ def load_binary(config: RunConfig) -> tuple[BinaryDataset, str]:
 
 
 def evaluate_cells(
-    binary: BinaryDataset,
+    binary: Dataset,
     columns: Iterable[FeatureGroup | None],
     config: RunConfig,
 ) -> Iterator[tuple[TrainedModel, RocReport]]:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InvalidArgumentError, WidthMismatchError
-from ..ingest import BinaryDataset
+from ..ingest import Dataset
 from ..preprocess import Standardizer, apply_standardizer, fit_standardizer
 from ..rng import check_seed
 from .forest import Forest, build_forest, forest_scores
@@ -106,7 +106,7 @@ def _check_finite(rows: np.ndarray, problem: str) -> None:
         raise InvalidArgumentError(f"row {int(np.argmin(finite))} {problem}")
 
 
-def train_model(kind: ModelKind, train: BinaryDataset, hp: HyperParams) -> TrainedModel:
+def train_model(kind: ModelKind, train: Dataset, hp: HyperParams) -> TrainedModel:
     """Fit one model of ``kind`` on the raw rows of ``train``; an SVM or
     k-NN model carries the standardizer fitted on them. Non-finite
     features and labels other than 0 or 1 are rejected."""

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ColumnMismatchError, InvalidArgumentError, InvalidFractionError, UnknownGroupError
-from .ingest import BinaryDataset, FeatureGroup
+from .ingest import Dataset, FeatureGroup
 from .rng import SeededRng
 
 
@@ -109,7 +109,7 @@ def apply_standardizer(standardizer: Standardizer, matrix: np.ndarray) -> np.nda
     return out
 
 
-def exclude_group(dataset: BinaryDataset, group: FeatureGroup) -> BinaryDataset:
+def exclude_group(dataset: Dataset, group: FeatureGroup) -> Dataset:
     """Remove every column tagged with ``group``; order and labels kept.
     At least one column must be left."""
     if group not in dataset.column_groups:
@@ -119,7 +119,7 @@ def exclude_group(dataset: BinaryDataset, group: FeatureGroup) -> BinaryDataset:
         raise InvalidArgumentError(f"excluding group {group.value!r} leaves no feature column")
     matrix = dataset.feature_matrix[:, np.array(keep, dtype=np.int64)]
     matrix.setflags(write=False)
-    return BinaryDataset(
+    return Dataset(
         feature_matrix=matrix,
         column_names=tuple(dataset.column_names[i] for i in keep),
         column_groups=tuple(dataset.column_groups[i] for i in keep),

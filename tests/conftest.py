@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dropcast.ingest import BinaryDataset, FeatureGroup, default_manifest_path, load_dataset, load_manifest, to_binary
+from dropcast.ingest import Dataset, FeatureGroup, default_manifest_path, load_dataset, load_manifest, to_binary
 
 DATA_ENV = "DROPCAST_DATA"
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -56,7 +56,7 @@ def make_binary(
     y,
     groups: tuple[FeatureGroup, ...] | None = None,
     names: tuple[str, ...] | None = None,
-) -> BinaryDataset:
+) -> Dataset:
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     p = x.shape[1]
@@ -64,7 +64,7 @@ def make_binary(
         names = tuple(f"f{i}" for i in range(p))
     if groups is None:
         groups = tuple([FeatureGroup.ACADEMIC] * p)
-    return BinaryDataset(
+    return Dataset(
         feature_matrix=x, column_names=names, column_groups=groups, labels=y
     )
 

@@ -19,8 +19,8 @@ import numpy as np
 
 from dropcast.errors import CellParseError, DuplicateColumnError, MissingColumnError, MissingValueError
 from dropcast.ingest import (
+    LABELS,
     TARGET_COLUMN,
-    BinaryDataset,
     Dataset,
     GroupManifest,
     Outcome,
@@ -348,7 +348,7 @@ def max_node_depth(tree: Tree) -> int:
     return depth
 
 
-def standardize_dataset(dataset: BinaryDataset, standardizer: Standardizer) -> BinaryDataset:
+def standardize_dataset(dataset: Dataset, standardizer: Standardizer) -> Dataset:
     """Same dataset with the feature matrix transformed."""
     matrix = apply_standardizer(standardizer, dataset.feature_matrix)
     matrix.setflags(write=False)
@@ -386,7 +386,7 @@ def reference_load_dataset(
         target_pos = positions[TARGET_COLUMN]
 
         rows: list[list[float]] = []
-        outcomes: list[Outcome] = []
+        labels: list[int] = []
         for row_no, record in enumerate(reader, start=1):
             if not record:
                 continue
@@ -409,7 +409,7 @@ def reference_load_dataset(
                 raise MissingValueError(row_no, TARGET_COLUMN)
             target_text = record[target_pos].strip()
             try:
-                outcomes.append(Outcome(target_text))
+                labels.append(LABELS[Outcome(target_text)])
             except ValueError:
                 raise CellParseError(row_no, TARGET_COLUMN, target_text) from None
             rows.append(values)
@@ -419,7 +419,7 @@ def reference_load_dataset(
         feature_matrix=_freeze(matrix),
         column_names=manifest.column_names,
         column_groups=manifest.column_groups,
-        outcomes=tuple(outcomes),
+        labels=_freeze(np.array(labels, dtype=np.int64)),
     )
 
 
@@ -430,14 +430,15 @@ def write_dataset_csv(
 
     Cells are written with ``repr(float)``, the shortest decimal text
     that parses back to the identical value, so a load/write/load cycle
-    preserves every cell bit-for-bit.
+    preserves every cell bit-for-bit; each label is written as its word.
     """
+    words = {label: outcome.value for outcome, label in LABELS.items()}
     with open(csv_path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, delimiter=delimiter, lineterminator="\n")
         writer.writerow(list(dataset.column_names) + [TARGET_COLUMN])
         for i in range(dataset.n_rows):
             cells = [repr(float(value)) for value in dataset.feature_matrix[i]]
-            cells.append(dataset.outcomes[i].value)
+            cells.append(words[int(dataset.labels[i])])
             writer.writerow(cells)
 
 

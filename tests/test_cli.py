@@ -7,6 +7,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -17,6 +18,7 @@ from dropcast.fixture import generate_fixture
 from dropcast.ingest import FeatureGroup, load_dataset, load_manifest
 from dropcast.metrics import forest_importance
 from dropcast.models import HyperParams
+from dropcast.report import SCHEMA_PATH
 
 
 @pytest.fixture(scope="module")
@@ -300,6 +302,18 @@ def test_importance_averages_seeds_in_order_then_ranks_by_value_and_name(fixture
     assert [(name, float(value)) for name, value in rows[1:]] == expected
     report = json.loads((out / "report.json").read_text())
     assert [(e["feature"], e["importance"]) for e in report["importance"]] == expected
+
+
+def test_importance_report_records_the_excluded_group(fixture_dir, tmp_path):
+    schema = json.loads(SCHEMA_PATH.read_text())
+    flags = ["--data", str(fixture_dir / "data.csv"),
+             "--manifest", str(fixture_dir / "manifest.tsv"), *_fast_flags()]
+    for exclude, expected in (([], None), (["--exclude", "academic"], "academic")):
+        out = tmp_path / (expected or "none")
+        assert main(["importance", *flags, *exclude, "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        jsonschema.validate(report, schema)
+        assert report["excluded_group"] == expected
 
 
 def test_exclude_flag(fixture_dir, tmp_path):

@@ -8,7 +8,7 @@ from dropcast.eda import (
     rate_by_category,
 )
 from dropcast.errors import UnknownFeatureError
-from dropcast.ingest import Dataset, FeatureGroup, Outcome
+from dropcast.ingest import LABELS, Dataset, FeatureGroup, Outcome
 
 from conftest import make_binary, requires_dataset
 
@@ -20,7 +20,7 @@ def _dataset(outcomes):
         feature_matrix=matrix,
         column_names=("A", "B"),
         column_groups=(FeatureGroup.ACADEMIC, FeatureGroup.DEMOGRAPHIC),
-        outcomes=tuple(outcomes),
+        labels=np.array([LABELS[outcome] for outcome in outcomes], dtype=np.int64),
     )
 
 

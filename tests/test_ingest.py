@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dropcast import ingest
+from dropcast.eda import class_distribution
 from dropcast.errors import (
     CellParseError,
     DropcastError,
@@ -21,6 +22,7 @@ from dropcast.errors import (
 )
 from dropcast.fixture import generate_fixture
 from dropcast.ingest import (
+    LABELS,
     Dataset,
     FeatureGroup,
     GroupManifest,
@@ -82,6 +84,30 @@ def test_manifest_malformed_line(tmp_path):
         load_manifest(path)
 
 
+_DEFAULT_ENTRIES = load_manifest(default_manifest_path("default-34")).entries
+
+
+@pytest.mark.parametrize("entries, error, message", [
+    ((), ManifestParseError, "manifest contains no entries"),
+    ((*_DEFAULT_ENTRIES, _DEFAULT_ENTRIES[0]), DuplicateColumnError,
+     "column listed twice in manifest: 'Marital status'"),
+    ((*_DEFAULT_ENTRIES, ("Target", FeatureGroup.ACADEMIC)), ManifestParseError,
+     "'Target' is the label, not a feature"),
+], ids=["empty", "repeated-name", "target"])
+def test_manifest_built_in_code_is_checked(entries, error, message):
+    with pytest.raises(error) as err:
+        GroupManifest(entries=entries, version_tag="x")
+    assert str(err.value) == message
+
+
+def test_empty_manifest_file_error_names_the_file(tmp_path):
+    path = tmp_path / "empty.tsv"
+    path.write_text("# version: none\n")
+    with pytest.raises(ManifestParseError) as err:
+        load_manifest(path)
+    assert str(err.value) == f"{path}: manifest contains no entries"
+
+
 @pytest.mark.parametrize("text", [
     "# version: test-3\nAge\tdemographic\nDebt\tsocioeconomic\n",
     "Age\tdemographic\nDebt\tsocioeconomic\n",
@@ -120,7 +146,7 @@ def test_load_dataset_five_rows(tmp_path, small_manifest):
     ds = load_dataset(path, small_manifest)
     assert ds.n_rows == 5
     assert ds.n_columns == 3
-    assert ds.outcomes[2] is Outcome.ENROLLED
+    assert ds.labels[2] == LABELS[Outcome.ENROLLED]
     assert ds.feature_matrix[0, 0] == 20.0
     # row order preserved from the file
     assert ds.feature_matrix[:, 0].tolist() == [20.0, 21.0, 22.0, 23.0, 24.0]
@@ -253,7 +279,8 @@ def test_csv_round_trip_exact(tmp_path, small_manifest):
     write_dataset_csv(first, out)
     second = load_dataset(out, small_manifest)
     assert np.array_equal(first.feature_matrix, second.feature_matrix)
-    assert first.outcomes == second.outcomes
+    assert first.labels.dtype == second.labels.dtype == np.int64
+    assert np.array_equal(first.labels, second.labels)
 
 
 def test_to_binary_filters_and_labels(tmp_path, small_manifest):
@@ -284,7 +311,7 @@ def test_to_binary_equals_the_row_loop():
         column_names=("Age", "Debt", "GDP"),
         column_groups=(FeatureGroup.DEMOGRAPHIC, FeatureGroup.SOCIOECONOMIC,
                        FeatureGroup.MACROECONOMIC),
-        outcomes=outcomes,
+        labels=np.array([LABELS[o] for o in outcomes], dtype=np.int64),
     )
     keep = [i for i, o in enumerate(outcomes) if o is not Outcome.ENROLLED]
     labels = [1 if outcomes[i] is Outcome.DROPOUT else 0 for i in keep]
@@ -327,7 +354,7 @@ def test_row_count_conservation(tmp_path, small_manifest):
     write_rows(path, ["Age", "Debt", "GDP", "Target"], rows)
     ds = load_dataset(path, small_manifest)
     binary = to_binary(ds)
-    enrolled = sum(1 for o in ds.outcomes if o is Outcome.ENROLLED)
+    enrolled = int((ds.labels == LABELS[Outcome.ENROLLED]).sum())
     assert binary.n_rows + enrolled == ds.n_rows
 
 
@@ -363,7 +390,8 @@ def test_quoted_cell_spanning_two_lines_is_one_record(tmp_path, small_manifest):
     path.write_text('Age;Debt;GDP;Target;Note\n20;1;1.5;Dropout;"a\n21;0;1.0;Graduate;b"\n')
     ds = load_dataset(path, small_manifest)
     assert ds.feature_matrix.tolist() == [[20.0, 1.0, 1.5]]
-    assert ds.outcomes == (Outcome.DROPOUT,)
+    assert ds.labels.dtype == np.int64
+    assert np.array_equal(ds.labels, [LABELS[Outcome.DROPOUT]])
 
 
 @pytest.mark.parametrize("rows", [
@@ -378,7 +406,7 @@ def test_quoted_cell_spanning_two_lines_is_one_record(tmp_path, small_manifest):
     '1;2;3;Dropout;x\n\t\n',
 ], ids=["inner-quote", "after-quote", "space-quote", "space-quote-target", "nul",
         "quoted-cr", "open-quote", "whitespace-line", "tab-line"])
-@pytest.mark.parametrize("names", [("Age", "Debt", "GDP"), ("Age", "Target")])
+@pytest.mark.parametrize("names", [("Age", "Debt", "GDP")])
 def test_odd_records_match_reference(tmp_path, rows, names):
     path = tmp_path / "d.csv"
     path.write_bytes(("Age;Debt;GDP;Target;Note\n" + rows).encode())
@@ -439,7 +467,8 @@ def test_padded_cell_in_last_of_5000_rows_loads_bit_equal(generated, tmp_path):
     plain = load_dataset(folder / "d.csv", manifest)
     assert padded.feature_matrix.tobytes() == plain.feature_matrix.tobytes()
     assert padded.feature_matrix.shape == plain.feature_matrix.shape == (5000, 34)
-    assert padded.outcomes == plain.outcomes
+    assert padded.labels.dtype == plain.labels.dtype == np.int64
+    assert np.array_equal(padded.labels, plain.labels)
 
 
 @pytest.mark.parametrize("copy", ["crlf", "quoted"])
@@ -458,7 +487,8 @@ def test_crlf_and_quoted_copies_of_5000_rows_load_bit_equal(generated, tmp_path,
     assert not row_loop.called
     assert ds.feature_matrix.tobytes() == plain.feature_matrix.tobytes()
     assert ds.feature_matrix.shape == plain.feature_matrix.shape == (5000, 34)
-    assert ds.outcomes == plain.outcomes
+    assert ds.labels.dtype == plain.labels.dtype == np.int64
+    assert np.array_equal(ds.labels, plain.labels)
 
 
 def test_load_peak_memory_is_near_the_matrix(tmp_path):
@@ -602,14 +632,14 @@ def records_files(draw, with_errors=True):
 
 
 def _outcome(loader, path, manifest):
-    """What a loader makes of a file: the exact matrix and outcomes, or
+    """What a loader makes of a file: the exact matrix and labels, or
     the error's type and message."""
     try:
         ds = loader(path, manifest)
     except DropcastError as exc:
         return type(exc), str(exc)
     matrix = ds.feature_matrix
-    return matrix.dtype, matrix.shape, matrix.tobytes(), ds.outcomes
+    return matrix.dtype, matrix.shape, matrix.tobytes(), (ds.labels.dtype, ds.labels.tolist())
 
 
 def test_load_dataset_matches_reference(tmp_path_factory):
@@ -642,7 +672,33 @@ def test_load_write_load_round_trip(tmp_path_factory, case):
     second = load_dataset(folder / "out.csv", manifest)
     assert first.feature_matrix.tobytes() == second.feature_matrix.tobytes()
     assert first.feature_matrix.shape == second.feature_matrix.shape
-    assert first.outcomes == second.outcomes
+    assert first.labels.dtype == second.labels.dtype == np.int64
+    assert np.array_equal(first.labels, second.labels)
+
+
+@settings(max_examples=100, deadline=None)
+@given(records_files(with_errors=False))
+def test_labels_binary_rows_and_class_counts_follow_the_target_words(tmp_path_factory, case):
+    manifest, data = case
+    path = tmp_path_factory.mktemp("labels") / "d.csv"
+    path.write_bytes(data)
+    ds = load_dataset(path, manifest)
+    reference = reference_load_dataset(path, manifest)
+    assert ds.labels.dtype == np.int64
+    assert np.array_equal(ds.labels, reference.labels)
+
+    keep = [i for i, label in enumerate(reference.labels.tolist()) if label < 2]
+    if keep:
+        binary = to_binary(ds)
+        assert np.array_equal(binary.labels, reference.labels[keep])
+        assert binary.feature_matrix.tobytes() == reference.feature_matrix[keep].tobytes()
+    else:
+        with pytest.raises(EmptyResultError):
+            to_binary(ds)
+
+    outcome_of = {label: outcome for outcome, label in LABELS.items()}
+    words = Counter(outcome_of[label] for label in reference.labels.tolist())
+    assert class_distribution(ds) == {outcome: words[outcome] for outcome in Outcome}
 
 
 # --- unquoted files, most of which take numpy's reader alone -----------------
