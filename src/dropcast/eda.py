@@ -25,7 +25,6 @@ GENDER_COLUMN = "Gender"
 class CorrelationMatrix:
     values: np.ndarray
     column_names: tuple[str, ...]
-    constant_flags: tuple[bool, ...]
 
 
 def class_distribution(dataset: Dataset) -> dict[Outcome, int]:
@@ -74,8 +73,8 @@ def correlation_matrix(binary: Dataset) -> CorrelationMatrix:
 
     Constant columns (every value equal to the first row's, or a
     standard deviation of 0) get r = 0 against every column including
-    themselves, and are flagged so consumers can tell that apart from
-    genuine zero correlation.
+    themselves, so the diagonal marks them: it is exactly 0 for a
+    constant column and 1 for every other.
     """
     matrix = binary.feature_matrix
     n = matrix.shape[0]
@@ -89,8 +88,4 @@ def correlation_matrix(binary: Dataset) -> CorrelationMatrix:
     np.fill_diagonal(values, np.where(constant, 0.0, 1.0))
     values = np.clip(values, -1.0, 1.0)
     values.setflags(write=False)
-    return CorrelationMatrix(
-        values=values,
-        column_names=binary.column_names,
-        constant_flags=tuple(bool(flag) for flag in constant),
-    )
+    return CorrelationMatrix(values=values, column_names=binary.column_names)

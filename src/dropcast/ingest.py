@@ -45,6 +45,7 @@ from .errors import (
     DuplicateColumnError,
     EmptyResultError,
     FileFormatError,
+    InvalidArgumentError,
     ManifestParseError,
     MissingColumnError,
     MissingValueError,
@@ -118,12 +119,36 @@ class GroupManifest:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Parsed records: one feature row and one ``LABELS`` label per student."""
+    """Parsed records: one feature row and one ``LABELS`` label per student.
+
+    The matrix must be 2-D, with one column name and one group per column
+    and one integer label in ``LABELS`` per row.
+    """
 
     feature_matrix: np.ndarray
     column_names: tuple[str, ...]
     column_groups: tuple[FeatureGroup, ...]
     labels: np.ndarray
+
+    def __post_init__(self):
+        shape, labels = np.shape(self.feature_matrix), self.labels
+        if len(shape) != 2:
+            raise InvalidArgumentError(f"feature matrix must be 2-D, got shape {shape}")
+        if not (isinstance(labels, np.ndarray) and labels.dtype.kind in "iu"
+                and labels.shape == shape[:1]):
+            raise InvalidArgumentError(
+                f"labels must be a 1-D integer array with one entry per row of {shape[0]}, "
+                f"got shape {np.shape(labels)} of {np.asarray(labels).dtype}"
+            )
+        if labels.size and (labels.min() < 0 or labels.max() > LABELS[Outcome.ENROLLED]):
+            raise InvalidArgumentError(
+                f"labels must be 0, 1 or 2, got {labels.min()} to {labels.max()}"
+            )
+        if not len(self.column_names) == len(self.column_groups) == shape[1]:
+            raise InvalidArgumentError(
+                f"{len(self.column_names)} column names and {len(self.column_groups)} "
+                f"column groups for {shape[1]} columns"
+            )
 
     @property
     def n_rows(self) -> int:

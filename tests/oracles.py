@@ -11,13 +11,19 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from dropcast.errors import CellParseError, DuplicateColumnError, MissingColumnError, MissingValueError
+from dropcast.errors import (
+    CellParseError,
+    DuplicateColumnError,
+    InvalidArgumentError,
+    MissingColumnError,
+    MissingValueError,
+)
 from dropcast.ingest import (
     LABELS,
     TARGET_COLUMN,
@@ -27,6 +33,9 @@ from dropcast.ingest import (
     _freeze,
 )
 from dropcast.metrics import RocCurve
+from dropcast.models import ModelKind, TrainedModel
+from dropcast.models.forest import Forest
+from dropcast.models.knn import KnnModel
 from dropcast.models.svm import BATCH_SIZE, LinearSvm, _objective
 from dropcast.models.tree import _NO_NODE, Tree, _strictly_improves
 from dropcast.preprocess import Standardizer, apply_standardizer
@@ -452,3 +461,169 @@ def read_ablation_csv(path: str | Path) -> tuple[list[str], list[str], np.ndarra
     labels = [row[0] for row in model_rows]
     grid = np.array([[float(cell) for cell in row[1:]] for row in model_rows])
     return labels, column_labels, grid
+
+
+def same_bits(a, b) -> bool:
+    """Same types and the same bits, through dataclass fields and tuples."""
+    if is_dataclass(a):
+        return type(a) is type(b) and all(
+            same_bits(getattr(a, field.name), getattr(b, field.name)) for field in fields(a)
+        )
+    if isinstance(a, tuple):
+        return type(b) is tuple and len(a) == len(b) and all(map(same_bits, a, b))
+    if isinstance(a, np.ndarray):
+        return (type(b) is np.ndarray and a.dtype == b.dtype and a.shape == b.shape
+                and a.tobytes() == b.tobytes())
+    return type(a) is type(b) and a == b
+
+
+class _Reader:
+    def __init__(self, text: str):
+        self.lines = text.splitlines()
+        self.pos = 0
+
+    def next(self) -> str:
+        if self.pos >= len(self.lines):
+            raise InvalidArgumentError("truncated model text")
+        line = self.lines[self.pos]
+        self.pos += 1
+        return line
+
+    def expect(self, prefix: str) -> str:
+        line = self.next()
+        if not line.startswith(prefix):
+            raise InvalidArgumentError(f"expected {prefix!r}, got {line!r}")
+        return line[len(prefix):].strip()
+
+
+def _read_tree(reader: _Reader, n_features: int) -> Tree:
+    n_nodes = int(reader.expect("tree "))
+    if n_nodes < 1:
+        raise InvalidArgumentError("malformed tree: no nodes")
+    feature = np.empty(n_nodes, dtype=np.int64)
+    threshold = np.empty(n_nodes, dtype=np.float64)
+    left = np.empty(n_nodes, dtype=np.int64)
+    right = np.empty(n_nodes, dtype=np.int64)
+    pos_fraction = np.empty(n_nodes, dtype=np.float64)
+    n_samples = np.empty(n_nodes, dtype=np.int64)
+    n_positive = np.empty(n_nodes, dtype=np.int64)
+    for i in range(n_nodes):
+        parts = reader.next().split()
+        if len(parts) != 7:
+            raise InvalidArgumentError(f"malformed tree: node {i} has {len(parts)} fields, not 7")
+        feature[i] = int(parts[0])
+        threshold[i] = float(parts[1])
+        left[i] = int(parts[2])
+        right[i] = int(parts[3])
+        pos_fraction[i] = float(parts[4])
+        n_samples[i] = int(parts[5])
+        n_positive[i] = int(parts[6])
+    # The builder appends children after their parent, so valid child
+    # indices only grow and scoring always ends at a leaf.
+    i = np.arange(n_nodes)
+    split_ok = (i < left) & (left < n_nodes) & (i < right) & (right < n_nodes)
+    ok = np.where(feature >= 0, split_ok, (left == -1) & (right == -1))
+    ok &= (feature >= -1) & (feature < n_features) & np.isfinite(threshold)
+    # A score is the builder's class fraction, so it lies in [0, 1].
+    ok &= (0 <= n_positive) & (n_positive <= n_samples) & (n_samples >= 1)
+    ok &= pos_fraction == n_positive / np.maximum(n_samples, 1)
+    if not ok.all():
+        raise InvalidArgumentError(f"malformed tree: bad node {np.argmin(ok)}")
+    return Tree(
+        feature=feature, threshold=threshold, left=left, right=right,
+        pos_fraction=pos_fraction, n_samples=n_samples, n_positive=n_positive,
+    )
+
+
+def model_from_text(text: str) -> TrainedModel:
+    """Parse text written by ``model_to_text`` back into a model.
+
+    The package only writes this format. Malformed text, or text that
+    breaks an invariant of a trained model (tree links that may not end
+    at a leaf, a score outside [0, 1], a deviation that is not finite
+    and positive, a k-NN label other than 0 or 1), raises one
+    ``InvalidArgumentError`` line, so a test that reads the writer's
+    text back also checks that the text is well formed.
+    """
+    reader = _Reader(text)
+    try:
+        return _read_model(reader)
+    except ValueError as exc:
+        raise InvalidArgumentError(
+            f"malformed model text at line {reader.pos}: {exc}"
+        ) from None
+
+
+def _read_model(reader: _Reader) -> TrainedModel:
+    if reader.next() != "dropcast-model 1":
+        raise InvalidArgumentError("not a dropcast model text (bad magic line)")
+    kind = ModelKind(reader.expect("kind "))
+    n_features = int(reader.expect("n_features "))
+
+    standardizer = None
+    mode = reader.expect("standardizer ")
+    if mode == "fitted":
+        mean = np.array([float(v) for v in reader.expect("mean ").split()])
+        std = np.array([float(v) for v in reader.expect("std ").split()])
+        constant = np.array([bool(int(v)) for v in reader.expect("constant ").split()])
+        if not len(mean) == len(std) == len(constant) == n_features:
+            raise InvalidArgumentError(
+                f"malformed standardizer: mean/std/constant have {len(mean)}/{len(std)}/"
+                f"{len(constant)} values, not {n_features}"
+            )
+        if not (np.isfinite(mean).all() and np.isfinite(std).all() and (std > 0).all()):
+            raise InvalidArgumentError(
+                "malformed standardizer: a mean is not finite or a std is not finite and positive"
+            )
+        standardizer = Standardizer(mean=mean, std=std, constant=constant)
+    elif mode != "none":
+        raise InvalidArgumentError(f"bad standardizer mode: {mode!r}")
+
+    if kind is ModelKind.DECISION_TREE:
+        payload = _read_tree(reader, n_features)
+    elif kind is ModelKind.RANDOM_FOREST:
+        n_trees = int(reader.expect("trees "))
+        tree_seeds = tuple(int(v) for v in reader.expect("tree_seeds ").split())
+        if n_trees < 1 or len(tree_seeds) != n_trees:
+            raise InvalidArgumentError(f"malformed forest: {n_trees} trees, {len(tree_seeds)} seeds")
+        trees = tuple(_read_tree(reader, n_features) for _ in range(n_trees))
+        payload = Forest(trees=trees, tree_seeds=tree_seeds)
+    elif kind is ModelKind.LINEAR_SVM:
+        weights = np.array([float(v) for v in reader.expect("weights ").split()])
+        bias = float(reader.expect("bias "))
+        objective = float(reader.expect("objective "))
+        epochs = int(reader.expect("epochs "))
+        if len(weights) != n_features:
+            raise InvalidArgumentError(
+                f"malformed SVM model: {len(weights)} weights, not {n_features}"
+            )
+        if not (np.isfinite(weights).all() and np.isfinite(bias)):
+            raise InvalidArgumentError("malformed SVM model: non-finite weight or bias")
+        if not (np.isfinite(objective) and objective >= 0 and epochs >= 1):
+            raise InvalidArgumentError(
+                f"malformed SVM model: objective {objective!r} is not finite and >= 0 "
+                f"or epochs {epochs} is below 1"
+            )
+        payload = LinearSvm(weights=weights, bias=bias, objective=objective, epochs=epochs)
+    else:
+        k = int(reader.expect("k "))
+        n_rows = int(reader.expect("train_rows "))
+        train_x = np.empty((n_rows, n_features), dtype=np.float64)
+        train_y = np.empty(n_rows, dtype=np.float64)
+        for i in range(n_rows):
+            xs, label = reader.next().split(" | ")
+            cells = [float(v) for v in xs.split()]
+            if len(cells) != n_features:
+                raise InvalidArgumentError(
+                    f"malformed k-NN model: row {i} has {len(cells)} values, not {n_features}"
+                )
+            train_x[i] = cells
+            train_y[i] = float(label)
+        if not 1 <= k <= n_rows:
+            raise InvalidArgumentError(f"malformed k-NN model: k {k} outside [1, {n_rows}]")
+        if not (np.isfinite(train_x).all() and np.isin(train_y, (0.0, 1.0)).all()):
+            raise InvalidArgumentError("malformed k-NN model: non-finite value or non-0/1 label")
+        payload = KnnModel(train_x=train_x, train_y=train_y, k=k)
+
+    return TrainedModel(kind=kind, n_features=n_features, payload=payload,
+                        standardizer=standardizer)

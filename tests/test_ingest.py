@@ -1,4 +1,5 @@
 import csv
+import re
 import tracemalloc
 from collections import Counter
 from unittest import mock
@@ -16,6 +17,7 @@ from dropcast.errors import (
     DuplicateColumnError,
     EmptyResultError,
     FileFormatError,
+    InvalidArgumentError,
     ManifestParseError,
     MissingColumnError,
     MissingValueError,
@@ -320,6 +322,26 @@ def test_to_binary_equals_the_row_loop():
     assert binary.labels.dtype == np.int64
     assert binary.labels.tolist() == labels
     assert np.array_equal(binary.feature_matrix, ds.feature_matrix[keep])
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(labels=np.array([-1, 0, 7])), "labels must be 0, 1 or 2, got -1 to 7"),
+    (dict(labels=np.array([3, 0, 1])), "labels must be 0, 1 or 2, got 0 to 3"),
+    (dict(labels=np.array([0, 1])), "one entry per row of 3, got shape (2,) of int64"),
+    (dict(labels=np.array([0.0, 1.0, 0.5])), "integer array with one entry per row of 3"),
+    (dict(labels=np.zeros((3, 1), dtype=np.int64)), "got shape (3, 1) of int64"),
+    (dict(labels=[0, 1, 0]), "integer array with one entry per row of 3"),
+    (dict(feature_matrix=np.zeros(3)), "feature matrix must be 2-D, got shape (3,)"),
+    (dict(column_names=("Age", "Debt")), "2 column names and 1 column groups for 1 columns"),
+    (dict(column_groups=()), "1 column names and 0 column groups for 1 columns"),
+], ids=["minus-one-and-seven", "three", "short", "float", "2-d", "list", "1-d-matrix",
+        "extra-name", "no-group"])
+def test_dataset_built_in_code_is_checked(fields, message):
+    base = dict(feature_matrix=np.zeros((3, 1)), column_names=("Age",),
+                column_groups=(FeatureGroup.DEMOGRAPHIC,), labels=np.array([0, 1, 2]))
+    with pytest.raises(InvalidArgumentError, match=re.escape(message)) as err:
+        to_binary(Dataset(**{**base, **fields}))
+    assert "\n" not in str(err.value)
 
 
 def test_to_binary_all_enrolled_raises(tmp_path, small_manifest):

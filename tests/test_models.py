@@ -16,6 +16,7 @@ from dropcast.models.svm import train_svm
 from dropcast.preprocess import apply_standardizer, fit_standardizer
 
 from conftest import make_binary
+from oracles import same_bits
 
 
 def test_defaults_match_documented_configuration():
@@ -123,23 +124,22 @@ def test_train_rejects_non_finite_rows(kind, bad):
 
 
 @pytest.mark.parametrize("kind", list(ModelKind))
-@pytest.mark.parametrize("bad", [2, -1, 0.5], ids=["two", "minus-one", "half"])
-def test_train_rejects_labels_other_than_zero_and_one(kind, bad):
+@pytest.mark.parametrize("bad, message", [
+    (2, "training labels must be 0 or 1"),
+    # -1 and 0.5 make no Dataset
+    (-1, "labels must be 0, 1 or 2, got -1 to 1"),
+    (0.5, "labels must be a 1-D integer array"),
+], ids=["two", "minus-one", "half"])
+def test_train_rejects_labels_other_than_zero_and_one(kind, bad, message):
     rng = np.random.default_rng(73)
     x = rng.normal(size=(30, 3))
-    labels = (x[:, 0] > 0).astype(np.float64)
+    labels = (x[:, 0] > 0).astype(type(bad))
     labels[5] = bad
-    # Built past make_binary, whose int64 cast would truncate 0.5 to 0.
-    ds = replace(make_binary(x, np.zeros(30)), labels=labels)
-    with pytest.raises(InvalidArgumentError, match="0 or 1") as info:
+    with pytest.raises(InvalidArgumentError, match=message) as info:
+        # Built past make_binary, whose int64 cast would truncate 0.5 to 0.
+        ds = replace(make_binary(x, np.zeros(30)), labels=labels)
         train_model(kind, ds, HyperParams(forest_n_trees=3, svm_epochs=5, knn_k=3))
     assert "\n" not in str(info.value)
-
-
-def _same_bits(a, b) -> bool:
-    if isinstance(a, np.ndarray):
-        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-    return type(a) is type(b) and a == b
 
 
 @pytest.mark.parametrize("kind", [ModelKind.LINEAR_SVM, ModelKind.KNN])
@@ -169,7 +169,7 @@ def test_train_model_equals_the_three_step_protocol(kind):
     assert model.standardizer is not None
     assert model.standardizer.constant.tolist() == [False, False, True, False]
     for name in ("mean", "std", "constant"):
-        assert _same_bits(getattr(model.standardizer, name), getattr(standardizer, name)), name
+        assert same_bits(getattr(model.standardizer, name), getattr(standardizer, name)), name
     assert type(model.payload) is type(payload)
     for field in fields(payload):
-        assert _same_bits(getattr(model.payload, field.name), getattr(payload, field.name)), field.name
+        assert same_bits(getattr(model.payload, field.name), getattr(payload, field.name)), field.name

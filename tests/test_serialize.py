@@ -8,15 +8,17 @@ from dropcast.models import (
     score,
     train_model,
 )
-from dropcast.models.serialize import load_model, model_from_text, model_to_text, save_model
+from dropcast.models.serialize import model_to_text, save_model
 
 from conftest import make_binary
+from oracles import model_from_text, same_bits
 
 
 @pytest.fixture(scope="module")
 def training_data():
     rng = np.random.default_rng(60)
-    x = rng.integers(0, 7, size=(60, 4)).astype(float)
+    # Continuous features, so split thresholds need all 17 digits.
+    x = rng.normal(loc=3.0, scale=2.0, size=(60, 4))
     y = (x[:, 0] + rng.normal(scale=1.0, size=60) > 3).astype(int)
     return make_binary(x, y), rng.normal(size=(12, 4)) * 3
 
@@ -28,20 +30,20 @@ def test_round_trip_preserves_scores(kind, training_data):
     model = train_model(kind, ds, hp)
     text = model_to_text(model)
     restored = model_from_text(text)
-    assert restored.kind is model.kind
-    assert restored.n_features == model.n_features
+    # Tree node arrays, forest seeds, SVM weights, bias, objective and
+    # epochs, k-NN rows, labels and k, and the standardizer.
+    assert same_bits(restored, model)
     assert np.array_equal(score(restored, queries), score(model, queries))
     # serialization is stable: a second round trip gives identical text
     assert model_to_text(restored) == text
 
 
 def test_save_and_load_file(tmp_path, training_data):
-    ds, queries = training_data
+    ds, _ = training_data
     model = train_model(ModelKind.DECISION_TREE, ds, HyperParams())
     path = tmp_path / "model.txt"
     save_model(model, path)
-    restored = load_model(path)
-    assert np.array_equal(score(restored, queries), score(model, queries))
+    assert path.read_text(encoding="utf-8") == model_to_text(model)
 
 
 def test_bad_magic_rejected():
