@@ -24,13 +24,24 @@ from dropcast.errors import (
     MissingColumnError,
     MissingValueError,
 )
+from dropcast.fixture import (
+    ENROLLED_SHARE,
+    _CODE_MEAN,
+    _CODE_RANGE,
+    _CODE_STD,
+    _MACRO_SPAN,
+    _MACRO_STD,
+)
 from dropcast.ingest import (
     LABELS,
     TARGET_COLUMN,
     Dataset,
+    FeatureGroup,
     GroupManifest,
     Outcome,
     _freeze,
+    default_manifest_path,
+    load_manifest,
 )
 from dropcast.metrics import RocCurve
 from dropcast.models import ModelKind, TrainedModel
@@ -449,6 +460,58 @@ def write_dataset_csv(
             cells = [repr(float(value)) for value in dataset.feature_matrix[i]]
             cells.append(words[int(dataset.labels[i])])
             writer.writerow(cells)
+
+
+def reference_fixture_bytes(
+    n_rows: int,
+    seed: int,
+    planted_group: FeatureGroup | None = None,
+    signal_strength: float = 0.0,
+) -> bytes:
+    """The records file ``generate_fixture`` writes, built row by row.
+
+    The same draws as ``generate_fixture``, then one Python string per
+    cell: ``str`` of each integer code, ``f"{v:.2f}"`` of each
+    macroeconomic value, one ``join`` per row. Arguments are not checked.
+    """
+    manifest = load_manifest(default_manifest_path("default-34"))
+    parent = SeededRng(seed)
+
+    columns: list[np.ndarray] = []
+    signal = np.zeros(n_rows, dtype=np.float64)
+    n_planted = 0
+    for name, group in manifest.entries:
+        rng = parent.child()
+        if group is FeatureGroup.MACROECONOMIC:
+            values = np.round(rng.uniforms(n_rows) * 2.0 * _MACRO_SPAN - _MACRO_SPAN, 2)
+            centered = values / _MACRO_STD
+        else:
+            values = rng.integers(n_rows, _CODE_RANGE).astype(np.float64)
+            centered = (values - _CODE_MEAN) / _CODE_STD
+        if planted_group is not None and group is planted_group:
+            signal += centered
+            n_planted += 1
+        columns.append(values)
+
+    if n_planted > 0 and signal_strength > 0:
+        z = signal / np.sqrt(n_planted)
+        p_dropout = 1.0 / (1.0 + np.exp(-signal_strength * z))
+    else:
+        p_dropout = np.full(n_rows, 0.5)
+    labels = parent.child().uniforms(n_rows) < p_dropout
+    enrolled = parent.child().uniforms(n_rows) < ENROLLED_SHARE
+
+    cells = []  # one list of cell texts per column
+    for values, (_, group) in zip(columns, manifest.entries):
+        if group is FeatureGroup.MACROECONOMIC:
+            cells.append([f"{v:.2f}" for v in values.tolist()])
+        else:
+            cells.append(list(map(str, values.astype(np.int64).tolist())))
+    cells.append(np.where(enrolled, "Enrolled", np.where(labels, "Dropout", "Graduate")).tolist())
+    lines = [";".join(list(manifest.column_names) + ["Target"])]
+    lines.extend(map(";".join, zip(*cells)))
+
+    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def read_ablation_csv(path: str | Path) -> tuple[list[str], list[str], np.ndarray]:

@@ -384,6 +384,21 @@ def test_fixture_seed_outside_the_stream_range_is_runtime_error(tmp_path, capsys
     assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--strength", "3.0"], "needs a planted group"),
+    (["--planted-group", "academic"], "needs a positive signal_strength"),
+    (["--planted-group", "academic", "--strength", "0"], "needs a positive signal_strength"),
+], ids=["strength-alone", "group-alone", "group-zero-strength"])
+def test_fixture_group_and_strength_only_together(tmp_path, capsys, flags, message):
+    out = tmp_path / "out"
+    code = main(["fixture", "--rows", "50", "--seed", "1", *flags, "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("dropcast: error:") and err.count("\n") == 1
+    assert message in err
+    assert not any(out.iterdir())
+
+
 def _data_flags(fixture_dir):
     return ["--data", str(fixture_dir / "data.csv"),
             "--manifest", str(fixture_dir / "manifest.tsv")]

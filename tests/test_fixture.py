@@ -2,13 +2,17 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dropcast.errors import InvalidArgumentError
-from dropcast.fixture import generate_fixture
+from dropcast.fixture import _digits_block, _hundredths_block, generate_fixture
 from dropcast.ingest import FeatureGroup, load_dataset, load_manifest, to_binary
 from dropcast.metrics import auc
 from dropcast.models import HyperParams, ModelKind
 from dropcast.experiments import RunConfig, run_baseline
+
+from oracles import reference_fixture_bytes
 
 
 def test_same_arguments_identical_bytes(tmp_path):
@@ -30,6 +34,51 @@ def test_small_fixture_bytes_are_pinned(tmp_path):
     assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == (
         "ed5502b92682d5eeb8f17ad74cfa97728e93aa1eedcb2356857d684438cd06c8"
     )
+
+
+def test_bench_fixture_bytes_are_pinned(tmp_path):
+    # Digest of the bench fixture, `dropcast fixture --rows 4424 --seed 7
+    # --planted-group academic --strength 3.0`, as written by the row-by-row
+    # formatter.
+    csv_path = tmp_path / "fixture.csv"
+    generate_fixture(csv_path, tmp_path / "m.tsv", n_rows=4424, seed=7,
+                     planted_group=FeatureGroup.ACADEMIC, signal_strength=3.0)
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == (
+        "66eff1a589280294deba452f4c8f217fb4bc61842223f262eff1c6d7ff6923a4"
+    )
+
+
+_PLANTING = st.one_of(
+    st.just((None, 0.0)),
+    st.tuples(st.sampled_from(FeatureGroup),
+              st.floats(min_value=0.0, max_value=20.0, exclude_min=True)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n_rows=st.integers(20, 2000), seed=st.integers(0, 2**64 - 1), planting=_PLANTING)
+def test_bytes_equal_row_by_row_reference(tmp_path_factory, n_rows, seed, planting):
+    group, strength = planting
+    folder = tmp_path_factory.mktemp("fixture")
+    generate_fixture(folder / "f.csv", folder / "m.tsv", n_rows=n_rows, seed=seed,
+                     planted_group=group, signal_strength=strength)
+    assert (folder / "f.csv").read_bytes() == reference_fixture_bytes(n_rows, seed, group, strength)
+
+
+def test_integer_cells_match_str():
+    values = np.array([0, 1, 9, 10, 99, 100, 101, 4424, 88480, 2**63 - 1], dtype=np.int64)
+    block = _digits_block(values)
+    for v, row in zip(values.tolist(), block):
+        assert row[row != 0].tobytes() == str(v).encode(), v
+
+
+def test_macroeconomic_cells_match_two_decimal_format():
+    # Every value np.round(x, 2) gives for x in [-3, 3), and the -0.0 it
+    # gives for x in (-0.005, 0).
+    values = np.append(np.round(np.arange(-300, 301) / 100, 2), -0.0)
+    block = _hundredths_block(values)
+    for v, row in zip(values.tolist(), block):
+        assert row[row != 0].tobytes() == f"{v:.2f}".encode(), v
 
 
 def test_different_seed_different_bytes(tmp_path):
@@ -54,6 +103,17 @@ def test_fixture_loads_with_default_schema(tmp_path):
 def test_minimum_rows_enforced(tmp_path):
     with pytest.raises(InvalidArgumentError):
         generate_fixture(tmp_path / "f.csv", tmp_path / "m.tsv", n_rows=19, seed=1)
+
+
+@pytest.mark.parametrize("group, strength, message", [
+    (None, 3.0, "needs a planted group"),
+    (FeatureGroup.ACADEMIC, 0.0, "needs a positive signal_strength"),
+], ids=["strength-alone", "group-alone"])
+def test_group_and_strength_only_together(tmp_path, group, strength, message):
+    with pytest.raises(InvalidArgumentError, match=message):
+        generate_fixture(tmp_path / "f.csv", tmp_path / "m.tsv", n_rows=50, seed=1,
+                         planted_group=group, signal_strength=strength)
+    assert not any(tmp_path.iterdir())
 
 
 def test_negative_strength_rejected(tmp_path):

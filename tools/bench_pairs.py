@@ -1,7 +1,7 @@
 """Run the benchmark on two checkouts in alternating pairs and summarise.
 
-    python3 tools/bench_pairs.py --parent P --change C --out BENCH_14.json \
-        ingest-large=10 margin=4 ablate-importance=6 dt-fit
+    python3 tools/bench_pairs.py --parent P --change C --out BENCH_20.json \
+        ingest-large=10 margin=4 ablate-importance=6 fixture-gen
 
 For each ``WORKLOAD=N`` it runs N pairs of
 
@@ -20,12 +20,17 @@ pairs the change wins and ties (by the metric's direction in
 output digest is the same on both sides. Naming ``dt-fit`` among the
 workloads adds ``DT_FIT_ROUNDS`` rounds of ``tools/dt_fit.py``, alternating
 sides: the in-process CPU time and tracemalloc peak of the decision-tree
-fit on the 88 480-row fixture.
+fit on the 88 480-row fixture. Naming ``fixture-gen`` adds
+``FIXTURE_GEN_ROUNDS`` rounds of the 88 480-row ``dropcast fixture``
+child, alternating sides: its wall time, peak RSS and the sha256 of the
+``fixture.csv`` it wrote. ``setup_s`` mixes fixture time with the
+warm-up operation, so the fixture's own numbers get their own record.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -33,14 +38,17 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 SECONDS = "30"
 SEED = 7  # the benchmark's default fixture seed
 WARM_UP = "import numpy as np; a = np.ones((512, 512)); a @ a"
-DT_FIT_ROWS = "88480"
+LARGE_ROWS = "88480"  # the ingest-large fixture
 DT_FIT_ROUNDS = 4
+FIXTURE_GEN_ROUNDS = 6
+EXTRAS = ("dt-fit", "fixture-gen")
 
 
 def run_benchmark(checkout: Path, workload: str) -> dict:
@@ -100,14 +108,18 @@ def summarise(workload: str, runs: list[dict], better: dict[str, str]) -> dict:
     }
 
 
+def fixture_argv(folder: str | Path) -> list[str]:
+    return [sys.executable, "-m", "dropcast.cli", "fixture", "--rows", LARGE_ROWS,
+            "--seed", str(SEED), "--planted-group", "academic", "--strength", "3.0",
+            "--out", str(folder)]
+
+
 def dt_fit(checkouts: dict[str, Path]) -> dict:
     """``tools/dt_fit.py`` on each side, ``DT_FIT_ROUNDS`` times, alternating."""
     results: dict[str, list[dict]] = {side: [] for side in checkouts}
     with tempfile.TemporaryDirectory() as folder:
         subprocess.run(
-            [sys.executable, "-m", "dropcast.cli", "fixture", "--rows", DT_FIT_ROWS,
-             "--seed", str(SEED), "--planted-group", "academic", "--strength", "3.0",
-             "--out", folder],
+            fixture_argv(folder),
             env={**os.environ, "PYTHONPATH": str(checkouts["change"] / "src")}, check=True,
             stdout=subprocess.DEVNULL,
         )
@@ -125,8 +137,40 @@ def dt_fit(checkouts: dict[str, Path]) -> dict:
     fits = len(results["change"][0]["cpu_s"])
     return {
         "what": f"tools/dt_fit.py: build_tree(max_depth=5) on the seed-42 training split of the "
-                f"{DT_FIT_ROWS}-row seed-{SEED} fixture, CPU seconds of {fits} fits and the "
+                f"{LARGE_ROWS}-row seed-{SEED} fixture, CPU seconds of {fits} fits and the "
                 f"tracemalloc peak of one more, per round; rounds alternate which side runs first",
+        **results,
+    }
+
+
+def fixture_gen(checkouts: dict[str, Path]) -> dict:
+    """The ``dropcast fixture`` child on each side, ``FIXTURE_GEN_ROUNDS`` times, alternating."""
+    results: dict[str, list[dict]] = {side: [] for side in checkouts}
+    with tempfile.TemporaryDirectory() as folder:
+        for r in range(FIXTURE_GEN_ROUNDS):
+            sides = list(checkouts) if r % 2 == 0 else list(reversed(checkouts))
+            for side in sides:
+                subprocess.run([sys.executable, "-c", WARM_UP], check=True)
+                out = Path(folder) / side
+                start = time.perf_counter()
+                proc = subprocess.Popen(
+                    fixture_argv(out), stdout=subprocess.DEVNULL,
+                    env={**os.environ, "PYTHONPATH": str(checkouts[side] / "src")},
+                )
+                _, status, usage = os.wait4(proc.pid, 0)
+                wall = time.perf_counter() - start
+                returncode = os.waitstatus_to_exitcode(status)
+                if returncode != 0:
+                    raise subprocess.CalledProcessError(returncode, proc.args)
+                digest = hashlib.sha256((out / "fixture.csv").read_bytes()).hexdigest()
+                results[side].append({"wall_s": round(wall, 4),
+                                      "peak_rss_mb": round(usage.ru_maxrss / 1024.0, 2),
+                                      "sha256": digest})
+    return {
+        "what": f"dropcast fixture --rows {LARGE_ROWS} --seed {SEED} --planted-group academic "
+                f"--strength 3.0 as a child process: wall seconds from start to exit, its "
+                f"peak RSS (ru_maxrss from wait4) and the sha256 of fixture.csv, per round; "
+                f"rounds alternate which side runs first",
         **results,
     }
 
@@ -136,14 +180,14 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, required=True, help="parent commit's checkout")
     parser.add_argument("--change", type=Path, required=True, help="change's checkout")
     parser.add_argument("--out", type=Path, required=True, help="JSON file to write")
-    parser.add_argument("pairs", nargs="+", metavar="WORKLOAD=N | dt-fit")
+    parser.add_argument("pairs", nargs="+", metavar="WORKLOAD=N | dt-fit | fixture-gen")
     args = parser.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     benchmark = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
 
     runs, summary = [], []
-    for spec in (s for s in args.pairs if s != "dt-fit"):
+    for spec in (s for s in args.pairs if s not in EXTRAS):
         workload, n = spec.split("=")
         workload_runs = []
         for pair in range(int(n)):
@@ -171,6 +215,8 @@ def main(argv=None) -> int:
     }
     if "dt-fit" in args.pairs:
         doc["in_process"] = {"dt_fit": dt_fit(checkouts)}
+    if "fixture-gen" in args.pairs:
+        doc["fixture_gen"] = fixture_gen(checkouts)
     doc["runs"] = runs
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0 if all(r["result"]["correct"] for r in runs) else 1
