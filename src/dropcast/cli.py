@@ -1,9 +1,11 @@
 """Command-line entry point.
 
 Subcommands: eda, train, ablate, importance, roc, fixture. Outputs land
-in the --out directory. Exit codes: 0 success, 1 runtime error (one
-diagnostic line on stderr), 2 usage error. No environment variables are
-consulted; everything is a flag.
+in the --out directory, which is made only when the first output is
+written: a run rejected before then leaves no directory behind. Exit
+codes: 0 success, 1 runtime error (one diagnostic line on stderr), 2
+usage error. No environment variables are consulted; everything is a
+flag.
 """
 
 from __future__ import annotations
@@ -203,18 +205,20 @@ def _config_from_args(args) -> RunConfig:
 
 
 def _out_dir(args) -> Path:
+    """The --out directory, made if missing; called only once a command
+    has something to write."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
 def _cmd_eda(args) -> int:
-    out = _out_dir(args)
     manifest = load_manifest(args.manifest or default_manifest_path())
     dataset = load_dataset(args.data, manifest, delimiter=args.delimiter)
     classes = eda_ops.class_distribution(dataset)
     binary = to_binary(dataset)
     del dataset  # free the three-outcome matrix before the correlation's copies
+    out = _out_dir(args)
 
     report_ops.write_class_distribution_csv(classes, out / "eda_class_distribution.csv")
     if eda_ops.GENDER_COLUMN in binary.column_names:
@@ -234,11 +238,11 @@ def _cmd_eda(args) -> int:
 
 
 def _cmd_train(args, command: str = "train") -> int:
-    out = _out_dir(args)
     config = _config_from_args(args)
     binary, manifest_version = load_binary(config)
     reports = []
     for model, rep in evaluate_cells(binary, (config.excluded_group,), config):
+        out = _out_dir(args)  # made by the first trained cell
         report_ops.write_roc_csv(rep.curve, out / report_ops.roc_csv_name(rep.model_kind.label, rep.seed))
         if getattr(args, "save_models", False):
             save_model(model, out / f"model_{rep.model_kind.value}_seed{rep.seed}.txt")
@@ -251,9 +255,9 @@ def _cmd_train(args, command: str = "train") -> int:
 
 
 def _cmd_ablate(args) -> int:
-    out = _out_dir(args)
     config = _config_from_args(args)
     ablation = run_ablation(config)
+    out = _out_dir(args)
     doc = report_ops.build_ablation_document(config, ablation)
     report_ops.write_json(doc, out / "report.json")
     report_ops.write_json(doc["ablation"], out / "ablation.json")
@@ -268,7 +272,6 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_importance(args) -> int:
-    out = _out_dir(args)
     config = _config_from_args(args)
     binary, manifest_version = load_binary(config)
     if config.excluded_group is not None:
@@ -279,6 +282,7 @@ def _cmd_importance(args) -> int:
     combined = sum(vector / len(per_seed) for vector in per_seed)
     ranked = sorted(zip(binary.column_names, combined.tolist()),
                     key=lambda item: (-item[1], item[0]))
+    out = _out_dir(args)
     report_ops.write_importance_csv(ranked, out / "importance.csv")
 
     doc = report_ops.build_run_document("importance", config, manifest_version, [])
@@ -290,7 +294,7 @@ def _cmd_importance(args) -> int:
 
 
 def _cmd_fixture(args) -> int:
-    out = _out_dir(args)
+    out = Path(args.out)  # generate_fixture makes it once the arguments pass
     planted = FeatureGroup(args.planted_group) if args.planted_group else None
     generate_fixture(
         out / "fixture.csv",

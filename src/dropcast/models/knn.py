@@ -51,7 +51,7 @@ from ..errors import InsufficientRowsError
 
 # cap on query rows * training rows per block, and on candidate pairs *
 # features per step of the brute-force recomputation
-_CHUNK_ELEMENTS = 1 << 18
+_CHUNK_ELEMENTS = 1 << 16
 _NORM_LIMIT = 2.0**1000  # |q|^2 + |t|^2 below this cannot overflow the band
 
 

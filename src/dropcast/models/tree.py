@@ -10,9 +10,11 @@ break toward the lower feature index, then the lower threshold.
 The search runs on integer-coded columns, built once per training
 matrix and shared by every tree of a forest. A value's bin is its rank
 among its column's distinct values, numbered feature-major; a row's key
-is ``2 * bin + label``. Scores and thresholds (midpoints of the two
-bins' values) are computed as from the raw values, so the coding
-changes no tree.
+is ``2 * bin + label``, stored as int32, so the key matrix is half the
+size of the float64 training matrix. A matrix of more than 2**30 values
+could hold more than 2**30 bins, whose keys would not fit, and is
+refused. Scores and thresholds (midpoints of the two bins' values) are
+computed as from the raw values, so the coding changes no tree.
 
 Trees grow in lockstep; a forest passes all of its trees to one call.
 Each tree keeps its own subset stream and its own depth-first stack,
@@ -27,19 +29,22 @@ larger node is searched alone.
 A chunk is searched in one of two ways, which find the same split:
 
 - Sorted (``_search``). A node's rows are gathered once per candidate
-  feature, tagged with the node's index above the key bits
-  (``node << shift | key``) and sorted together. Because bins are
+  feature, widened to int64, tagged with the node's index above the key
+  bits (``node << shift | key``) and sorted together. Because bins are
   numbered feature-major and subsets are drawn sorted, each node's keys
   sort candidate by candidate, in candidate order, and within a
   candidate by threshold. Cuts are where the bin (``key >> 1``) changes
   inside one candidate's run; positive counts are prefix sums of bit 0.
 - Counted (``_count_search``), for a chunk of one node whose rows times
   candidates are at least ``2 * n_bins``, the length of the count array
-  (one slot per possible key). One ``np.bincount`` of the node's keys counts
-  each (bin, label); a bin holds one distinct value, so the prefix sums
-  of the counts over the present bins, in bin order, are the sorted
-  search's counts at its cuts, in its order. This is the decision
-  tree's path on large data; forests' batched small nodes keep the sort.
+  (one slot per possible key). The node's keys are counted one candidate
+  at a time, each ``np.bincount`` spanning only that candidate's keys,
+  into the one count array of each (bin, label); a bin holds one
+  distinct value, so the prefix sums of the counts over the present
+  bins, in bin order, are the sorted search's counts at its cuts, in its
+  order. No (candidates, rows) block of keys is gathered. This is the
+  decision tree's path on large data; forests' batched small nodes keep
+  the sort.
 
 Either way each cut's left size and positives are the same integers,
 scored by the same float64 expression, and the first minimum in
@@ -68,6 +73,10 @@ _NO_NODE = -1
 # At most this many (node, candidate feature, row) elements are searched
 # by one set of numpy calls; a single node with more is searched alone.
 _CHUNK_ELEMENTS = 1 << 15
+
+# Bins number at most the matrix's values; with at most 2**30 bins every
+# key ``2 * bin + label`` is below 2**31 and fits an int32.
+_MAX_VALUES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -106,14 +115,19 @@ def _strictly_improves(n: int, pos: int, left_n: int, left_pos: int) -> bool:
 
 def _code_columns(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
     """(keys, the value of each bin, labels) as described above; ``keys``
-    is a (features, rows) int64 matrix."""
+    is a (features, rows) int32 matrix. Raises ValueError, before
+    allocating anything of the matrix's size, when ``x`` has more than
+    2**30 values."""
     x = np.asarray(x, dtype=np.float64)
+    if x.size > _MAX_VALUES:
+        raise ValueError(f"{x.size} tree feature values could overflow an int32 key; "
+                         f"at most {_MAX_VALUES} are allowed")
     if not np.isfinite(x).all():
         raise ValueError("tree features must be finite")
     y = np.asarray(y, dtype=np.int64)
     if ((y != 0) & (y != 1)).any():
         raise ValueError("tree labels must be 0 or 1")
-    keys, values = np.empty(x.shape[::-1], dtype=np.int64), [np.zeros(0)]
+    keys, values = np.empty(x.shape[::-1], dtype=np.int32), [np.zeros(0)]
     for f, column in enumerate(x.T):
         distinct, bins = np.unique(column, return_inverse=True)
         keys[f] = 2 * (bins + sum(map(len, values))) + y
@@ -295,8 +309,10 @@ def _search(keys, values, order, batch, candidates, shift):
     flat += np.arange(total)
     flat = order.take(flat)
     flat += np.repeat(candidates.ravel() * n_rows, seg_len)
-    packed = keys.take(flat)
-    del flat
+    # The int32 keys widened into ``flat``'s int64 buffer: the sort key
+    # needs room above the key bits for the node tag.
+    packed = flat
+    packed[:] = keys.take(flat)
     if n > 1:
         packed |= np.repeat(np.arange(n, dtype=np.int64) << shift, sizes * k)
     packed.sort()
@@ -345,10 +361,18 @@ def _search(keys, values, order, batch, candidates, shift):
 
 def _count_search(keys, values, order, node, candidates):
     """``_search`` of a chunk holding the one batch entry ``node``, from
-    one ``np.bincount`` of the node's keys instead of a sort."""
+    counts of the node's keys instead of a sort. Each candidate's keys
+    are gathered and counted alone, from the lowest (bin, label) pair
+    they reach, into that feature's slice of the count array."""
     _, _, start, size, positives, _ = node
     rows = order[start:start + size]
-    counts = np.bincount(keys[candidates[:, None], rows].ravel(), minlength=2 * len(values))
+    counts = np.zeros(2 * len(values), dtype=np.int64)
+    for feature in candidates:
+        column = keys[feature].take(rows)
+        low = int(column.min()) & ~1  # a (bin, label) pair starts at an even key
+        column -= low
+        part = np.bincount(column)
+        counts[low:low + part.size] = part  # features' bins do not overlap
     counts = counts.reshape(-1, 2)  # (bin, label); absent bins, other features' too, are 0
     present = np.flatnonzero(counts.any(axis=1))
     # Rows and positives at or below each present bin, over the candidates

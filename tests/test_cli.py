@@ -246,7 +246,7 @@ def test_eda_without_dropout_or_graduate_rows_writes_no_file(fixture_dir, tmp_pa
                  "--out", str(out)])
     assert code == 1
     assert capsys.readouterr().err == "dropcast: error: no Dropout or Graduate rows in dataset\n"
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_eda_peak_memory_is_near_the_matrix(tmp_path):
@@ -263,6 +263,23 @@ def test_eda_peak_memory_is_near_the_matrix(tmp_path):
     assert code == 0
     # Measured 2.80x: the binary table and the correlation's copies of it.
     assert peak <= 3.5 * matrix_bytes
+
+
+def test_train_dt_peak_memory_is_near_the_matrix(tmp_path):
+    data, manifest = tmp_path / "d.csv", tmp_path / "m.tsv"
+    generate_fixture(data, manifest, n_rows=20000, seed=7)
+    matrix_bytes = load_dataset(data, load_manifest(manifest)).feature_matrix.nbytes
+    tracemalloc.start()
+    try:
+        code = main(["train", "--model", "dt", "--seeds", "42", "--data", str(data),
+                     "--manifest", str(manifest), "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    # Measured 2.27x (3.22x with int64 keys and a gathered root block): the
+    # load, the binary table, its training rows and the tree's int32 keys.
+    assert peak <= 2.6 * matrix_bytes
 
 
 def test_importance_outputs(fixture_dir, tmp_path):
@@ -332,16 +349,14 @@ def test_exclude_flag(fixture_dir, tmp_path):
 @pytest.mark.parametrize("command", ["train", "importance"])
 def test_exclusion_leaving_no_feature_column_is_one_line_error(fixture_dir, tmp_path, capsys,
                                                                 command):
-    manifest = tmp_path / "academic_only.tsv"
-    lines = (fixture_dir / "manifest.tsv").read_text().splitlines()
-    manifest.write_text("".join(f"{line}\n" for line in lines if line.endswith("\tacademic")))
+    manifest = _academic_only_manifest(fixture_dir, tmp_path)
     out = tmp_path / "out"
     code = main([command, "--data", str(fixture_dir / "data.csv"), "--manifest", str(manifest),
                  "--exclude", "academic", "--out", str(out), *_fast_flags()])
     assert code == 1
     err = capsys.readouterr().err
     assert err == "dropcast: error: excluding group 'academic' leaves no feature column\n"
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_every_hyperparameter_is_set_by_its_flag():
@@ -381,7 +396,7 @@ def test_fixture_seed_outside_the_stream_range_is_runtime_error(tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith("dropcast: error:") and err.count("\n") == 1
     assert message in err
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -396,7 +411,7 @@ def test_fixture_group_and_strength_only_together(tmp_path, capsys, flags, messa
     err = capsys.readouterr().err
     assert err.startswith("dropcast: error:") and err.count("\n") == 1
     assert message in err
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 def _data_flags(fixture_dir):
@@ -435,6 +450,46 @@ def test_bad_run_flag_is_one_line_usage_error(fixture_dir, tmp_path, capsys, fla
     assert flag in error_lines[0] and message in error_lines[0]
 
 
+def _academic_only_manifest(fixture_dir, tmp_path):
+    manifest = tmp_path / "academic_only.tsv"
+    lines = (fixture_dir / "manifest.tsv").read_text().splitlines()
+    manifest.write_text("".join(f"{line}\n" for line in lines if line.endswith("\tacademic")))
+    return manifest
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["eda", "--data", "{tmp}/missing.csv"], 1),
+    (["eda", "--manifest", "{tmp}/missing.tsv"], 1),
+    (["eda", "--delimiter", ",,"], 2),
+    (["train", "--test-fraction", "1.5"], 1),
+    (["train", "--seeds", "42,42"], 2),
+    (["train", "--model", "knn", "--knn-k", "1000"], 1),
+    (["train", "--model", "dt", "--exclude", "academic", "--manifest", "{academic}"], 1),
+    (["roc", "--tree-max-depth", "0"], 1),
+    (["roc", "--data", "{tmp}/missing.csv"], 1),
+    (["ablate", "--forest-trees", "0"], 1),
+    (["ablate", "--manifest", "{tmp}/missing.tsv"], 1),
+    (["importance", "--exclude", "academic", "--manifest", "{academic}"], 1),
+    (["importance", "--svm-c", "nan"], 1),
+    (["fixture", "--rows", "5"], 1),
+    (["fixture", "--rows", "50", "--strength", "3"], 1),
+    (["fixture", "--rows", "50", "--seed", "-1"], 1),
+    (["fixture", "--rows", "many"], 2),
+])
+def test_rejected_run_leaves_no_out_directory(fixture_dir, tmp_path, capsys, argv, code):
+    fill = {"tmp": tmp_path, "academic": _academic_only_manifest(fixture_dir, tmp_path)}
+    argv = [arg.format(**fill) for arg in argv]
+    data = [] if argv[0] == "fixture" else _data_flags(fixture_dir)
+    # A later --data or --manifest overrides the fixture's.
+    out = tmp_path / "out" / "nested"
+    assert main([argv[0], *data, *argv[1:], "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1
+    if code == 1:
+        assert err.startswith("dropcast: error:") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_largest_seed_is_accepted(fixture_dir, tmp_path):
     code = main(["train", *_data_flags(fixture_dir), "--model", "dt", "--out", str(tmp_path),
                  "--seeds", "18446744073709551615,42"])
@@ -458,7 +513,7 @@ def test_non_finite_or_oversized_value_is_one_line_runtime_error(fixture_dir, tm
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("dropcast: error:") and err.count("\n") == 1
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_ablate_model_flag_builds_single_model_grid(fixture_dir, tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -202,3 +204,20 @@ def test_property_equals_brute_force_oracle(problem):
     finally:
         knn_mod._CHUNK_ELEMENTS = original
     assert np.array_equal(got, brute_force_knn_scores(x, y, queries, k))
+
+
+def test_scoring_peak_memory_is_bounded_by_the_block():
+    # The bench fixture's k-NN shape: 794 queries against 3176 training rows.
+    g = np.random.default_rng(4)
+    model = train_knn(g.normal(size=(3176, 34)), g.integers(0, 2, size=3176), k=20)
+    queries = g.normal(size=(794, 34))
+    tracemalloc.start()
+    try:
+        knn_scores(model, queries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Measured 4.1 float64s per (query, training row) pair of one block:
+    # 2.1 MB at 2**16 pairs, 8.6 MB at 2**18.
+    assert peak <= 5 * 8 * knn_mod._CHUNK_ELEMENTS
+    assert knn_mod._CHUNK_ELEMENTS <= 1 << 16

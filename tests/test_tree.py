@@ -363,8 +363,56 @@ def test_depth_5_tree_peak_memory_is_near_the_matrix(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # Measured 2.07x: the int64 keys and one node's gathered keys.
-    assert peak <= 2.6 * binary.feature_matrix.nbytes
+    # Measured 0.74x: the int32 keys (0.5x) and the root's partition.
+    # With int64 keys and the root's gathered key block it was 2.07x.
+    assert peak <= 1.0 * binary.feature_matrix.nbytes
+
+
+def test_keys_are_int32_up_to_the_largest_key():
+    x = np.array([[0.5, 3.0], [1.5, 3.0], [0.5, -1.0]])
+    keys, values, _ = _code_columns(x, [1, 0, 1])
+    assert keys.dtype == np.int32
+    assert keys.tolist() == [[1, 2, 1], [7, 6, 5]]  # column 1's bins: 2 for -1.0, 3 for 3.0
+    # 2**30 bins at most: the largest key, 2 * (2**30 - 1) + 1, is the int32 maximum.
+    assert 2 * tree_module._MAX_VALUES - 1 == np.iinfo(np.int32).max
+
+
+def test_a_matrix_that_could_overflow_the_keys_is_refused_without_allocating():
+    # 2**30 + 2**15 values, all one broadcast zero: no memory behind them.
+    x = np.broadcast_to(np.float64(0.0), (1 << 15, (1 << 15) + 1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="overflow an int32 key"):
+            build_tree(x, np.zeros(1 << 15, dtype=np.int64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_the_value_limit_is_inclusive(monkeypatch):
+    monkeypatch.setattr(tree_module, "_MAX_VALUES", 12)
+    assert build_tree(np.arange(12.0).reshape(4, 3), [0, 1, 0, 1]).n_nodes > 1
+    with pytest.raises(ValueError, match="at most 12"):
+        build_tree(np.arange(13.0).reshape(13, 1), np.arange(13) % 2)
+
+
+def test_a_node_tag_above_bit_31_keeps_nodes_apart():
+    # Several nodes sorted together give the same splits with their tag
+    # at bit 40, above the int32 key bits, as at the narrowest shift.
+    g = np.random.default_rng(11)
+    x = g.integers(0, 6, size=(90, 4)).astype(float)
+    keys, values, labels = _code_columns(x, g.integers(0, 2, size=90))
+    order = g.permutation(90)
+    batch = [(None, 0, start, 30, int(labels[order[start:start + 30]].sum()), 0)
+             for start in (0, 30, 60)]
+    candidates = np.broadcast_to(np.arange(4), (3, 4))
+    narrow = _search(keys, values, order, batch, candidates, _key_shift(3, len(values)))
+    assert narrow[0] == [0, 1, 2]
+    assert _search(keys, values, order, batch, candidates, 40) == narrow
+    for i, node in enumerate(batch):
+        alone = _search(keys, values, order, [node], candidates[:1], _key_shift(1, len(values)))
+        assert [column[0] for column in alone[1:]] == [column[i] for column in narrow[1:]]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
