@@ -7,7 +7,14 @@ split-time feature subsets from a generator seeded with ``seed XOR i``.
 All trees are grown in lockstep by one call (see ``tree``). No tree's
 stream depends on the other trees, so each tree equals the tree grown
 alone from its sample and stream, and the forest is a pure function of
-(data, tree count, seed).
+(data, tree count, seed). The bootstrap samples are drawn as one
+(trees × rows) block of the trees' streams (``rng.integer_block``),
+with the values each stream would draw alone.
+
+A forest's score is the ``np.mean`` over its trees of the leaf
+positive-fractions. Scoring walks all trees together, in blocks of
+query rows (``tree._mean_scores``), and averages each block along the
+tree axis, which gives the same bytes as averaging all rows at once.
 """
 
 from __future__ import annotations
@@ -17,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..rng import SeededRng
-from .tree import Tree, _code_columns, _grow_trees, tree_scores
+from ..rng import SeededRng, integer_block
+from .tree import Tree, _code_columns, _grow_trees, _mean_scores
 
 
 @dataclass(frozen=True)
@@ -39,16 +46,13 @@ def candidate_count(n_features: int) -> int:
 def build_forest(x: np.ndarray, y: np.ndarray, n_trees: int, seed: int) -> Forest:
     n_rows, n_features = x.shape
     tree_seeds = tuple((seed ^ i) & 0xFFFFFFFFFFFFFFFF for i in range(n_trees))
-    trees = []
-    for tree_seed in tree_seeds:
-        rng = SeededRng(tree_seed)
-        trees.append((rng.integers(n_rows, n_rows), rng))
-    grown = _grow_trees(_code_columns(x, y), trees, max_depth=None,
+    streams = [SeededRng(tree_seed) for tree_seed in tree_seeds]
+    samples = integer_block(streams, n_rows, n_rows)
+    grown = _grow_trees(_code_columns(x, y), list(zip(samples, streams)), max_depth=None,
                         n_candidates=candidate_count(n_features))
     return Forest(trees=tuple(grown), tree_seeds=tree_seeds)
 
 
 def forest_scores(forest: Forest, x: np.ndarray) -> np.ndarray:
-    """Mean of per-tree leaf positive-fractions."""
-    stacked = np.stack([tree_scores(tree, x) for tree in forest.trees])
-    return np.mean(stacked, axis=0)
+    """Mean of per-tree leaf positive-fractions, walked in blocks."""
+    return _mean_scores(forest.trees, x)

@@ -29,12 +29,16 @@ larger node is searched alone.
 A chunk is searched in one of two ways, which find the same split:
 
 - Sorted (``_search``). A node's rows are gathered once per candidate
-  feature, widened to int64, tagged with the node's index above the key
-  bits (``node << shift | key``) and sorted together. Because bins are
-  numbered feature-major and subsets are drawn sorted, each node's keys
-  sort candidate by candidate, in candidate order, and within a
-  candidate by threshold. Cuts are where the bin (``key >> 1``) changes
-  inside one candidate's run; positive counts are prefix sums of bit 0.
+  feature; each (node, candidate) pair is a segment, numbered
+  node-major and in candidate order. Every key is tagged with its
+  segment above the key bits (``segment << shift | key``), as int32
+  when the chunk's largest tag fits (``segments << shift <= 2**31``)
+  and as int64 otherwise, and the chunk is sorted together. Because
+  bins are numbered feature-major and subsets are drawn sorted, this is
+  the order of the node tag alone: node by node, candidate by
+  candidate, and within a candidate by threshold. Cuts are where the
+  bin (``key >> 1``) changes inside one segment; a cut's segment is its
+  key's tag, and positive counts are prefix sums of bit 0.
 - Counted (``_count_search``), for a chunk of one node whose rows times
   candidates are at least ``2 * n_bins``, the length of the count array
   (one slot per possible key). The node's keys are counted one candidate
@@ -54,8 +58,10 @@ stably in place. With feature subsampling, each split attempt advances
 its tree's stream by one subset draw of ``n_features`` counters.
 
 Leaves store the positive-class fraction of their training samples,
-which is the tree's score. Trees are flat parallel arrays; traversal is
-vectorized level by level.
+which is the tree's score. Trees are flat parallel arrays. Scoring walks
+the (tree, query row) pairs of all trees at once, level by level, in
+blocks of query rows (``_mean_scores``); a lone tree is the one-tree
+case.
 """
 
 from __future__ import annotations
@@ -77,6 +83,9 @@ _CHUNK_ELEMENTS = 1 << 15
 # Bins number at most the matrix's values; with at most 2**30 bins every
 # key ``2 * bin + label`` is below 2**31 and fits an int32.
 _MAX_VALUES = 1 << 30
+
+# Scoring walks the (tree, query row) pairs of about this many at once.
+_WALK_PAIRS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -136,10 +145,11 @@ def _code_columns(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _key_shift(n_nodes: int, n_bins: int) -> int:
-    """Bit position of the node index in the sort key ``node << shift | key``.
+    """Bit position of the tag in the sort key ``tag << shift | key``;
+    ``_search`` tags each key with its (node, candidate) segment.
 
     Keys are below ``2 * n_bins``. Raises OverflowError when the key of
-    node ``n_nodes - 1`` would not fit in an int64.
+    tag ``n_nodes - 1`` would not fit in an int64.
     """
     shift = (2 * n_bins - 1).bit_length()
     if n_nodes << shift > 1 << 63:
@@ -209,7 +219,7 @@ def _grow_trees(coded, trees, max_depth, n_candidates) -> list[Tree]:
     n_features, n_rows = keys.shape
     subsample = n_candidates is not None and n_candidates < n_features
     k = n_candidates if subsample else n_features
-    shift = _key_shift(len(trees), len(values))
+    shift = _key_shift(len(trees) * k, len(values))
     depth_limit = math.inf if max_depth is None else max_depth
 
     def push(state, node, start, size, positives, depth):
@@ -309,12 +319,14 @@ def _search(keys, values, order, batch, candidates, shift):
     flat += np.arange(total)
     flat = order.take(flat)
     flat += np.repeat(candidates.ravel() * n_rows, seg_len)
-    # The int32 keys widened into ``flat``'s int64 buffer: the sort key
-    # needs room above the key bits for the node tag.
-    packed = flat
-    packed[:] = keys.take(flat)
-    if n > 1:
-        packed |= np.repeat(np.arange(n, dtype=np.int64) << shift, sizes * k)
+    # Each key tagged with its segment above the key bits, as int32 when
+    # the largest tagged key fits. A chunk sorted here holds fewer than
+    # 2**31 keys (a lone node with more is counted), so int32 prefix sums
+    # of the positives do not overflow either.
+    narrow = n * k << shift <= 1 << 31
+    packed = keys.take(flat).astype(np.int32 if narrow else np.int64, copy=False)
+    del flat
+    packed |= np.repeat(np.arange(n * k, dtype=packed.dtype) << shift, seg_len)
     packed.sort()
 
     # A cut follows position j of a segment where the bin changes, short
@@ -326,7 +338,7 @@ def _search(keys, values, order, batch, candidates, shift):
     del cut
     if at.size == 0:
         return ()
-    seg = np.searchsorted(seg_end, at, side="right")
+    seg = packed[at] >> shift
 
     running = packed & 1
     np.cumsum(running, out=running)
@@ -443,17 +455,50 @@ def _partition(keys, order, starts, sizes, features, low_bins, left_sizes):
 
 def tree_scores(tree: Tree, x: np.ndarray) -> np.ndarray:
     """Leaf positive-fraction for every row of x."""
-    n = x.shape[0]
-    node = np.zeros(n, dtype=np.int64)
-    if n == 0:
-        return np.zeros(0, dtype=np.float64)
-    while True:
-        feats = tree.feature[node]
-        active = np.nonzero(feats >= 0)[0]
-        if active.size == 0:
-            break
-        current = node[active]
-        vals = x[active, tree.feature[current]]
-        go_left = vals <= tree.threshold[current]
-        node[active] = np.where(go_left, tree.left[current], tree.right[current])
-    return tree.pos_fraction[node]
+    return _mean_scores((tree,), x)
+
+
+def _mean_scores(trees, x: np.ndarray) -> np.ndarray:
+    """``np.mean`` over ``trees`` of each row's leaf positive-fraction.
+
+    The trees' nodes are concatenated, and the (tree, row) pairs of at
+    most ``max(2, _WALK_PAIRS // len(trees))`` query rows are walked
+    together, level by level. Each block's (trees × rows) leaf values
+    are averaged along the tree axis, which numpy sums tree by tree for
+    every row, as over all rows at once. A block of one row would be
+    summed pairwise instead, so a final one-row block is walked with the
+    row before it.
+    """
+    n, n_features = x.shape
+    sizes = [tree.n_nodes for tree in trees]
+    roots = np.cumsum([0] + sizes[:-1])
+    feature = np.concatenate([tree.feature for tree in trees])
+    threshold = np.concatenate([tree.threshold for tree in trees])
+    # Node i's children at 2i (left) and 2i + 1 (right).
+    children = np.concatenate([
+        np.stack((tree.left, tree.right), axis=1) + root for tree, root in zip(trees, roots)
+    ]).ravel()
+    leaf_value = np.concatenate([tree.pos_fraction for tree in trees])
+    x = x.ravel()
+    block = max(2, _WALK_PAIRS // len(trees))
+    scores = np.empty(n)
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        first = lo - 1 if hi - lo == 1 and n > 1 else lo
+        node = np.repeat(roots, hi - first)
+        # Where each pair's query row starts in the flat ``x``.
+        row_at = np.tile(np.arange(first * n_features, hi * n_features, n_features), len(trees))
+        while True:
+            split = feature.take(node)
+            active = np.flatnonzero(split >= 0)
+            if active.size == 0:
+                break
+            current = node.take(active)
+            go_right = x.take(row_at.take(active) + split.take(active)) <= threshold.take(current)
+            np.logical_not(go_right, out=go_right)
+            current += current
+            current += go_right
+            node[active] = children.take(current)
+        leaves = leaf_value.take(node).reshape(len(trees), hi - first)
+        scores[lo:hi] = np.mean(leaves, axis=0)[lo - first:]
+    return scores

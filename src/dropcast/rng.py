@@ -16,6 +16,9 @@ processes, and platforms. The process-global ``random`` and
 
 Each method consumes a contiguous block of counter values, so a fixed
 call sequence always sees the same stream regardless of batch sizes.
+``subsets`` and ``integer_block`` take the next draws of several streams
+as one (streams × n) block, with the values each stream would draw
+alone.
 When several logically independent streams are carved out of one seed
 (the fixture generator does this per column), use :meth:`child` rather
 than interleaving draws: child streams sit at mixer-scrambled offsets
@@ -57,9 +60,30 @@ def check_seeds(seeds: tuple[int, ...]) -> None:
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+    """The finalizer, in place on the uint64 array ``z``, with one
+    temporary of its size."""
+    t = z >> np.uint64(30)
+    z ^= t
+    z *= _MIX1
+    np.right_shift(z, np.uint64(27), out=t)
+    z ^= t
+    z *= _MIX2
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
+    return z
+
+
+def _raw_block(streams: list["SeededRng"], n: int) -> np.ndarray:
+    """(streams × n) raw draws, row i the next n of ``streams[i]``; each
+    stream advances n counters."""
+    seeds = np.array([stream._seed for stream in streams], dtype=np.uint64)
+    starts = np.array([stream._counter + 1 for stream in streams], dtype=np.uint64)
+    for stream in streams:
+        stream._counter += n
+    z = starts[:, None] + np.arange(n, dtype=np.uint64)
+    z *= _GAMMA
+    z += seeds[:, None]
+    return _mix64(z)
 
 
 class SeededRng:
@@ -70,10 +94,7 @@ class SeededRng:
         self._counter = 0
 
     def uint64(self, n: int) -> np.ndarray:
-        start = self._counter + 1
-        self._counter += n
-        idx = np.arange(start, start + n, dtype=np.uint64)
-        return _mix64(self._seed + idx * _GAMMA)
+        return _raw_block([self], n)[0]
 
     def child(self) -> "SeededRng":
         """Independent stream seeded by one draw from this one."""
@@ -91,9 +112,7 @@ class SeededRng:
         keeps the draw count independent of the values drawn (no
         rejection).
         """
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        return np.floor(self.uniforms(n) * bound).astype(np.int64)
+        return integer_block([self], n, bound)[0]
 
     def permutation(self, n: int) -> np.ndarray:
         """Permutation of range(n): argsort of n raw keys.
@@ -111,10 +130,21 @@ def subsets(streams: list[SeededRng], n: int, k: int) -> np.ndarray:
     (streams × n) block of raw keys; each stream advances n counters."""
     if k > n:
         raise ValueError("subset size exceeds population")
-    seeds = np.array([stream._seed for stream in streams], dtype=np.uint64)
-    starts = np.array([stream._counter + 1 for stream in streams], dtype=np.uint64)
-    for stream in streams:
-        stream._counter += n
-    counters = starts[:, None] + np.arange(n, dtype=np.uint64)
-    keys = _mix64(seeds[:, None] + counters * _GAMMA)
-    return np.sort(np.argsort(keys, axis=1)[:, :k], axis=1)
+    return np.sort(np.argsort(_raw_block(streams, n), axis=1)[:, :k], axis=1)
+
+
+def integer_block(streams: list[SeededRng], n: int, bound: int) -> np.ndarray:
+    """Row i: ``streams[i].integers(n, bound)``, from one (streams × n)
+    block of raw draws; each stream advances n counters."""
+    if bound <= 0:
+        raise ValueError("bound must be positive")
+    raw = _raw_block(streams, n)
+    raw >>= np.uint64(11)
+    u = raw.astype(np.float64)
+    u *= _DOUBLE_SCALE
+    u *= bound
+    np.floor(u, out=u)
+    # The integers go into the raw draws' buffer: one temporary block.
+    out = raw.view(np.int64)
+    np.copyto(out, u, casting="unsafe")
+    return out

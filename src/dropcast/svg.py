@@ -1,7 +1,8 @@
 """Dependency-free SVG rendering of ROC curves.
 
-One fixed-size chart: all curves, a dashed diagonal reference line, and
-a legend carrying each curve's AUC to three decimals. Coordinates are
+One chart: all curves, a dashed diagonal reference line, and a legend
+carrying each curve's AUC to three decimals. The canvas is 720x560 for
+up to 20 curves and grows taller to fit a longer legend. Coordinates are
 formatted with two decimals, so output bytes are deterministic for a
 given input.
 """
@@ -43,11 +44,16 @@ def render_roc_svg(reports: list[RocReport]) -> bytes:
     if not reports:
         raise InvalidArgumentError("need at least one report to plot")
     many_seeds = len({r.seed for r in reports}) > 1
+    legend_x = _LEFT + _PLOT_W - 250
+    # bottom-right corner; clamped below the plot's top, and the canvas
+    # grows so that a long legend's box ends 20 px above its bottom
+    legend_y = max(_TOP + 24, _TOP + _PLOT_H - 24 * len(reports) - 16)
+    height = max(_HEIGHT, legend_y + 24 * len(reports) + 26)
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
-        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
-        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{height}" '
+        f'viewBox="0 0 {_WIDTH} {height}">',
+        f'<rect width="{_WIDTH}" height="{height}" fill="white"/>',
         f'<rect x="{_LEFT}" y="{_TOP}" width="{_PLOT_W}" height="{_PLOT_H}" '
         'fill="none" stroke="#333333" stroke-width="1"/>',
     ]
@@ -93,9 +99,6 @@ def render_roc_svg(reports: list[RocReport]) -> bytes:
             f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="2"/>'
         )
 
-    legend_x = _LEFT + _PLOT_W - 250
-    # bottom-right corner; clamped so long legends stay on the canvas
-    legend_y = max(_TOP + 24, _TOP + _PLOT_H - 24 * len(reports) - 16)
     parts.append(
         f'<rect x="{legend_x - 10}" y="{legend_y - 18}" width="250" '
         f'height="{24 * len(reports) + 24}" fill="white" stroke="#cccccc"/>'

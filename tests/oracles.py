@@ -285,6 +285,25 @@ def _grow(coded, sample_idx, max_depth, min_leaf, n_candidates, rng) -> Tree:
     return Tree(*arrays)
 
 
+def reference_tree_scores(tree: Tree, x: np.ndarray) -> np.ndarray:
+    """Leaf positive-fraction for every row of x: one tree walked level by
+    level on its own arrays, as ``tree_scores`` first walked it."""
+    n = x.shape[0]
+    node = np.zeros(n, dtype=np.int64)
+    if n == 0:
+        return np.zeros(0, dtype=np.float64)
+    while True:
+        feats = tree.feature[node]
+        active = np.nonzero(feats >= 0)[0]
+        if active.size == 0:
+            break
+        current = node[active]
+        vals = x[active, tree.feature[current]]
+        go_left = vals <= tree.threshold[current]
+        node[active] = np.where(go_left, tree.left[current], tree.right[current])
+    return tree.pos_fraction[node]
+
+
 def reference_train_svm(x: np.ndarray, y: np.ndarray, c: float, epochs: int,
                         seed: int) -> LinearSvm:
     """The Pegasos loop as first written: per step, the batch's rows are

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -178,6 +179,16 @@ def test_ablate_deterministic_bytes(fixture_dir, tmp_path):
     assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
     assert (a / "roc.svg").read_bytes() == (b / "roc.svg").read_bytes()
     assert (a / "ablation.csv").read_bytes() == (b / "ablation.csv").read_bytes()
+
+
+def test_ablate_svg_bytes_are_pinned(fixture_dir, tmp_path):
+    # The baseline column's four curves of one seed, on the 720x560 canvas.
+    out = tmp_path / "out"
+    assert main(["ablate", *_data_flags(fixture_dir), "--out", str(out), *_fast_flags()]) == 0
+    svg = (out / "roc.svg").read_bytes()
+    assert svg.count(b"<polyline") == 4
+    assert hashlib.sha256(svg).hexdigest() == (
+        "ae4ca01e5d3da737259a770de12da0f9e22d8b699bf32101993144a08b580602")
 
 
 def test_threads_flag_does_not_change_output(fixture_dir, tmp_path):

@@ -1,13 +1,20 @@
-import numpy as np
+import tracemalloc
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import dropcast.models.tree as tree_module
 from dropcast.metrics import auc
 from dropcast.models import HyperParams, ModelKind, score, train_model
-from dropcast.models.forest import build_forest, candidate_count
+from dropcast.models.forest import build_forest, candidate_count, forest_scores
 from dropcast.models.tree import build_tree, tree_scores
 from dropcast.preprocess import split
 from dropcast.rng import SeededRng
 
 from conftest import make_binary
+from oracles import reference_tree_scores
 
 
 def trees_equal(a, b) -> bool:
@@ -109,3 +116,81 @@ def test_bootstrap_sampling_varies_between_trees():
     forest = build_forest(x, y, n_trees=6, seed=9)
     # Trees grown on different bootstrap draws almost surely differ.
     assert not all(trees_equal(forest.trees[0], t) for t in forest.trees[1:])
+
+
+def assert_scores_match_the_per_tree_walk(forest, queries):
+    """Each tree scores as the per-tree walk, and the forest as the
+    ``np.mean`` of those scores stacked, byte for byte."""
+    per_tree = [reference_tree_scores(tree, queries) for tree in forest.trees]
+    for tree, expected in zip(forest.trees, per_tree):
+        assert tree_scores(tree, queries).tobytes() == expected.tobytes()
+    expected = np.mean(np.stack(per_tree), axis=0)
+    got = forest_scores(forest, queries)
+    assert got.dtype == np.float64 and got.shape == (len(queries),)
+    assert got.tobytes() == expected.tobytes()
+
+
+@st.composite
+def scored_forests(draw):
+    """(forest, pairs per block, query rows): 1-40 trees, single-leaf
+    trees among them, and query counts around the block boundaries."""
+    n_trees = draw(st.integers(1, 40))
+    n_rows = draw(st.integers(1, 30))
+    p = draw(st.integers(1, 4))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # Few codes: repeated rows with mixed labels leave impure leaves, whose
+    # fractions a different summation order would round differently.
+    x = g.integers(0, 3, size=(n_rows, p)).astype(float)
+    labels = draw(st.sampled_from(["random", "all 0", "all 1"]))  # one class: single leaves
+    y = g.integers(0, 2, size=n_rows) if labels == "random" else np.full(n_rows, int(labels[-1]))
+    forest = build_forest(x, y, n_trees, draw(st.integers(0, 2**64 - 1)))
+    pairs = draw(st.sampled_from([1, 2, 3, 17, 100, 1000]))
+    block = max(2, pairs // n_trees)
+    n_queries = draw(st.one_of(
+        st.sampled_from([0, 1]),
+        st.integers(1, 3).flatmap(lambda m: st.sampled_from([m * block - 1, m * block,
+                                                            m * block + 1])),
+        st.integers(0, 60),
+    ))
+    # Half-integers: some queries sit on a threshold, which goes left.
+    queries = g.integers(-2, 10, size=(n_queries, p)) / 2.0
+    return forest, pairs, queries
+
+
+@settings(max_examples=300, deadline=None)
+@given(scored_forests())
+def test_blocked_walk_scores_as_the_per_tree_walk(problem):
+    forest, pairs, queries = problem
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tree_module, "_WALK_PAIRS", pairs)
+        assert_scores_match_the_per_tree_walk(forest, queries)
+
+
+@pytest.mark.parametrize("n_queries", [1, 1637, 1638, 1639, 3276, 3277])
+def test_full_blocks_score_as_the_per_tree_walk(n_queries):
+    # 40 trees: blocks of 2**16 // 40 = 1638 query rows. Two features of
+    # three codes and random labels: most leaves are impure.
+    assert tree_module._WALK_PAIRS // 40 == 1638
+    g = np.random.default_rng(27)
+    forest = build_forest(g.integers(0, 3, size=(120, 2)).astype(float),
+                          g.integers(0, 2, size=120), 40, 3)
+    assert_scores_match_the_per_tree_walk(forest, g.integers(-1, 7, size=(n_queries, 2)) / 2.0)
+
+
+def test_scoring_peak_memory_is_bounded_by_the_block():
+    g = np.random.default_rng(31)
+    x = g.integers(0, 10, size=(400, 34)).astype(float)
+    forest = build_forest(x, (x[:, 0] + g.normal(size=400) > 4.5).astype(int), 100, 42)
+    queries = g.integers(0, 10, size=(17690, 34)).astype(float)
+    tracemalloc.start()
+    try:
+        forest_scores(forest, queries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Measured 4.8 MB; stacking every tree's scores peaked at 28.3 MB.
+    nodes = sum(tree.n_nodes for tree in forest.trees)
+    bound = 8 * (10 * tree_module._WALK_PAIRS + len(queries) + 8 * nodes)
+    assert tree_module._WALK_PAIRS <= 1 << 16
+    assert bound < 8 * forest.n_trees * len(queries)  # below the (trees × rows) scores
+    assert peak <= bound

@@ -1,4 +1,5 @@
 import json
+import re
 
 import jsonschema
 import numpy as np
@@ -137,6 +138,34 @@ def test_svg_two_point_curve(run_config, fixture_paths):
     svg = render_roc_svg([report]).decode("utf-8")
     assert svg.count("<polyline") == 1
     assert "AUC=0.500" in svg
+
+
+@pytest.mark.parametrize("n_reports", [1, 17, 18, 20, 21, 24, 40])
+def test_svg_legend_lies_inside_the_view_box(n_reports):
+    from dropcast.metrics import RocCurve, RocReport
+
+    curve = RocCurve(fpr=np.array([0.0, 0.25, 1.0]), tpr=np.array([0.0, 0.75, 1.0]),
+                     thresholds=np.array([np.inf, 0.5, 0.0]))
+    reports = [RocReport(model_kind=ModelKind.RANDOM_FOREST, excluded_group=None, seed=seed,
+                         auc=0.75, accuracy=0.5, curve=curve) for seed in range(n_reports)]
+    svg = render_roc_svg(reports).decode("utf-8")
+    width, height = map(int, re.search(r'viewBox="0 0 (\d+) (\d+)"', svg).groups())
+    assert svg.startswith(f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+                          f'height="{height}" ')
+    assert f'<rect width="{width}" height="{height}" fill="white"/>' in svg
+    assert height == 560 if n_reports <= 20 else height > 560
+    box = re.search(r'<rect x="(\d+)" y="(\d+)" width="(\d+)" height="(\d+)" fill="white" '
+                    r'stroke="#cccccc"/>', svg)
+    x, y, w, h = map(int, box.groups())
+    assert 0 <= x and x + w <= width and 0 <= y and y + h <= height
+    labels = re.findall(r'<text x="(\d+)" y="(\d+)" font-size="13" font-family="sans-serif">'
+                        r'[^<]*AUC=', svg)
+    keys = re.findall(r'<line x1="(\d+)" y1="(\d+)" x2="(\d+)" y2="\d+" stroke="#', svg)
+    assert len(labels) == n_reports and len(keys) == n_reports
+    for _, top in labels:  # a 13-px label lies inside the box
+        assert y + 13 <= int(top) <= y + h
+    for left, top, right in keys:
+        assert x <= int(left) < int(right) <= x + w and y <= int(top) <= y + h
 
 
 def test_svm_objective_recorded_in_runs(run_config, baseline_reports):

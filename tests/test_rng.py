@@ -2,11 +2,11 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dropcast.errors import InvalidArgumentError
-from dropcast.rng import SeededRng, check_seed, check_seeds, subsets
+from dropcast.rng import SeededRng, check_seed, check_seeds, integer_block, subsets
 
 
 def test_same_seed_same_stream():
@@ -123,6 +123,39 @@ def test_subsets_rows_equal_each_streams_next_permutation(problem):
             assert np.array_equal(row, np.sort(fresh[i].permutation(n)[:k]))
     for stream, copy in zip(streams, fresh):  # each advanced by n per row drawn
         assert stream.uint64(1) == copy.uint64(1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(1, 40), st.integers(1, 300), st.integers(0, 3))
+@example(seed=0, n_trees=40, n=300, drawn=0)
+@example(seed=2**64 - 1, n_trees=40, n=300, drawn=1)
+def test_integer_block_rows_equal_each_streams_bootstrap(seed, n_trees, n, drawn):
+    # The forest's bootstrap: tree i's stream is seeded with seed ^ i.
+    streams = [SeededRng(seed ^ i) for i in range(n_trees)]
+    alone = [SeededRng(seed ^ i) for i in range(n_trees)]
+    for stream, copy in zip(streams, alone):  # streams that have drawn before
+        stream.uint64(drawn), copy.uint64(drawn)
+    block = integer_block(streams, n, n)
+    assert block.shape == (n_trees, n) and block.dtype == np.int64
+    for row, stream, copy in zip(block, streams, alone):
+        assert np.array_equal(row, copy.integers(n, n))
+        assert stream.uint64(2).tolist() == copy.uint64(2).tolist()  # each advanced by n
+
+
+def test_integers_are_the_floor_of_scaled_uniforms():
+    for seed, bound in ((0, 1), (7, 10), (2**64 - 1, 4424), (42, 2**40 + 1)):
+        expected = np.floor(SeededRng(seed).uniforms(500) * bound).astype(np.int64)
+        assert np.array_equal(SeededRng(seed).integers(500, bound), expected)
+        assert np.array_equal(integer_block([SeededRng(seed)], 500, bound)[0], expected)
+
+
+def test_a_bad_bound_is_refused_before_any_draw():
+    streams = [SeededRng(1), SeededRng(2)]
+    for draw in (lambda: integer_block(streams, 5, 0), lambda: streams[0].integers(5, -1)):
+        with pytest.raises(ValueError, match="bound must be positive"):
+            draw()
+    assert [s.uint64(1).tolist() for s in streams] == [SeededRng(s).uint64(1).tolist()
+                                                        for s in (1, 2)]
 
 
 @pytest.mark.parametrize("seed, message", [

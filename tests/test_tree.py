@@ -415,6 +415,50 @@ def test_a_node_tag_above_bit_31_keeps_nodes_apart():
         assert [column[0] for column in alone[1:]] == [column[i] for column in narrow[1:]]
 
 
+@st.composite
+def batched_nodes(draw):
+    """(coded columns, row order, a batch of nodes, their candidates) of
+    several nodes searched together, as one lockstep step searches them."""
+    n = draw(st.integers(2, 60))
+    p = draw(st.integers(1, 6))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):  # few codes: ties, constant columns, absent bins
+        x = g.integers(0, draw(st.integers(1, 5)), size=(n, p)).astype(float)
+    else:
+        x = np.round(g.normal(size=(n, p)) * 10.0, draw(st.integers(0, 2)))
+    coded = _code_columns(x, g.integers(0, 2, size=n))
+    # Several trees' bootstrap samples, one after another.
+    order = g.integers(0, n, size=n * draw(st.integers(1, 4)))
+    k = draw(st.integers(1, p))
+    batch, candidates = [], []
+    for _ in range(draw(st.integers(2, 8))):
+        start = draw(st.integers(0, len(order) - 2))
+        size = draw(st.integers(2, len(order) - start))
+        positives = int(coded[2][order[start:start + size]].sum())
+        batch.append((None, 0, start, size, positives, 0))
+        candidates.append(np.sort(g.permutation(p)[:k]))
+    return coded, order, batch, np.array(candidates)
+
+
+@settings(max_examples=300, deadline=None)
+@given(batched_nodes())
+def test_batched_nodes_split_alike_on_int32_and_int64_keys_and_alone(problem):
+    # The narrowest shift sorts the tagged keys as int32, shift 40 as int64.
+    (keys, values, _), order, batch, candidates = problem
+    n, k = candidates.shape
+    shift = _key_shift(n * k, len(values))
+    assert n * k << shift <= 1 << 31 < n * k << 40
+    together = _search(keys, values, order, batch, candidates, shift)
+    assert _search(keys, values, order, batch, candidates, 40) == together
+    together = together or ([],) * 6
+    for i, node in enumerate(batch):
+        alone = _search(keys, values, order, [node], candidates[i:i + 1], _key_shift(k, len(values)))
+        alone = alone or ([],) * 6
+        mine = [j for j, of in enumerate(together[0]) if of == i]
+        assert alone[0] == [0] * len(mine)
+        assert list(alone[1:]) == [[column[j] for j in mine] for column in together[1:]]
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_builders_reject_non_finite_features(bad):
     x = np.arange(12, dtype=float).reshape(6, 2)

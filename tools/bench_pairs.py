@@ -20,7 +20,10 @@ pairs the change wins and ties (by the metric's direction in
 output digest is the same on both sides. Naming ``dt-fit`` among the
 workloads adds ``DT_FIT_ROUNDS`` rounds of ``tools/dt_fit.py``, alternating
 sides: the in-process CPU time and tracemalloc peak of the decision-tree
-fit on the 88 480-row fixture. Naming ``fixture-gen`` adds
+fit on the 88 480-row fixture. Naming ``forest-fit`` adds
+``FOREST_FIT_ROUNDS`` rounds of ``tools/forest_fit.py``, alternating sides:
+the in-process CPU time of the 100-tree forest fit on the 4424-row bench
+fixture, a digest of its trees, and its scoring time. Naming ``fixture-gen`` adds
 ``FIXTURE_GEN_ROUNDS`` rounds of the 88 480-row ``dropcast fixture``
 child, alternating sides: its wall time, peak RSS and the sha256 of the
 ``fixture.csv`` it wrote. ``setup_s`` mixes fixture time with the
@@ -46,9 +49,11 @@ SECONDS = "30"
 SEED = 7  # the benchmark's default fixture seed
 WARM_UP = "import numpy as np; a = np.ones((512, 512)); a @ a"
 LARGE_ROWS = "88480"  # the ingest-large fixture
+BENCH_ROWS = "4424"  # the bench fixture
 DT_FIT_ROUNDS = 4
+FOREST_FIT_ROUNDS = 4
 FIXTURE_GEN_ROUNDS = 6
-EXTRAS = ("dt-fit", "fixture-gen")
+EXTRAS = ("dt-fit", "forest-fit", "fixture-gen")
 
 
 def run_benchmark(checkout: Path, workload: str) -> dict:
@@ -108,37 +113,58 @@ def summarise(workload: str, runs: list[dict], better: dict[str, str]) -> dict:
     }
 
 
-def fixture_argv(folder: str | Path) -> list[str]:
-    return [sys.executable, "-m", "dropcast.cli", "fixture", "--rows", LARGE_ROWS,
+def fixture_argv(folder: str | Path, rows: str = LARGE_ROWS) -> list[str]:
+    return [sys.executable, "-m", "dropcast.cli", "fixture", "--rows", rows,
             "--seed", str(SEED), "--planted-group", "academic", "--strength", "3.0",
             "--out", str(folder)]
 
 
-def dt_fit(checkouts: dict[str, Path]) -> dict:
-    """``tools/dt_fit.py`` on each side, ``DT_FIT_ROUNDS`` times, alternating."""
+def probe_rounds(checkouts: dict[str, Path], script: str, rows: str, rounds: int) -> dict:
+    """``tools/<script>`` on each side, ``rounds`` times, alternating, on one
+    fixture of ``rows`` rows built by the change's checkout."""
     results: dict[str, list[dict]] = {side: [] for side in checkouts}
     with tempfile.TemporaryDirectory() as folder:
         subprocess.run(
-            fixture_argv(folder),
+            fixture_argv(folder, rows),
             env={**os.environ, "PYTHONPATH": str(checkouts["change"] / "src")}, check=True,
             stdout=subprocess.DEVNULL,
         )
-        for r in range(DT_FIT_ROUNDS):
+        for r in range(rounds):
             sides = list(checkouts) if r % 2 == 0 else list(reversed(checkouts))
             for side in sides:
                 subprocess.run([sys.executable, "-c", WARM_UP], check=True)
                 proc = subprocess.run(
-                    [sys.executable, str(HERE / "dt_fit.py"),
+                    [sys.executable, str(HERE / script),
                      "--data", f"{folder}/fixture.csv", "--manifest", f"{folder}/fixture_manifest.tsv"],
                     env={**os.environ, "PYTHONPATH": str(checkouts[side] / "src")},
                     capture_output=True, text=True, check=True,
                 )
                 results[side].append(json.loads(proc.stdout.splitlines()[-1]))
+    return results
+
+
+def dt_fit(checkouts: dict[str, Path]) -> dict:
+    """``tools/dt_fit.py`` on each side, ``DT_FIT_ROUNDS`` times, alternating."""
+    results = probe_rounds(checkouts, "dt_fit.py", LARGE_ROWS, DT_FIT_ROUNDS)
     fits = len(results["change"][0]["cpu_s"])
     return {
         "what": f"tools/dt_fit.py: build_tree(max_depth=5) on the seed-42 training split of the "
                 f"{LARGE_ROWS}-row seed-{SEED} fixture, CPU seconds of {fits} fits and the "
                 f"tracemalloc peak of one more, per round; rounds alternate which side runs first",
+        **results,
+    }
+
+
+def forest_fit(checkouts: dict[str, Path]) -> dict:
+    """``tools/forest_fit.py`` on each side, ``FOREST_FIT_ROUNDS`` times, alternating."""
+    results = probe_rounds(checkouts, "forest_fit.py", BENCH_ROWS, FOREST_FIT_ROUNDS)
+    fits = len(results["change"][0]["cpu_s"])
+    return {
+        "what": f"tools/forest_fit.py: build_forest(100 trees, seed 42) on the seed-42 training "
+                f"split of the {BENCH_ROWS}-row seed-{SEED} fixture, CPU seconds of {fits} fits, "
+                f"a sha256 of the trees, and the median CPU seconds and sha256 of forest_scores "
+                f"on the test rows and on them repeated to 17690 rows, with the tracemalloc "
+                f"peak of the latter, per round; rounds alternate which side runs first",
         **results,
     }
 
@@ -180,7 +206,8 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, required=True, help="parent commit's checkout")
     parser.add_argument("--change", type=Path, required=True, help="change's checkout")
     parser.add_argument("--out", type=Path, required=True, help="JSON file to write")
-    parser.add_argument("pairs", nargs="+", metavar="WORKLOAD=N | dt-fit | fixture-gen")
+    parser.add_argument("pairs", nargs="+",
+                        metavar="WORKLOAD=N | dt-fit | forest-fit | fixture-gen")
     args = parser.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     benchmark = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
@@ -213,8 +240,11 @@ def main(argv=None) -> int:
                    f"Python {platform.python_version()}",
         "summary": summary,
     }
-    if "dt-fit" in args.pairs:
-        doc["in_process"] = {"dt_fit": dt_fit(checkouts)}
+    probes = {"dt-fit": dt_fit, "forest-fit": forest_fit}
+    in_process = {name.replace("-", "_"): probe(checkouts)
+                  for name, probe in probes.items() if name in args.pairs}
+    if in_process:
+        doc["in_process"] = in_process
     if "fixture-gen" in args.pairs:
         doc["fixture_gen"] = fixture_gen(checkouts)
     doc["runs"] = runs
