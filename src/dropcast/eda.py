@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnknownFeatureError
+from .errors import InvalidArgumentError
 from .ingest import LABELS, Dataset, Outcome
 from .preprocess import apply_standardizer, fit_standardizer
 
@@ -36,7 +36,7 @@ def _column(binary: Dataset, feature_name: str) -> np.ndarray:
     try:
         index = binary.column_names.index(feature_name)
     except ValueError:
-        raise UnknownFeatureError(f"no feature named {feature_name!r}") from None
+        raise InvalidArgumentError(f"no feature named {feature_name!r}") from None
     return binary.feature_matrix[:, index]
 
 

@@ -1,7 +1,13 @@
 """Exception hierarchy shared across the package.
 
 Every error raised on bad input or a broken contract derives from
-``DropcastError`` so callers (and the CLI) can catch one type.
+``DropcastError`` so callers (and the CLI) can catch one type; its
+message is one line. Catch ``FileFormatError`` for a manifest or records
+file that cannot be read (not UTF-8, malformed, a column named twice),
+``MissingColumnError`` (``.column``) for a header without a required
+column, ``CellParseError`` or ``MissingValueError`` (``.row``,
+``.column``) for a bad or empty data cell, and ``InvalidArgumentError``
+for an argument or a dataset an operation cannot take.
 """
 
 
@@ -9,13 +15,11 @@ class DropcastError(Exception):
     pass
 
 
-# --- ingestion ---
-
-class ManifestParseError(DropcastError):
+class InvalidArgumentError(DropcastError):
     pass
 
 
-class DuplicateColumnError(DropcastError):
+class FileFormatError(DropcastError):
     pass
 
 
@@ -37,65 +41,3 @@ class MissingValueError(DropcastError):
         super().__init__(f"missing value at data row {row}, column {column!r}")
         self.row = row
         self.column = column
-
-
-class EmptyResultError(DropcastError):
-    pass
-
-
-class FileFormatError(DropcastError):
-    """An input file that is not UTF-8 text or that the csv reader cannot split."""
-
-
-# --- preprocessing ---
-
-class InvalidFractionError(DropcastError):
-    pass
-
-
-class ColumnMismatchError(DropcastError):
-    pass
-
-
-class UnknownGroupError(DropcastError):
-    pass
-
-
-# --- models ---
-
-class SingleClassError(DropcastError):
-    pass
-
-
-class InsufficientRowsError(DropcastError):
-    pass
-
-
-class WidthMismatchError(DropcastError):
-    pass
-
-
-# --- metrics ---
-
-class LengthMismatchError(DropcastError):
-    pass
-
-
-class KindMismatchError(DropcastError):
-    pass
-
-
-class NoSplitError(DropcastError):
-    pass
-
-
-# --- eda ---
-
-class UnknownFeatureError(DropcastError):
-    pass
-
-
-# --- cli / fixtures ---
-
-class InvalidArgumentError(DropcastError):
-    pass

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidArgumentError, InvalidFractionError
+from .errors import InvalidArgumentError
 from .ingest import Dataset, FeatureGroup, load_dataset, load_manifest, to_binary
 from .metrics import RocReport, accuracy, auc, roc_curve
 from .models import (
@@ -67,7 +67,7 @@ class RunConfig:
     def __post_init__(self):
         check_seeds(self.seeds)
         if not 0.0 < self.test_fraction < 1.0:
-            raise InvalidFractionError(
+            raise InvalidArgumentError(
                 f"test_fraction must be in (0, 1), got {self.test_fraction}"
             )
         if not self.models:

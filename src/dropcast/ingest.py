@@ -7,24 +7,26 @@ columns are assigned to one of four groups (demographic, socioeconomic,
 macroeconomic, academic) by an external manifest file so that schema
 variants of the records file can be mapped without code changes.
 
-``load_dataset`` parses the data rows in one call to numpy's C text
-reader (``np.loadtxt``), which splits records as ``csv.reader`` does,
-unquotes ``"``-quoted cells, converts the manifest cells and maps each
-``Target`` word to its label in ``LABELS``, so a load peaks near the
-size of its matrix. If that reader raises (on a short row, a cell it
-cannot parse, the delimiter ``"``) or gives a value that is not finite
-(a ``nan`` or ``inf`` cell, an unknown ``Target``), ``_parse_rows``
-reads the file again cell by cell and raises the error a plain row loop
-raises, with its data-row number and text. It also loads what only
-``float`` parses (``1_000``, ``１``). Both paths give the same matrix and
-labels for every file the row loop loads. numpy's reader has no field
-limit, so a file it reads whole loads even with a data cell longer than
-``csv.field_size_limit()``; ``"1" * 131073`` reads as ``inf`` and takes
-the row loop, where the csv reader cannot split its record. A manifest
-or records file that is not UTF-8 text, or a header or, in the row
-loop, a record the csv reader cannot split, raises one
-``FileFormatError`` line naming the file and, for a record, its data
-row. Both files may open with a byte-order mark.
+One reader turns a records file into a matrix: ``load_dataset`` parses
+the data rows in one call to numpy's C text reader (``np.loadtxt``),
+which splits records as ``csv.reader`` does, unquotes ``"``-quoted
+cells, converts the manifest cells and maps each ``Target`` word to its
+label in ``LABELS``, so a load peaks near the size of its matrix. A
+feature cell is good if, stripped of whitespace, it is ASCII text with
+no ``_`` that ``float`` parses to a finite value: ``1_000`` and the
+fullwidth ``１``, which ``float`` alone takes, are bad. If the reader
+raises (on a short row or a bad cell) or gives a value that is not
+finite (a ``nan`` or ``inf`` cell, an unknown ``Target``),
+``_raise_first_bad_cell`` reads the file again row by row only to raise
+the first bad cell's error, with its data-row number and text; it
+returns nothing. The delimiter ``"`` is the quote character and is
+rejected. numpy's reader has no field limit, so a file it reads whole
+loads even with a data cell longer than ``csv.field_size_limit()``;
+``"1" * 131073`` reads as ``inf``, and the row loop's csv reader cannot
+split its record. A manifest or records file that is not UTF-8 text,
+or a header or, in the row loop, a record the csv reader cannot split,
+raises one ``FileFormatError`` line naming the file and, for a record,
+its data row. Both files may open with a byte-order mark.
 """
 
 from __future__ import annotations
@@ -33,20 +35,17 @@ import csv
 import enum
 import math
 import warnings
-from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
 from .errors import (
     CellParseError,
-    DuplicateColumnError,
-    EmptyResultError,
     FileFormatError,
     InvalidArgumentError,
-    ManifestParseError,
     MissingColumnError,
     MissingValueError,
 )
@@ -67,7 +66,7 @@ class FeatureGroup(enum.Enum):
         try:
             return cls(tag)
         except ValueError:
-            raise ManifestParseError(f"unknown feature group tag: {tag!r}") from None
+            raise FileFormatError(f"unknown feature group tag: {tag!r}") from None
 
 
 class Outcome(enum.Enum):
@@ -99,13 +98,13 @@ class GroupManifest:
 
     def __post_init__(self):
         if not self.entries:
-            raise ManifestParseError("manifest contains no entries")
+            raise FileFormatError("manifest contains no entries")
         seen: set[str] = set()
         for name in self.column_names:
             if name == TARGET_COLUMN:
-                raise ManifestParseError(f"{name!r} is the label, not a feature")
+                raise FileFormatError(f"{name!r} is the label, not a feature")
             if name in seen:
-                raise DuplicateColumnError(f"column listed twice in manifest: {name!r}")
+                raise FileFormatError(f"column listed twice in manifest: {name!r}")
             seen.add(name)
 
     @property
@@ -180,7 +179,7 @@ def default_manifest_path(version: str = "default-34") -> Path:
     """Path of a shipped manifest: 'default-34' or 'variant-36'."""
     files = {"default-34": "default34.tsv", "variant-36": "variant36.tsv"}
     if version not in files:
-        raise ManifestParseError(f"no shipped manifest named {version!r}")
+        raise InvalidArgumentError(f"no shipped manifest named {version!r}")
     return _MANIFEST_DIR / files[version]
 
 
@@ -204,19 +203,18 @@ def load_manifest(path: str | Path) -> GroupManifest:
                 continue
             parts = line.split("\t")
             if len(parts) != 2:
-                raise ManifestParseError(
+                raise FileFormatError(
                     f"{path}:{line_no}: expected 'column<TAB>group', got {line!r}"
                 )
             name = parts[0].strip()
             if not name:
-                raise ManifestParseError(f"{path}:{line_no}: empty column name")
+                raise FileFormatError(f"{path}:{line_no}: empty column name")
             if name == TARGET_COLUMN:
-                raise ManifestParseError(f"{path}:{line_no}: {name!r} is the label, not a feature")
+                raise FileFormatError(f"{path}:{line_no}: {name!r} is the label, not a feature")
             entries.append((name, FeatureGroup.from_tag(parts[1].strip())))
-    try:
-        return GroupManifest(entries=tuple(entries), version_tag=version_tag)
-    except ManifestParseError as exc:
-        raise ManifestParseError(f"{path}: {exc}") from None
+    if not entries:
+        raise FileFormatError(f"{path}: manifest contains no entries")
+    return GroupManifest(entries=tuple(entries), version_tag=version_tag)
 
 
 def load_dataset(
@@ -231,8 +229,10 @@ def load_dataset(
     errors; there is no imputation. A manifest column or ``Target``
     named twice in the header is an error too. The error names the
     first bad cell in file order, by data row (blank lines count) and
-    column.
+    column. The delimiter may not be ``"``, the quote character.
     """
+    if delimiter == '"':
+        raise InvalidArgumentError(f"delimiter {delimiter!r} is the quote character")
     columns = manifest.column_names
     with _open_text(csv_path, encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle, delimiter=delimiter)
@@ -248,7 +248,7 @@ def load_dataset(
             if name not in positions:
                 raise MissingColumnError(name)
             if names.count(name) > 1:
-                raise DuplicateColumnError(f"column appears twice in header: {name!r}")
+                raise FileFormatError(f"column appears twice in header: {name!r}")
         feature_pos = [positions[name] for name in columns]
         target_pos = positions[TARGET_COLUMN]
 
@@ -261,36 +261,30 @@ def load_dataset(
                     usecols=[*feature_pos, target_pos], converters={target_pos: _label},
                     dtype=np.float64, ndmin=2,
                 )
-        except (IndexError, TypeError, ValueError):  # TypeError: the delimiter is '"'
+        except (IndexError, ValueError):
             values = None
-    if values is not None and np.isfinite(values).all():
-        matrix, labels = values[:, :-1], values[:, -1].astype(np.int64)
-    else:
-        values, labels = _parse_rows(csv_path, delimiter, columns, feature_pos, target_pos)
-        matrix = np.asarray(values).reshape(len(labels), len(columns))
-        labels = np.asarray(labels)
+    if values is None or not np.isfinite(values).all():
+        _raise_first_bad_cell(csv_path, delimiter, columns, feature_pos, target_pos)
     return Dataset(
-        feature_matrix=_freeze(matrix),
+        feature_matrix=_freeze(values[:, :-1]),
         column_names=columns,
         column_groups=manifest.column_groups,
-        labels=_freeze(labels),
+        labels=_freeze(values[:, -1].astype(np.int64)),
     )
 
 
-def _parse_rows(
+def _raise_first_bad_cell(
     csv_path: str | Path,
     delimiter: str,
     columns: tuple[str, ...],
     feature_pos: list[int],
     target_pos: int,
-) -> tuple[array, array]:
-    """Parse the data rows one cell at a time and raise the error for
-    the first bad cell: rows in file order; within a row, missing or
+) -> NoReturn:
+    """Read the data rows one cell at a time and raise the error for the
+    first bad cell: rows in file order; within a row, missing or
     unparsable feature cells in manifest order, then non-finite ones,
-    then ``Target``. If no cell is bad, return the feature values,
-    row-major, and the labels: every cell was good once stripped."""
-    values = array("d")
-    labels = array("q")
+    then ``Target``. Called only once numpy's reader has rejected the
+    file, it raises ``FileFormatError`` if it finds no bad cell."""
     with _open_text(csv_path, encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle, delimiter=delimiter)
         next(reader)  # the header, already checked
@@ -304,6 +298,8 @@ def _parse_rows(
                     text = record[pos].strip() if pos < len(record) else ""
                     if not text:
                         raise MissingValueError(row_no, name)
+                    if not text.isascii() or "_" in text:  # numpy's reader takes neither
+                        raise CellParseError(row_no, name, text)
                     try:
                         row.append(float(text))
                     except ValueError:
@@ -316,18 +312,16 @@ def _parse_rows(
                 target_text = record[target_pos].strip()
                 if target_text not in _WORD_LABELS:
                     raise CellParseError(row_no, TARGET_COLUMN, target_text)
-                values.extend(row)
-                labels.append(_WORD_LABELS[target_text])
         except csv.Error as exc:
             raise FileFormatError(f"{csv_path}: data row {row_no + 1}: {exc}") from None
-    return values, labels
+    raise FileFormatError(f"{csv_path}: cannot read the data rows, though no cell is bad")
 
 
 def to_binary(dataset: Dataset) -> Dataset:
     """Keep the Dropout (label 1) and Graduate (label 0) rows, in order."""
     keep = np.flatnonzero(dataset.labels < LABELS[Outcome.ENROLLED])
     if keep.size == 0:
-        raise EmptyResultError("no Dropout or Graduate rows in dataset")
+        raise InvalidArgumentError("no Dropout or Graduate rows in dataset")
     return Dataset(
         feature_matrix=_freeze(dataset.feature_matrix[keep]),
         column_names=dataset.column_names,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, KindMismatchError, LengthMismatchError, NoSplitError, SingleClassError
+from .errors import InvalidArgumentError
 from .ingest import FeatureGroup
 from .models import ModelKind, TrainedModel
 from .models.forest import Forest
@@ -49,7 +49,7 @@ def _validate_pair(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, 
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     if scores.shape != labels.shape or scores.ndim != 1:
-        raise LengthMismatchError(
+        raise InvalidArgumentError(
             f"scores and labels must be equal-length vectors, got {scores.shape} and {labels.shape}"
         )
     # Checked before the cast, which would truncate a fractional label to 0 or 1.
@@ -66,7 +66,7 @@ def _tie_runs(scores, labels):
     n_pos = int((labels == 1).sum())
     n_neg = labels.shape[0] - n_pos
     if n_pos == 0 or n_neg == 0:
-        raise SingleClassError("need at least one positive and one negative label")
+        raise InvalidArgumentError("need at least one positive and one negative label")
     order = np.argsort(-scores, kind="stable")
     sorted_scores = scores[order]
     # Last index of each distinct-score run.
@@ -101,7 +101,7 @@ def accuracy(scores, labels, threshold: float) -> float:
     """Fraction of rows where (score >= threshold) matches the label."""
     scores, labels = _validate_pair(scores, labels)
     if scores.shape[0] == 0:
-        raise LengthMismatchError("accuracy over zero rows is undefined")
+        raise InvalidArgumentError("accuracy over zero rows is undefined")
     predicted = (scores >= threshold).astype(np.int64)
     return float((predicted == labels).mean())
 
@@ -114,7 +114,7 @@ def forest_importance(model: TrainedModel) -> np.ndarray:
     from its node's Gini to the weighted Gini of its children.
     """
     if model.kind is not ModelKind.RANDOM_FOREST:
-        raise KindMismatchError(f"feature importance needs a random forest, got {model.kind.value}")
+        raise InvalidArgumentError(f"feature importance needs a random forest, got {model.kind.value}")
     forest: Forest = model.payload
     totals = np.zeros(model.n_features, dtype=np.float64)
     any_split = False
@@ -133,7 +133,7 @@ def forest_importance(model: TrainedModel) -> np.ndarray:
         drop = (n[nodes] / n[0]) * (gini[nodes] - child_gini)
         np.add.at(totals, tree.feature[nodes], drop)
     if not any_split:
-        raise NoSplitError("every tree in the forest is a single leaf")
+        raise InvalidArgumentError("every tree in the forest is a single leaf")
 
     totals /= len(forest.trees)
     totals /= totals.sum()

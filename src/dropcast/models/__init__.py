@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import InvalidArgumentError, WidthMismatchError
+from ..errors import InvalidArgumentError
 from ..ingest import Dataset
 from ..preprocess import Standardizer, apply_standardizer, fit_standardizer
 from ..rng import check_seed
@@ -144,7 +144,7 @@ def score(model: TrainedModel, rows: np.ndarray) -> np.ndarray:
         rows = rows.reshape(0, model.n_features)
     if rows.ndim != 2 or rows.shape[1] != model.n_features:
         got = rows.shape[1] if rows.ndim == 2 else None
-        raise WidthMismatchError(
+        raise InvalidArgumentError(
             f"model fitted on {model.n_features} features, rows have {got}"
         )
     _check_finite(rows, "has a non-finite feature value; scoring needs finite rows")

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import InsufficientRowsError
+from ..errors import InvalidArgumentError
 
 # cap on query rows * training rows per block, and on candidate pairs *
 # features per step of the brute-force recomputation
@@ -64,7 +64,7 @@ class KnnModel:
 
 def train_knn(x: np.ndarray, y: np.ndarray, k: int) -> KnnModel:
     if x.shape[0] < k:
-        raise InsufficientRowsError(
+        raise InvalidArgumentError(
             f"k-NN with k={k} needs at least {k} training rows, got {x.shape[0]}"
         )
     train_x = np.array(x, dtype=np.float64)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import InvalidArgumentError, SingleClassError
+from ..errors import InvalidArgumentError
 from ..rng import SeededRng
 
 BATCH_SIZE = 64
@@ -58,7 +58,7 @@ def train_svm(
     """
     n, p = x.shape
     if int(y.sum()) in (0, n):
-        raise SingleClassError("linear SVM training needs both classes present")
+        raise InvalidArgumentError("linear SVM training needs both classes present")
     y_signed = np.where(y == 1, 1.0, -1.0)
     xb = np.concatenate([x, np.ones((n, 1))], axis=1)
 

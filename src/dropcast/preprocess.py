@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ColumnMismatchError, InvalidArgumentError, InvalidFractionError, UnknownGroupError
+from .errors import InvalidArgumentError
 from .ingest import Dataset, FeatureGroup
 from .rng import SeededRng
 
@@ -49,13 +49,13 @@ def split(n_rows: int, test_fraction: float, seed: int) -> SplitIndices:
     fraction that rounds to an empty test or training set is rejected.
     """
     if not 0.0 < test_fraction < 1.0:
-        raise InvalidFractionError(f"test_fraction must be in (0, 1), got {test_fraction}")
+        raise InvalidArgumentError(f"test_fraction must be in (0, 1), got {test_fraction}")
     if n_rows < 2:
         raise InvalidArgumentError(f"need at least 2 rows to split, got {n_rows}")
     n_test = int(math.floor(test_fraction * n_rows + 0.5))
     if n_test in (0, n_rows):
         empty = "test" if n_test == 0 else "training"
-        raise InvalidFractionError(
+        raise InvalidArgumentError(
             f"test_fraction {test_fraction} of {n_rows} rows leaves an empty {empty} set"
         )
     perm = SeededRng(seed).permutation(n_rows)
@@ -100,7 +100,7 @@ def fit_standardizer(rows: np.ndarray) -> Standardizer:
 
 def apply_standardizer(standardizer: Standardizer, matrix: np.ndarray) -> np.ndarray:
     if matrix.shape[1] != standardizer.n_columns:
-        raise ColumnMismatchError(
+        raise InvalidArgumentError(
             f"standardizer fitted on {standardizer.n_columns} columns, "
             f"matrix has {matrix.shape[1]}"
         )
@@ -113,7 +113,7 @@ def exclude_group(dataset: Dataset, group: FeatureGroup) -> Dataset:
     """Remove every column tagged with ``group``; order and labels kept.
     At least one column must be left."""
     if group not in dataset.column_groups:
-        raise UnknownGroupError(f"no columns tagged {group.value!r} in dataset")
+        raise InvalidArgumentError(f"no columns tagged {group.value!r} in dataset")
     keep = [i for i, g in enumerate(dataset.column_groups) if g is not group]
     if not keep:
         raise InvalidArgumentError(f"excluding group {group.value!r} leaves no feature column")

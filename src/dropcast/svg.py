@@ -2,7 +2,8 @@
 
 One chart: all curves, a dashed diagonal reference line, and a legend
 carrying each curve's AUC to three decimals. The canvas is 720x560 for
-up to 20 curves and grows taller to fit a longer legend. Coordinates are
+up to 17 curves, whose legend fits inside the plot; a longer legend goes
+below the axis title and the canvas grows taller to fit it. Coordinates are
 formatted with two decimals, so output bytes are deterministic for a
 given input.
 """
@@ -45,9 +46,11 @@ def render_roc_svg(reports: list[RocReport]) -> bytes:
         raise InvalidArgumentError("need at least one report to plot")
     many_seeds = len({r.seed for r in reports}) > 1
     legend_x = _LEFT + _PLOT_W - 250
-    # bottom-right corner; clamped below the plot's top, and the canvas
-    # grows so that a long legend's box ends 20 px above its bottom
-    legend_y = max(_TOP + 24, _TOP + _PLOT_H - 24 * len(reports) - 16)
+    # the plot's bottom-right corner; a legend too long to fit there goes
+    # below the axis title, and the canvas grows to end 20 px below it
+    legend_y = _TOP + _PLOT_H - 24 * len(reports) - 16
+    if legend_y < _TOP + 24:
+        legend_y = _HEIGHT + 18
     height = max(_HEIGHT, legend_y + 24 * len(reports) + 26)
 
     parts = [

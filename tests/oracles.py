@@ -19,7 +19,7 @@ import numpy as np
 
 from dropcast.errors import (
     CellParseError,
-    DuplicateColumnError,
+    FileFormatError,
     InvalidArgumentError,
     MissingColumnError,
     MissingValueError,
@@ -398,8 +398,9 @@ def reference_load_dataset(
     csv_path: str | Path, manifest: GroupManifest, delimiter: str = ";"
 ) -> Dataset:
     """Parse the records CSV against a manifest, one row and one cell at
-    a time: the loader ``load_dataset`` replaced, kept verbatim as the
-    reference for its results and its errors.
+    a time: the loader ``load_dataset`` replaced, kept as the reference
+    for its results and its errors. Its one change is numpy's cell rule:
+    a stripped feature cell that is not ASCII or holds ``_`` is bad.
 
     Feature columns are returned in manifest order regardless of file
     order. Header names are stripped of surrounding whitespace (some
@@ -420,7 +421,7 @@ def reference_load_dataset(
             if name not in positions:
                 raise MissingColumnError(name)
             if names.count(name) > 1:
-                raise DuplicateColumnError(f"column appears twice in header: {name!r}")
+                raise FileFormatError(f"column appears twice in header: {name!r}")
         feature_pos = [positions[name] for name in manifest.column_names]
         target_pos = positions[TARGET_COLUMN]
 
@@ -436,6 +437,8 @@ def reference_load_dataset(
                 text = record[pos].strip()
                 if not text:
                     raise MissingValueError(row_no, name)
+                if not text.isascii() or "_" in text:  # numpy's reader parses neither
+                    raise CellParseError(row_no, name, text)
                 try:
                     values.append(float(text))
                 except ValueError:

@@ -486,6 +486,7 @@ def _academic_only_manifest(fixture_dir, tmp_path):
     (["fixture", "--rows", "50", "--strength", "3"], 1),
     (["fixture", "--rows", "50", "--seed", "-1"], 1),
     (["fixture", "--rows", "many"], 2),
+    (["eda", "--delimiter", '"'], 1),
 ])
 def test_rejected_run_leaves_no_out_directory(fixture_dir, tmp_path, capsys, argv, code):
     fill = {"tmp": tmp_path, "academic": _academic_only_manifest(fixture_dir, tmp_path)}
@@ -587,3 +588,55 @@ def test_ablate_svg_matches_roc_of_first_seed(fixture_dir, tmp_path):
     assert main(["ablate", *_data_flags(fixture_dir), "--out", str(ablate), *_fast_flags("42,43")]) == 0
     assert main(["roc", *_data_flags(fixture_dir), "--out", str(roc), *_fast_flags("42")]) == 0
     assert (ablate / "roc.svg").read_bytes() == (roc / "roc.svg").read_bytes()
+
+
+def _rows_with(lines, cell):
+    """The header, then each data row with every feature cell ``cell``."""
+    return [lines[0], *(";".join([cell] * line.count(";") + [line.rsplit(";", 1)[1]])
+                        for line in lines[1:])]
+
+
+# One rejected run per error class that ``FileFormatError`` or
+# ``InvalidArgumentError`` took in, with the stderr line it printed then.
+@pytest.mark.parametrize("argv, edit_manifest, edit_data, message", [
+    (["eda"], lambda m: ["A academic", *m], None,
+     "{manifest}:1: expected 'column<TAB>group', got 'A academic'"),
+    (["eda"], lambda m: [*m, "Extra\tnonsense"], None, "unknown feature group tag: 'nonsense'"),
+    (["eda"], lambda m: m[:1], None, "{manifest}: manifest contains no entries"),  # a comment
+    (["eda"], lambda m: [*m, next(line for line in m if not line.startswith("#"))], None,
+     "column listed twice in manifest: 'Marital status'"),
+    (["eda"], None, lambda d: [d[0] + ";Course", *d[1:]], "column appears twice in header: 'Course'"),
+    (["train", "--model", "dt", "--exclude", "macroeconomic"],
+     lambda m: [line for line in m if not line.endswith("\tmacroeconomic")], None,
+     "no columns tagged 'macroeconomic' in dataset"),
+    (["eda"], None, lambda d: [d[0], *(line.rsplit(";", 1)[0] + ";Enrolled" for line in d[1:])],
+     "no Dropout or Graduate rows in dataset"),
+    (["train", "--model", "dt", "--test-fraction", "1.5"], None, None,
+     "test_fraction must be in (0, 1), got 1.5"),
+    (["train", "--model", "knn", "--knn-k", "1000"], None, None,
+     "k-NN with k=1000 needs at least 1000 training rows, got 118"),
+    (["train", "--model", "svc"], None,
+     lambda d: [d[0], *(line.rsplit(";", 1)[0] + ";Dropout" for line in d[1:])],
+     "linear SVM training needs both classes present"),
+    (["importance"], None, lambda d: _rows_with(d, "1"),
+     "every tree in the forest is a single leaf"),
+], ids=["manifest-line", "manifest-group", "manifest-empty", "manifest-column-twice",
+        "header-column-twice", "exclude-absent-group", "no-dropout-or-graduate",
+        "test-fraction", "knn-k-over-rows", "single-class", "no-split"])
+def test_merged_error_classes_keep_their_stderr_line(fixture_dir, tmp_path, capsys, argv,
+                                                     edit_manifest, edit_data, message):
+    paths = {}
+    for name, source, edit in [("manifest", "manifest.tsv", edit_manifest),
+                               ("data", "data.csv", edit_data)]:
+        paths[name] = fixture_dir / source
+        if edit is not None:
+            paths[name] = tmp_path / source
+            lines = (fixture_dir / source).read_text().splitlines()
+            paths[name].write_text("".join(f"{line}\n" for line in edit(lines)))
+    out = tmp_path / "out"
+    fast = _fast_flags() if argv[0] != "eda" else []  # before argv, which may override them
+    code = main([argv[0], *fast, *argv[1:], "--data", str(paths["data"]),
+                 "--manifest", str(paths["manifest"]), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"dropcast: error: {message.format(**paths)}\n"
+    assert not out.exists()

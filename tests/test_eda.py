@@ -7,7 +7,7 @@ from dropcast.eda import (
     gender_distribution,
     rate_by_category,
 )
-from dropcast.errors import UnknownFeatureError
+from dropcast.errors import InvalidArgumentError
 from dropcast.ingest import LABELS, Dataset, FeatureGroup, Outcome
 
 from conftest import make_binary, requires_dataset
@@ -71,7 +71,7 @@ class TestRateByCategory:
         assert codes == sorted(codes)
 
     def test_unknown_feature(self):
-        with pytest.raises(UnknownFeatureError):
+        with pytest.raises(InvalidArgumentError, match="^no feature named 'nope'$"):
             rate_by_category(make_binary(np.ones((2, 1)), [0, 1]), "nope")
 
 
@@ -99,7 +99,7 @@ class TestGenderDistribution:
         assert gender_distribution(ds) == {(0.0, 0): 0, (0.0, 1): 2, (1.0, 0): 3, (1.0, 1): 0}
 
     def test_requires_gender_column(self):
-        with pytest.raises(UnknownFeatureError):
+        with pytest.raises(InvalidArgumentError, match="^no feature named 'Gender'$"):
             gender_distribution(make_binary(np.ones((2, 1)), [0, 1], names=("Other",)))
 
 

@@ -14,11 +14,8 @@ from dropcast.eda import class_distribution
 from dropcast.errors import (
     CellParseError,
     DropcastError,
-    DuplicateColumnError,
-    EmptyResultError,
     FileFormatError,
     InvalidArgumentError,
-    ManifestParseError,
     MissingColumnError,
     MissingValueError,
 )
@@ -58,46 +55,50 @@ def test_variant_manifest_counts():
     assert manifest.version_tag == "variant-36"
 
 
+def test_unknown_shipped_manifest_name_is_an_argument_error():
+    with pytest.raises(InvalidArgumentError, match="^no shipped manifest named 'default-35'$"):
+        default_manifest_path("default-35")
+
+
 def test_manifest_duplicate_column(tmp_path):
     path = tmp_path / "dup.tsv"
     path.write_text("A\tacademic\nA\tdemographic\n")
-    with pytest.raises(DuplicateColumnError):
+    with pytest.raises(FileFormatError, match="^column listed twice in manifest: 'A'$"):
         load_manifest(path)
 
 
 def test_manifest_empty_file(tmp_path):
     path = tmp_path / "empty.tsv"
     path.write_text("")
-    with pytest.raises(ManifestParseError):
+    with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}: manifest contains no entries$"):
         load_manifest(path)
 
 
 def test_manifest_bad_group(tmp_path):
     path = tmp_path / "bad.tsv"
     path.write_text("A\tnonsense\n")
-    with pytest.raises(ManifestParseError):
+    with pytest.raises(FileFormatError, match="^unknown feature group tag: 'nonsense'$"):
         load_manifest(path)
 
 
 def test_manifest_malformed_line(tmp_path):
     path = tmp_path / "bad.tsv"
     path.write_text("A academic\n")  # space, not a tab
-    with pytest.raises(ManifestParseError):
+    message = f"{path}:1: expected 'column<TAB>group', got 'A academic'"
+    with pytest.raises(FileFormatError, match=f"^{re.escape(message)}$"):
         load_manifest(path)
 
 
 _DEFAULT_ENTRIES = load_manifest(default_manifest_path("default-34")).entries
 
 
-@pytest.mark.parametrize("entries, error, message", [
-    ((), ManifestParseError, "manifest contains no entries"),
-    ((*_DEFAULT_ENTRIES, _DEFAULT_ENTRIES[0]), DuplicateColumnError,
-     "column listed twice in manifest: 'Marital status'"),
-    ((*_DEFAULT_ENTRIES, ("Target", FeatureGroup.ACADEMIC)), ManifestParseError,
-     "'Target' is the label, not a feature"),
+@pytest.mark.parametrize("entries, message", [
+    ((), "manifest contains no entries"),
+    ((*_DEFAULT_ENTRIES, _DEFAULT_ENTRIES[0]), "column listed twice in manifest: 'Marital status'"),
+    ((*_DEFAULT_ENTRIES, ("Target", FeatureGroup.ACADEMIC)), "'Target' is the label, not a feature"),
 ], ids=["empty", "repeated-name", "target"])
-def test_manifest_built_in_code_is_checked(entries, error, message):
-    with pytest.raises(error) as err:
+def test_manifest_built_in_code_is_checked(entries, message):
+    with pytest.raises(FileFormatError) as err:
         GroupManifest(entries=entries, version_tag="x")
     assert str(err.value) == message
 
@@ -105,7 +106,7 @@ def test_manifest_built_in_code_is_checked(entries, error, message):
 def test_empty_manifest_file_error_names_the_file(tmp_path):
     path = tmp_path / "empty.tsv"
     path.write_text("# version: none\n")
-    with pytest.raises(ManifestParseError) as err:
+    with pytest.raises(FileFormatError) as err:
         load_manifest(path)
     assert str(err.value) == f"{path}: manifest contains no entries"
 
@@ -216,14 +217,14 @@ def test_load_dataset_accepts_cells_whose_sum_overflows(tmp_path, small_manifest
     assert load_dataset(path, small_manifest).feature_matrix[0, :2].tolist() == [1e308, 1e308]
 
 
-@pytest.mark.parametrize("header", [
-    ["Age", "Debt", "GDP", "Target", "Debt"],
-    ["Age", "Target", "Debt", "GDP", " Target"],
-])
-def test_load_dataset_rejects_repeated_header_name(tmp_path, small_manifest, header):
+@pytest.mark.parametrize("header, name", [
+    (["Age", "Debt", "GDP", "Target", "Debt"], "Debt"),
+    (["Age", "Target", "Debt", "GDP", " Target"], "Target"),
+], ids=["header0", "header1"])
+def test_load_dataset_rejects_repeated_header_name(tmp_path, small_manifest, header, name):
     path = tmp_path / "d.csv"
     write_rows(path, header, [["20", "1", "1.5", "Dropout", "2"]])
-    with pytest.raises(DuplicateColumnError):
+    with pytest.raises(FileFormatError, match=f"^column appears twice in header: '{name}'$"):
         load_dataset(path, small_manifest)
 
 
@@ -351,7 +352,7 @@ def test_to_binary_all_enrolled_raises(tmp_path, small_manifest):
         ["Age", "Debt", "GDP", "Target"],
         [["20", "1", "1.5", "Enrolled"], ["21", "0", "1.0", "Enrolled"]],
     )
-    with pytest.raises(EmptyResultError, match="^no Dropout or Graduate rows in dataset$"):
+    with pytest.raises(InvalidArgumentError, match="^no Dropout or Graduate rows in dataset$"):
         to_binary(load_dataset(path, small_manifest))
 
 
@@ -447,6 +448,33 @@ def test_cells_padded_with_separator_characters_load(tmp_path, small_manifest):
     assert ds.feature_matrix.tolist() == [[20.0, 1.0, 1.5]]
 
 
+@pytest.mark.parametrize("cell", ["1_000", "１", " ٣ "])
+def test_cells_only_float_parses_are_rejected(tmp_path, small_manifest, cell):
+    # float() takes underscores and non-ASCII digits; numpy's reader does not.
+    path = tmp_path / "d.csv"
+    path.write_text(f"Age;Debt;GDP;Target\n20;1;1.5;Dropout\n21;{cell};1.5;Graduate\n")
+    with pytest.raises(CellParseError) as err:
+        load_dataset(path, small_manifest)
+    assert (err.value.row, err.value.column) == (2, "Debt")
+    assert str(err.value) == f"cannot parse cell at data row 2, column 'Debt': {cell.strip()!r}"
+
+
+def test_quote_character_is_no_delimiter(tmp_path, small_manifest):
+    path = tmp_path / "d.csv"
+    path.write_text('Age"Debt"GDP"Target\n20"1"1.5"Dropout\n')
+    with pytest.raises(InvalidArgumentError, match="^delimiter '\"' is the quote character$"):
+        load_dataset(path, small_manifest, delimiter='"')
+
+
+def test_row_loop_finding_no_bad_cell_is_one_line_error(tmp_path, small_manifest):
+    path = tmp_path / "d.csv"
+    path.write_text("Age;Debt;GDP;Target\n20;1;1.5;Dropout\n")
+    with mock.patch.object(ingest.np, "loadtxt", side_effect=ValueError("rejected")):
+        with pytest.raises(FileFormatError) as err:
+            load_dataset(path, small_manifest)
+    assert str(err.value) == f"{path}: cannot read the data rows, though no cell is bad"
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("rows", ["", "\n\n", '"20";1;1.5;Dropout\n'],
                          ids=["header-only", "blank-lines", "quoted-first-row"])
@@ -464,6 +492,10 @@ def generated(tmp_path_factory):
     generate_fixture(folder / "d.csv", folder / "m.tsv", n_rows=5000, seed=7)
     lines = (folder / "d.csv").read_text().splitlines()
     return folder, load_manifest(folder / "m.tsv"), lines
+
+
+def _watch_row_loop():
+    return mock.patch.object(ingest, "_raise_first_bad_cell", wraps=ingest._raise_first_bad_cell)
 
 
 def _with_last_row_first_cell(generated, tmp_path, cell):
@@ -503,7 +535,7 @@ def test_crlf_and_quoted_copies_of_5000_rows_load_bit_equal(generated, tmp_path,
         quoted = (";".join(f'"{cell}"' for cell in line.split(";")) for line in lines)
         path.write_text("\n".join(quoted) + "\n")
     plain = load_dataset(folder / "d.csv", manifest)
-    with mock.patch.object(ingest, "_parse_rows", wraps=ingest._parse_rows) as row_loop:
+    with _watch_row_loop() as row_loop:
         ds = load_dataset(path, manifest)
     # numpy's reader takes CRLF lines and unquotes cells itself.
     assert not row_loop.called
@@ -589,10 +621,12 @@ COLUMNS = ("Age", "Debt", "GDP")
 GOOD_CELLS = st.one_of(
     st.integers(-10**6, 10**6).map(str),
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
-    st.sampled_from(["1_000", "+3", "-0.0", ".5", "5.", "1E-3", "1e308"]),
+    st.sampled_from(["+3", "-0.0", ".5", "5.", "1E-3", "1e308"]),
 )
+# "1_000" and the fullwidth "１" parse with float() alone, not numpy's reader.
 BAD_CELLS = st.sampled_from(
-    ["", "  ", "x", "nan", " NaN ", "inf", "-Infinity", "1e999", "1__0", "1;2", "\x1c"]
+    ["", "  ", "x", "nan", " NaN ", "inf", "-Infinity", "1e999", "1_000", "1__0", "１", "1;2",
+     "\x1c"]
 )
 PADDING = st.sampled_from(["", "", " ", "\t", "  "])
 SEPARATOR_PADDING = st.sampled_from(["", "", " ", "\t", "\x1c", " \x1f"])
@@ -612,9 +646,9 @@ def _quote(cell: str) -> str:
 @st.composite
 def records_files(draw, with_errors=True):
     """(manifest, file bytes): a header in any column order, data rows
-    with padded (in some files by \\x1c-\\x1f), underscored and quoted
-    cells, blank lines, an optional BOM and, if ``with_errors``, short
-    rows and bad cells."""
+    with padded (in some files by \\x1c-\\x1f) and quoted cells, blank
+    lines, an optional BOM and, if ``with_errors``, short rows and bad
+    cells."""
     chosen = draw(st.lists(st.sampled_from(COLUMNS), min_size=1, max_size=3, unique=True))
     manifest = GroupManifest(
         entries=tuple((name, FeatureGroup.ACADEMIC) for name in chosen), version_tag="t"
@@ -673,7 +707,7 @@ def test_load_dataset_matches_reference(tmp_path_factory):
         manifest, data = case
         path = tmp_path_factory.mktemp("records") / "d.csv"
         path.write_bytes(data)
-        with mock.patch.object(ingest, "_parse_rows", wraps=ingest._parse_rows) as row_loop:
+        with _watch_row_loop() as row_loop:
             got = _outcome(load_dataset, path, manifest)
         assert got == _outcome(reference_load_dataset, path, manifest)
         if len(got) == 4:  # it loaded
@@ -715,7 +749,7 @@ def test_labels_binary_rows_and_class_counts_follow_the_target_words(tmp_path_fa
         assert np.array_equal(binary.labels, reference.labels[keep])
         assert binary.feature_matrix.tobytes() == reference.feature_matrix[keep].tobytes()
     else:
-        with pytest.raises(EmptyResultError):
+        with pytest.raises(InvalidArgumentError, match="^no Dropout or Graduate rows in dataset$"):
             to_binary(ds)
 
     outcome_of = {label: outcome for outcome, label in LABELS.items()}
@@ -730,8 +764,8 @@ PLAIN_GOOD_CELLS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.sampled_from(["+3", "-0.0", ".5", "5.", "1E-3", "1e308", "4.9e-325", "1e-400", " 2 "]),
 )
-# Cells numpy's reader rejects, which sends the load to the row loop;
-# "1_000", "\t7" and the fullwidth "１" still load there.
+# Cells numpy's reader rejects, so that the row loop names one, and cells
+# both numpy's reader and float() take once stripped: "\t7", "7\t", "1\x1c".
 PLAIN_ODD_CELLS = st.sampled_from(
     ["", " ", "x", "1_000", "0x10", "1d5", "１", "\t7", "7\t", "\t", "1\x1c"]
 )
@@ -742,13 +776,13 @@ LINE_KINDS = ["blank", "whitespace", "lone-cr", "extra", "short", "cells", "non-
 
 @st.composite
 def plain_records_files(draw):
-    """(manifest, delimiter, file bytes): no quoted cells (``"`` is one
-    of the delimiters), LF or CRLF line ends, an optional BOM and final
-    newline, zero or more data rows. In half the files every row is
-    plain; in the others one line, or about a third of them, is blank,
-    whitespace-only or ended by a lone CR, or is a row with extra or
-    missing columns, odd or non-finite cells or a bad Target word."""
-    delimiter = draw(st.sampled_from([";", ";", ",", "\t", '"']))
+    """(manifest, delimiter, file bytes): no quoted cells, LF or CRLF
+    line ends, an optional BOM and final newline, zero or more data
+    rows. In half the files every row is plain; in the others one line,
+    or about a third of them, is blank, whitespace-only or ended by a
+    lone CR, or is a row with extra or missing columns, odd or
+    non-finite cells or a bad Target word."""
+    delimiter = draw(st.sampled_from([";", ";", ",", "\t"]))
     tab = "\x0b" if delimiter == "\t" else "\t"  # padding other than the delimiter
     chosen = draw(st.lists(st.sampled_from(COLUMNS), min_size=1, max_size=3, unique=True))
     manifest = GroupManifest(
@@ -808,7 +842,7 @@ def test_plain_records_files_match_reference(tmp_path_factory):
         manifest, delimiter, data = case
         path = tmp_path_factory.mktemp("plain") / "d.csv"
         path.write_bytes(data)
-        with mock.patch.object(ingest, "_parse_rows", wraps=ingest._parse_rows) as row_loop:
+        with _watch_row_loop() as row_loop:
             got = _outcome(lambda p, m: load_dataset(p, m, delimiter), path, manifest)
         assert got == _outcome(lambda p, m: reference_load_dataset(p, m, delimiter), path, manifest)
         # Rows came from numpy's reader: some loaded, no row loop.
@@ -816,3 +850,48 @@ def test_plain_records_files_match_reference(tmp_path_factory):
 
     check()
     assert sum(took_numpy) >= len(took_numpy) / 4
+
+
+# --- one cell: the row loop takes it exactly when numpy's reader does --------
+
+# Characters at the edges of a number cell, and any others; never a
+# delimiter, quote or line end, so that the cell is one field to both.
+CELL_CHARACTERS = st.one_of(
+    st.sampled_from([*"0123456789+-.eE_ nNaAiIfFtTyY", "\t", "\x0b", "\x0c", "\x1c", "\x1d",
+                     "\x1e", "\x1f", "\x85", "\xa0", "\u2003", "\u3000", "１", "٣", "߀", "²"]),
+    st.characters(codec="utf-8", exclude_characters=';"\r\n'),
+)
+CELL_TEXTS = st.one_of(
+    st.text(CELL_CHARACTERS, min_size=1, max_size=6),
+    st.sampled_from(["nan", " -NaN", "inf", "+Infinity", "1e999", "1_000", "１", "\t7", "1\x1c"]),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(CELL_TEXTS)
+def test_row_loop_takes_a_cell_exactly_when_numpy_does(tmp_path_factory, cell):
+    folder = tmp_path_factory.mktemp("cell")
+    (folder / "cell.csv").write_bytes(f"{cell}\n".encode())
+    try:
+        with open(folder / "cell.csv", encoding="utf-8", newline="") as handle:
+            value = np.loadtxt(handle, delimiter=";", quotechar='"', comments=None)
+        takes = bool(value.size == 1 and np.isfinite(value))
+    except ValueError:
+        takes = False
+    path = folder / "d.csv"
+    path.write_bytes(f"Age;Target\n{cell};Dropout\n".encode())
+    manifest = GroupManifest(entries=(("Age", FeatureGroup.ACADEMIC),), version_tag="t")
+    with pytest.raises(DropcastError) as err:
+        ingest._raise_first_bad_cell(path, ";", ("Age",), [0], 1)
+    if takes:
+        # The loop finds no bad cell and says so in one line; the load
+        # gives numpy's value, which is the loop's float() of the cell.
+        assert type(err.value) is FileFormatError
+        assert str(err.value) == f"{path}: cannot read the data rows, though no cell is bad"
+        assert np.float64(float(cell.strip())).tobytes() == value.tobytes()
+        assert load_dataset(path, manifest).feature_matrix.tobytes() == value.tobytes()
+    else:
+        assert type(err.value) in (CellParseError, MissingValueError)
+        assert (err.value.row, err.value.column) == (1, "Age")
+        assert "\n" not in str(err.value)
+        assert _outcome(load_dataset, path, manifest) == (type(err.value), str(err.value))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dropcast.models.knn as knn_mod
-from dropcast.errors import InsufficientRowsError, WidthMismatchError
+from dropcast.errors import InvalidArgumentError
 from dropcast.models import HyperParams, ModelKind, score, train_model
 from dropcast.models.knn import knn_scores, train_knn
 
@@ -65,7 +65,7 @@ def test_tie_at_kth_position_prefers_lower_index():
 
 
 def test_insufficient_rows():
-    with pytest.raises(InsufficientRowsError):
+    with pytest.raises(InvalidArgumentError, match=r"^k-NN with k=6 needs at least 6 training rows, got 5$"):
         train_knn(np.ones((5, 2)), np.ones(5), k=6)
 
 
@@ -97,7 +97,7 @@ def test_empty_query_list():
 def test_width_mismatch():
     ds = make_binary(np.arange(40, dtype=float).reshape(20, 2), [0, 1] * 10)
     model = train_model(ModelKind.KNN, ds, HyperParams(knn_k=5))
-    with pytest.raises(WidthMismatchError):
+    with pytest.raises(InvalidArgumentError, match="^model fitted on 2 features, rows have 4$"):
         score(model, np.zeros((3, 4)))
 
 

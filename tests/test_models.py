@@ -3,7 +3,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from dropcast.errors import InvalidArgumentError, SingleClassError
+from dropcast.errors import InvalidArgumentError
 from dropcast.models import (
     GRID_MODEL_ORDER,
     HyperParams,
@@ -77,7 +77,7 @@ def test_train_model_dispatch():
 
 def test_svm_single_class_via_dispatch():
     ds = make_binary(np.ones((5, 2)), [1] * 5)
-    with pytest.raises(SingleClassError):
+    with pytest.raises(InvalidArgumentError, match="^linear SVM training needs both classes present$"):
         train_model(ModelKind.LINEAR_SVM, ds, HyperParams())
 
 

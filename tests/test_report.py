@@ -140,7 +140,25 @@ def test_svg_two_point_curve(run_config, fixture_paths):
     assert "AUC=0.500" in svg
 
 
-@pytest.mark.parametrize("n_reports", [1, 17, 18, 20, 21, 24, 40])
+def _axis_text_boxes(svg):
+    """(left, top, right, bottom) of each text but the legend's, at 0.6 em
+    a character and from one em above the baseline to a quarter below."""
+    boxes = []
+    for attrs, text in re.findall(r"<text ([^>]*)>([^<]*)</text>", svg):
+        if "AUC=" in text:
+            continue
+        a = dict(re.findall(r'([\w-]+)="([^"]*)"', attrs))
+        x, y, size = float(a["x"]), float(a["y"]), float(a["font-size"])
+        width = 0.6 * size * len(text)
+        left = {"middle": x - width / 2, "end": x - width}[a["text-anchor"]]
+        if "rotate(-90" in a.get("transform", ""):  # turned about (x, y)
+            boxes.append((x - size, y - (left + width - x), x + size / 4, y - (left - x)))
+        else:
+            boxes.append((left, y - size, left + width, y + size / 4))
+    return boxes
+
+
+@pytest.mark.parametrize("n_reports", [1, 17, 18, 19, 20, 21, 24, 40])
 def test_svg_legend_lies_inside_the_view_box(n_reports):
     from dropcast.metrics import RocCurve, RocReport
 
@@ -153,7 +171,7 @@ def test_svg_legend_lies_inside_the_view_box(n_reports):
     assert svg.startswith(f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
                           f'height="{height}" ')
     assert f'<rect width="{width}" height="{height}" fill="white"/>' in svg
-    assert height == 560 if n_reports <= 20 else height > 560
+    assert height == 560 if n_reports <= 17 else height > 560
     box = re.search(r'<rect x="(\d+)" y="(\d+)" width="(\d+)" height="(\d+)" fill="white" '
                     r'stroke="#cccccc"/>', svg)
     x, y, w, h = map(int, box.groups())
@@ -166,6 +184,10 @@ def test_svg_legend_lies_inside_the_view_box(n_reports):
         assert y + 13 <= int(top) <= y + h
     for left, top, right in keys:
         assert x <= int(left) < int(right) <= x + w and y <= int(top) <= y + h
+    texts = _axis_text_boxes(svg)
+    assert len(texts) == 2 * 6 + 2  # the tick labels and the axis titles
+    for left, top, right, bottom in texts:  # the box covers none of them
+        assert right <= x or x + w <= left or bottom <= y or y + h <= top
 
 
 def test_svm_objective_recorded_in_runs(run_config, baseline_reports):

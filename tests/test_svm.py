@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dropcast.errors import SingleClassError
+from dropcast.errors import InvalidArgumentError
 from dropcast.models import HyperParams, ModelKind, score, train_model
 from dropcast.models.svm import svm_scores, train_svm
 
@@ -31,7 +31,7 @@ def test_two_point_problem_separates():
 
 def test_single_class_raises():
     ds = make_binary(np.array([[-1.0], [1.0]]), [1, 1])
-    with pytest.raises(SingleClassError):
+    with pytest.raises(InvalidArgumentError, match="^linear SVM training needs both classes present$"):
         train_model(ModelKind.LINEAR_SVM, ds, HyperParams())
 
 
