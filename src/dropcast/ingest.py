@@ -61,13 +61,6 @@ class FeatureGroup(enum.Enum):
     MACROECONOMIC = "macroeconomic"
     ACADEMIC = "academic"
 
-    @classmethod
-    def from_tag(cls, tag: str) -> "FeatureGroup":
-        try:
-            return cls(tag)
-        except ValueError:
-            raise FileFormatError(f"unknown feature group tag: {tag!r}") from None
-
 
 class Outcome(enum.Enum):
     DROPOUT = "Dropout"
@@ -201,17 +194,20 @@ def load_manifest(path: str | Path) -> GroupManifest:
                 if comment.lower().startswith("version:"):
                     version_tag = comment.split(":", 1)[1].strip()
                 continue
-            parts = line.split("\t")
+            at, parts = f"{path}:{line_no}", line.split("\t")
             if len(parts) != 2:
-                raise FileFormatError(
-                    f"{path}:{line_no}: expected 'column<TAB>group', got {line!r}"
-                )
-            name = parts[0].strip()
+                raise FileFormatError(f"{at}: expected 'column<TAB>group', got {line!r}")
+            name, tag = (part.strip() for part in parts)
             if not name:
-                raise FileFormatError(f"{path}:{line_no}: empty column name")
+                raise FileFormatError(f"{at}: empty column name")
             if name == TARGET_COLUMN:
-                raise FileFormatError(f"{path}:{line_no}: {name!r} is the label, not a feature")
-            entries.append((name, FeatureGroup.from_tag(parts[1].strip())))
+                raise FileFormatError(f"{at}: {name!r} is the label, not a feature")
+            if name in (listed for listed, _ in entries):
+                raise FileFormatError(f"{at}: column listed twice in manifest: {name!r}")
+            try:
+                entries.append((name, FeatureGroup(tag)))
+            except ValueError:
+                raise FileFormatError(f"{at}: unknown feature group tag: {tag!r}") from None
     if not entries:
         raise FileFormatError(f"{path}: manifest contains no entries")
     return GroupManifest(entries=tuple(entries), version_tag=version_tag)

@@ -2,10 +2,13 @@
 
 Candidate thresholds are midpoints between consecutive distinct sorted
 values of each candidate feature. A node is split only if the best
-candidate strictly decreases weighted Gini impurity; that check is done
-in exact integer arithmetic on class counts, so float rounding can
-never admit a zero-gain split. Ties between equal-impurity candidates
-break toward the lower feature index, then the lower threshold.
+candidate strictly decreases weighted Gini impurity. Gini is strictly
+concave: the decrease is ``2 * ln * rn * (lp/ln - rp/rn)**2 / n**2``,
+zero exactly when both children hold the same positive fraction. The
+check is therefore ``lp * rn != rp * ln`` on class counts, exact even in
+int64: both products are below ``n**2 <= 2**60`` for the 2**30 rows the
+int32 keys allow. Ties between equal-impurity candidates break toward
+the lower feature index, then the lower threshold.
 
 The search runs on integer-coded columns, built once per training
 matrix and shared by every tree of a forest. A value's bin is its rank
@@ -72,7 +75,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..rng import SeededRng, subsets
+from ..rng import subsets
 
 _NO_NODE = -1
 
@@ -106,20 +109,9 @@ class Tree:
 
 
 def _strictly_improves(n: int, pos: int, left_n: int, left_pos: int) -> bool:
-    """Exact test that a split lowers weighted Gini impurity.
-
-    With integer class counts, weighted-child < parent reduces to
-        n * (rn*lp*ln_neg + ln*rp*rn_neg) < ln * rn * pos * neg
-    after clearing denominators, so the comparison is exact.
-    """
-    neg = n - pos
-    right_n = n - left_n
-    right_pos = pos - left_pos
-    left_neg = left_n - left_pos
-    right_neg = right_n - right_pos
-    lhs = n * (right_n * left_pos * left_neg + left_n * right_pos * right_neg)
-    rhs = left_n * right_n * pos * neg
-    return lhs < rhs
+    """Exact test that a split lowers weighted Gini impurity: the
+    children's positive fractions differ (see the module docstring)."""
+    return left_pos * (n - left_n) != (pos - left_pos) * left_n
 
 
 def _code_columns(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -157,26 +149,10 @@ def _key_shift(n_nodes: int, n_bins: int) -> int:
     return shift
 
 
-def build_tree(
-    x: np.ndarray,
-    y: np.ndarray,
-    sample_idx: np.ndarray | None = None,
-    max_depth: int | None = None,
-    n_candidates: int | None = None,
-    rng: SeededRng | None = None,
-) -> Tree:
-    """Grow a CART tree on rows ``sample_idx`` of (x, y).
-
-    ``sample_idx`` may contain duplicates (bootstrap samples). When
-    ``n_candidates`` is given, each split considers a fresh seeded
-    subset of that many features drawn from ``rng``; otherwise all
-    features are candidates. Nodes are expanded depth-first, left child
-    first, which fixes the rng consumption order.
-    """
-    if n_candidates is not None and rng is None:
-        raise ValueError("feature subsampling requires an rng")
-    coded = _code_columns(x, y)
-    return _grow_trees(coded, [(sample_idx, rng)], max_depth, n_candidates)[0]
+def build_tree(x: np.ndarray, y: np.ndarray, max_depth: int | None = None) -> Tree:
+    """Grow a CART tree on all rows of (x, y), every feature a candidate
+    at each split."""
+    return _grow_trees(_code_columns(x, y), [(None, None)], max_depth, None)[0]
 
 
 class _Growing:
@@ -213,8 +189,10 @@ class _Growing:
 
 def _grow_trees(coded, trees, max_depth, n_candidates) -> list[Tree]:
     """One ``Tree`` per (sample_idx, rng) of ``trees``, grown in lockstep
-    on columns coded by ``_code_columns``; each equals the tree
-    ``build_tree`` would grow alone from the same arguments."""
+    on columns coded by ``_code_columns``: on rows ``sample_idx`` (all
+    rows when None; a bootstrap sample repeats rows), each split drawing
+    ``n_candidates`` features from ``rng`` when given. Each tree equals
+    the tree grown alone from the same sample and stream."""
     keys, values, labels = coded
     n_features, n_rows = keys.shape
     subsample = n_candidates is not None and n_candidates < n_features

@@ -48,15 +48,35 @@ from dropcast.models import ModelKind, TrainedModel
 from dropcast.models.forest import Forest
 from dropcast.models.knn import KnnModel
 from dropcast.models.svm import BATCH_SIZE, LinearSvm, _objective
-from dropcast.models.tree import _NO_NODE, Tree, _strictly_improves
+from dropcast.models.tree import _NO_NODE, Tree, _code_columns, _grow_trees
 from dropcast.preprocess import Standardizer, apply_standardizer
 from dropcast.rng import SeededRng, subsets
 
 
-def gini_fraction(labels) -> Fraction:
-    n = len(labels)
-    pos = int(sum(labels))
+def gini_counts(n: int, pos: int) -> Fraction:
+    """Exact Gini impurity of ``n`` labels of which ``pos`` are positive."""
     return 1 - Fraction(pos, n) ** 2 - Fraction(n - pos, n) ** 2
+
+
+def gini_fraction(labels) -> Fraction:
+    return gini_counts(len(labels), int(sum(labels)))
+
+
+def _strictly_improves(n: int, pos: int, left_n: int, left_pos: int) -> bool:
+    """Exact test that a split lowers weighted Gini impurity.
+
+    With integer class counts, weighted-child < parent reduces to
+        n * (rn*lp*ln_neg + ln*rp*rn_neg) < ln * rn * pos * neg
+    after clearing denominators, so the comparison is exact.
+    """
+    neg = n - pos
+    right_n = n - left_n
+    right_pos = pos - left_pos
+    left_neg = left_n - left_pos
+    right_neg = right_n - right_pos
+    lhs = n * (right_n * left_pos * left_neg + left_n * right_pos * right_neg)
+    rhs = left_n * right_n * pos * neg
+    return lhs < rhs
 
 
 def enumerate_axis_splits(x, y):
@@ -385,6 +405,13 @@ def max_node_depth(tree: Tree) -> int:
             stack.append((int(tree.left[node]), d + 1))
             stack.append((int(tree.right[node]), d + 1))
     return depth
+
+
+def grow_tree(x, y, sample_idx=None, max_depth=None, n_candidates=None, rng=None) -> Tree:
+    """One tree grown alone on rows ``sample_idx`` of (x, y), drawing
+    ``n_candidates`` features per split from ``rng`` when given, as
+    ``build_forest`` grows each of its trees."""
+    return _grow_trees(_code_columns(x, y), [(sample_idx, rng)], max_depth, n_candidates)[0]
 
 
 def standardize_dataset(dataset: Dataset, standardizer: Standardizer) -> Dataset:

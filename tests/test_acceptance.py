@@ -30,6 +30,7 @@ from conftest import make_binary, real_data_path, requires_dataset, sniff_manife
 from oracles import (
     assert_strict_gini_decrease,
     brute_force_knn_scores,
+    grow_tree,
     max_node_depth,
     pair_count_auc,
     trapezoid_area,
@@ -352,8 +353,8 @@ class TestCriterion5:
         mismatches = 0
         for i, grown in enumerate(forest.payload.trees):
             stream = SeededRng(42 ^ i)
-            alone = build_tree(x, y, sample_idx=stream.integers(200, 200),
-                               n_candidates=k, rng=stream)
+            alone = grow_tree(x, y, sample_idx=stream.integers(200, 200),
+                              n_candidates=k, rng=stream)
             same = all(
                 np.array_equal(getattr(grown, name), getattr(alone, name))
                 for name in ("feature", "threshold", "left", "right", "pos_fraction",

@@ -597,14 +597,16 @@ def _rows_with(lines, cell):
 
 
 # One rejected run per error class that ``FileFormatError`` or
-# ``InvalidArgumentError`` took in, with the stderr line it printed then.
+# ``InvalidArgumentError`` took in, with the stderr line it printed then;
+# every manifest line error now leads with the manifest's path and line.
 @pytest.mark.parametrize("argv, edit_manifest, edit_data, message", [
     (["eda"], lambda m: ["A academic", *m], None,
      "{manifest}:1: expected 'column<TAB>group', got 'A academic'"),
-    (["eda"], lambda m: [*m, "Extra\tnonsense"], None, "unknown feature group tag: 'nonsense'"),
+    (["eda"], lambda m: [*m, "Extra\tnonsense"], None,
+     "{manifest}:38: unknown feature group tag: 'nonsense'"),
     (["eda"], lambda m: m[:1], None, "{manifest}: manifest contains no entries"),  # a comment
     (["eda"], lambda m: [*m, next(line for line in m if not line.startswith("#"))], None,
-     "column listed twice in manifest: 'Marital status'"),
+     "{manifest}:38: column listed twice in manifest: 'Marital status'"),
     (["eda"], None, lambda d: [d[0] + ";Course", *d[1:]], "column appears twice in header: 'Course'"),
     (["train", "--model", "dt", "--exclude", "macroeconomic"],
      lambda m: [line for line in m if not line.endswith("\tmacroeconomic")], None,

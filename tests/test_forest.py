@@ -9,12 +9,12 @@ import dropcast.models.tree as tree_module
 from dropcast.metrics import auc
 from dropcast.models import HyperParams, ModelKind, score, train_model
 from dropcast.models.forest import build_forest, candidate_count, forest_scores
-from dropcast.models.tree import build_tree, tree_scores
+from dropcast.models.tree import tree_scores
 from dropcast.preprocess import split
 from dropcast.rng import SeededRng
 
 from conftest import make_binary
-from oracles import reference_tree_scores
+from oracles import grow_tree, reference_tree_scores
 
 
 def trees_equal(a, b) -> bool:
@@ -57,7 +57,7 @@ def test_lockstep_trees_equal_trees_grown_alone():
     for i, grown in enumerate(forest.payload.trees):
         stream = SeededRng(42 ^ i)
         sample = stream.integers(150, 150)
-        alone = build_tree(x, y, sample_idx=sample, n_candidates=k, rng=stream)
+        alone = grow_tree(x, y, sample_idx=sample, n_candidates=k, rng=stream)
         assert trees_equal(grown, alone)
         assert np.array_equal(tree_scores(grown, queries), tree_scores(alone, queries))
 

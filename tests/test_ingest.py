@@ -63,7 +63,8 @@ def test_unknown_shipped_manifest_name_is_an_argument_error():
 def test_manifest_duplicate_column(tmp_path):
     path = tmp_path / "dup.tsv"
     path.write_text("A\tacademic\nA\tdemographic\n")
-    with pytest.raises(FileFormatError, match="^column listed twice in manifest: 'A'$"):
+    message = f"{path}:2: column listed twice in manifest: 'A'"
+    with pytest.raises(FileFormatError, match=f"^{re.escape(message)}$"):
         load_manifest(path)
 
 
@@ -77,7 +78,8 @@ def test_manifest_empty_file(tmp_path):
 def test_manifest_bad_group(tmp_path):
     path = tmp_path / "bad.tsv"
     path.write_text("A\tnonsense\n")
-    with pytest.raises(FileFormatError, match="^unknown feature group tag: 'nonsense'$"):
+    message = f"{path}:1: unknown feature group tag: 'nonsense'"
+    with pytest.raises(FileFormatError, match=f"^{re.escape(message)}$"):
         load_manifest(path)
 
 

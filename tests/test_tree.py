@@ -1,9 +1,11 @@
+import math
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dropcast.models.tree as tree_module
@@ -17,6 +19,7 @@ from dropcast.models.tree import (
     _grow_trees,
     _key_shift,
     _search,
+    _strictly_improves,
     build_tree,
     tree_scores,
 )
@@ -25,9 +28,12 @@ from dropcast.rng import SeededRng, subsets
 from conftest import make_binary
 from oracles import (
     _grow,
+    _strictly_improves as quartic_strictly_improves,
     assert_strict_gini_decrease,
     enumerate_axis_splits,
+    gini_counts,
     gini_fraction,
+    grow_tree,
     max_node_depth,
     reference_build_tree,
 )
@@ -81,6 +87,47 @@ class TestXor:
         assert max_node_depth(model.payload) == 2
         predictions = (score(model, x) >= 0.5).astype(int)
         assert predictions.tolist() == y.tolist()
+
+
+@st.composite
+def split_counts(draw):
+    """(n, pos, left_n, left_pos) of a cut of up to 2**30 rows into two
+    nonempty children: any counts, children with equal positive
+    fractions, or children whose fractions are the closest their sizes
+    allow without being equal, less than a float64 ulp apart when large."""
+    kind = draw(st.sampled_from(["any", "equal", "closest"]))
+    if kind == "equal":
+        # Children of g * u and g * v rows, t / g of each positive.
+        u, v = draw(st.integers(1, 1 << 15)), draw(st.integers(1, 1 << 15))
+        g = draw(st.integers(1, (1 << 30) // (u + v)))
+        t = draw(st.integers(0, g))
+        return g * (u + v), t * (u + v), g * u, t * u
+    n = draw(st.integers(2, 1 << 30))
+    left_n = draw(st.integers(1, n - 1))
+    if kind == "any":
+        left_pos = draw(st.integers(0, left_n))
+        return n, left_pos + draw(st.integers(0, n - left_n)), left_n, left_pos
+    # left_pos * v - right_pos * u == 1, so lp * rn - rp * ln == g.
+    g = math.gcd(left_n, n - left_n)
+    u, v = left_n // g, (n - left_n) // g
+    left_pos = pow(v, -1, u) if u > 1 else 1
+    return n, left_pos + (left_pos * v - 1) // u, left_n, left_pos
+
+
+@settings(max_examples=500, deadline=None)
+@given(split_counts())
+# 2**28 / (2**29 + 1) and (2**28 - 1) / (2**29 - 1): unequal, but one float64.
+@example((1 << 30, (1 << 29) - 1, (1 << 29) + 1, 1 << 28))
+def test_exact_split_tests_agree_with_fraction_gini(counts):
+    n, pos, left_n, left_pos = counts
+    weighted = (Fraction(left_n, n) * gini_counts(left_n, left_pos)
+                + Fraction(n - left_n, n) * gini_counts(n - left_n, pos - left_pos))
+    improves = weighted < gini_counts(n, pos)
+    assert _strictly_improves(*counts) is improves
+    assert quartic_strictly_improves(*counts) is improves
+    # Every product is below n**2 <= 2**60, so int64 arrays cannot overflow.
+    as_int64 = _strictly_improves(*(np.array([count], dtype=np.int64) for count in counts))
+    assert as_int64.tolist() == [improves]
 
 
 class TestGreedyChoice:
@@ -182,7 +229,7 @@ TREE_ARRAYS = ("feature", "threshold", "left", "right", "pos_fraction", "n_sampl
 
 @st.composite
 def tree_problems(draw):
-    """Small (x, y, build_tree kwargs, rng seed) with ties, duplicates and limits."""
+    """Small (x, y, grow_tree kwargs, rng seed) with ties, duplicates and limits."""
     n = draw(st.integers(2, 60))
     p = draw(st.integers(1, 7))
     seed = draw(st.integers(0, 2**32 - 1))
@@ -206,7 +253,7 @@ class TestAgainstReferenceGrower:
     def test_every_array_equals_the_reference(self, problem):
         x, y, kwargs, seed = problem
         # Each grower draws from its own stream at the same seed.
-        tree = build_tree(x, y, **kwargs, rng=SeededRng(seed))
+        tree = grow_tree(x, y, **kwargs, rng=SeededRng(seed))
         reference = reference_build_tree(x, y, **kwargs, rng=SeededRng(seed))
         for name in TREE_ARRAYS:
             assert np.array_equal(getattr(tree, name), getattr(reference, name)), name
@@ -239,7 +286,7 @@ class TestAgainstReferenceGrower:
         x = rng.integers(0, 8, size=(120, 9)).astype(float)
         y = (x[:, 0] + rng.normal(size=120) > 4).astype(int)
         a, b = SeededRng(5), SeededRng(5)
-        build_tree(x, y, n_candidates=3, rng=a)
+        grow_tree(x, y, n_candidates=3, rng=a)
         reference_build_tree(x, y, n_candidates=3, rng=b)
         assert a.uint64(1) == b.uint64(1)
 
@@ -331,7 +378,7 @@ class TestCountedSearch:
         sample = g.integers(0, 40, size=2 * 12 + offset)  # size * k at 2 * n_bins + offset
         with mock.patch.object(tree_module, "_count_search", wraps=_count_search) as count, \
              mock.patch.object(tree_module, "_search", wraps=_search) as sort:
-            tree = build_tree(x, y, sample, max_depth=1, n_candidates=1, rng=SeededRng(3))
+            tree = grow_tree(x, y, sample, max_depth=1, n_candidates=1, rng=SeededRng(3))
         assert (count.call_count, sort.call_count) == ((1, 0) if counted else (0, 1))
         expected = _grow(_code_columns(x, y), sample, 1, 1, 1, SeededRng(3))
         for name in TREE_ARRAYS:
@@ -472,4 +519,4 @@ def test_builders_reject_non_finite_features(bad):
 
 def test_builder_rejects_empty_sample():
     with pytest.raises(ValueError, match="training row"):
-        build_tree(np.zeros((3, 2)), np.array([0, 1, 0]), sample_idx=np.zeros(0, dtype=np.int64))
+        grow_tree(np.zeros((3, 2)), np.array([0, 1, 0]), sample_idx=np.zeros(0, dtype=np.int64))
