@@ -21,13 +21,14 @@ computed as from the raw values, so the coding changes no tree.
 
 Trees grow in lockstep; a forest passes all of its trees to one call.
 Each tree keeps its own subset stream and its own depth-first stack,
-left child first, which holds only nodes that may split. At each step
-every growing tree pops one node, and one ``subsets`` call draws all of
-their feature subsets as one block, so a tree's draws and nodes come in
-the order a lone tree would make them. The popped nodes are searched in
-chunks of at most ``_CHUNK_ELEMENTS`` (node, candidate, row) elements,
-which bounds the search's memory however many trees grow together; a
-larger node is searched alone.
+left child first, which holds only nodes that may split; the stacks are
+one int64 array indexed by tree. At each step every growing tree pops
+one node, and one ``subsets`` call draws all of their feature subsets
+as one block, so a tree's draws and nodes come in the order a lone tree
+would make them. The popped nodes are searched in chunks of at most
+``_CHUNK_ELEMENTS`` (node, candidate, row) elements, which bounds the
+search's memory however many trees grow together; a larger node is
+searched alone.
 
 A chunk is searched in one of two ways, which find the same split:
 
@@ -55,10 +56,13 @@ A chunk is searched in one of two ways, which find the same split:
 
 Either way each cut's left size and positives are the same integers,
 scored by the same float64 expression, and the first minimum in
-(candidate, threshold) order is the tie-break winner. Only each node's
-winner is put to the exact test, and the winners' rows are partitioned
-stably in place. With feature subsampling, each split attempt advances
-its tree's stream by one subset draw of ``n_features`` counters.
+(candidate, threshold) order is the tie-break winner; its rows are
+partitioned stably in place. Then the step's winners take the exact
+test, number their children (a tree's i-th split appends nodes 2i + 1
+and 2i + 2) and push those that may split, right then left, each as one
+array operation for all trees. With feature subsampling, each split
+attempt advances its tree's stream by one subset draw of ``n_features``
+counters.
 
 Leaves store the positive-class fraction of their training samples,
 which is the tree's score. Trees are flat parallel arrays. Scoring walks
@@ -69,8 +73,6 @@ case.
 
 from __future__ import annotations
 
-import math
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,6 +88,9 @@ _CHUNK_ELEMENTS = 1 << 15
 # Bins number at most the matrix's values; with at most 2**30 bins every
 # key ``2 * bin + label`` is below 2**31 and fits an int32.
 _MAX_VALUES = 1 << 30
+
+# Slots of each tree's first stack; all stacks double when a push could overflow one.
+_STACK_SLOTS = 8
 
 # Scoring walks the (tree, query row) pairs of about this many at once.
 _WALK_PAIRS = 1 << 16
@@ -108,10 +113,10 @@ class Tree:
         return self.feature.shape[0]
 
 
-def _strictly_improves(n: int, pos: int, left_n: int, left_pos: int) -> bool:
+def _strictly_improves(left_n: int, left_pos: int, right_n: int, right_pos: int) -> bool:
     """Exact test that a split lowers weighted Gini impurity: the
     children's positive fractions differ (see the module docstring)."""
-    return left_pos * (n - left_n) != (pos - left_pos) * left_n
+    return left_pos * right_n != right_pos * left_n
 
 
 def _code_columns(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -155,38 +160,6 @@ def build_tree(x: np.ndarray, y: np.ndarray, max_depth: int | None = None) -> Tr
     return _grow_trees(_code_columns(x, y), [(None, None)], max_depth, None)[0]
 
 
-class _Growing:
-    """One tree mid-growth: per-node counts, split records, and the stack
-    of (node, start, size, positives, depth) nodes still to search."""
-
-    __slots__ = ("n_samples", "n_positive", "split_node", "split_feature", "split_threshold",
-                 "stack")
-
-    def __init__(self, size: int, positives: int):
-        self.n_samples, self.n_positive = array("q", [size]), array("q", [positives])
-        self.split_node, self.split_feature = array("q"), array("q")
-        self.split_threshold = array("d")
-        self.stack = []
-
-    def tree(self) -> Tree:
-        n_samples = np.array(self.n_samples, dtype=np.int64)
-        n_positive = np.array(self.n_positive, dtype=np.int64)
-        split = np.array(self.split_node, dtype=np.int64)
-        feature = np.full(n_samples.shape, _NO_NODE, dtype=np.int64)
-        feature[split] = self.split_feature
-        threshold = np.zeros(n_samples.shape)
-        threshold[split] = self.split_threshold
-        # The i-th split appended nodes 2i + 1 and 2i + 2 as its children.
-        left = np.full(n_samples.shape, _NO_NODE, dtype=np.int64)
-        left[split] = 2 * np.arange(split.size) + 1
-        right = np.full(n_samples.shape, _NO_NODE, dtype=np.int64)
-        right[split] = left[split] + 1
-        arrays = (feature, threshold, left, right, n_positive / n_samples, n_samples, n_positive)
-        for arr in arrays:
-            arr.setflags(write=False)
-        return Tree(*arrays)
-
-
 def _grow_trees(coded, trees, max_depth, n_candidates) -> list[Tree]:
     """One ``Tree`` per (sample_idx, rng) of ``trees``, grown in lockstep
     on columns coded by ``_code_columns``: on rows ``sample_idx`` (all
@@ -198,11 +171,9 @@ def _grow_trees(coded, trees, max_depth, n_candidates) -> list[Tree]:
     subsample = n_candidates is not None and n_candidates < n_features
     k = n_candidates if subsample else n_features
     shift = _key_shift(len(trees) * k, len(values))
-    depth_limit = math.inf if max_depth is None else max_depth
-
-    def push(state, node, start, size, positives, depth):
-        if depth < depth_limit and 0 < positives < size:
-            state.stack.append((node, start, size, positives, depth))
+    depth_limit = np.iinfo(np.int64).max if max_depth is None else max_depth
+    streams = np.fromiter((rng for _, rng in trees), dtype=object, count=len(trees))
+    candidates = np.repeat(np.arange(n_features)[None], len(trees), axis=0)  # unless subsampled
 
     # Every tree's rows, one range per tree; each node owns a subrange,
     # which its split partitions stably in place, left rows first.
@@ -213,49 +184,107 @@ def _grow_trees(coded, trees, max_depth, n_candidates) -> list[Tree]:
     if any(len(sample) == 0 for sample in samples):
         raise ValueError("a tree needs at least one training row")
     order = np.concatenate(samples)
-    states, start = [], 0
-    for sample in samples:
-        size, positives = len(sample), int(labels[sample].sum())
-        states.append(_Growing(size, positives))
-        push(states[-1], 0, start, size, positives, 0)
-        start += size
+    sizes = np.array([len(sample) for sample in samples], dtype=np.int64)
     del samples
+    starts = sizes.cumsum() - sizes
+    positives = np.add.reduceat(labels[order], starts)
 
-    growing = [(state, rng) for state, (_, rng) in zip(states, trees) if state.stack]
-    while growing:
-        # One (tree, node, start, size, positives, depth) per growing tree.
-        batch = [(state, *state.stack.pop()) for state, _ in growing]
+    # Tree t = growing[j] stacks the nodes that may split as columns
+    # (node, start, size, positives, depth) of ``stack[:, t, :height[j]]``,
+    # top last; a tree leaves ``growing`` when its stack is empty.
+    stack = np.zeros((5, len(trees), _STACK_SLOTS), dtype=np.int64)
+    stack[1:4, :, 0] = starts, sizes, positives
+    growing = np.arange(len(trees))
+    height = ((positives > 0) & (positives < sizes) & (depth_limit > 0)).astype(np.int64)
+    n_nodes = np.ones(len(trees), dtype=np.int64)
+    records = []  # per step: the splits' trees, nodes, features, thresholds, children
+    while True:
+        if not height.all():
+            growing, height = growing[height > 0], height[height > 0]
+            if growing.size == 0:
+                break
+        height -= 1
+        node, start, size, positive, depth = stack[:, growing, height]
         if subsample:
-            candidates = subsets([rng for _, rng in growing], n_features, k)
-        else:
-            candidates = np.broadcast_to(np.arange(n_features), (len(batch), n_features))
+            candidates = subsets(streams[growing], n_features, k)
 
-        for lo, hi in _chunks([entry[3] * k for entry in batch]):
-            splits = []  # (start, size, feature, low bin, left size)
+        found = []
+        elements = (size * k).tolist()
+        for lo, hi in _chunks(elements):
             # A lone node with at least one key per count slot is counted.
-            if hi - lo == 1 and batch[lo][3] * k >= 2 * len(values):
-                found = _count_search(keys, values, order, batch[lo], candidates[lo])
+            if hi - lo == 1 and elements[lo] >= 2 * len(values):
+                chunk = _count_search(keys, values, order, start[lo], size[lo], positive[lo],
+                                      candidates[lo])
             else:
-                found = _search(keys, values, order, batch[lo:hi], candidates[lo:hi], shift)
-            for i, feature, thr, left_size, left_pos, low_bin in zip(*found):
-                state, node, start, size, positives, depth = batch[lo + i]
-                if not _strictly_improves(size, positives, left_size, left_pos):
-                    continue
-                child = len(state.n_samples)
-                state.split_node.append(node)
-                state.split_feature.append(feature)
-                state.split_threshold.append(thr)
-                state.n_samples.extend((left_size, size - left_size))
-                state.n_positive.extend((left_pos, positives - left_pos))
-                # Push right first so the left child is expanded first.
-                push(state, child + 1, start + left_size, size - left_size,
-                     positives - left_pos, depth + 1)
-                push(state, child, start, left_size, left_pos, depth + 1)
-                splits.append((start, size, feature, low_bin, left_size))
-            if splits:
-                _partition(keys, order, *np.array(splits, dtype=np.int64).T)
-        growing = [(state, rng) for state, rng in growing if state.stack]
-    return [state.tree() for state in states]
+                chunk = _search(keys, values, order, start[lo:hi], size[lo:hi],
+                                positive[lo:hi], candidates[lo:hi], shift)
+            if chunk:
+                i, feature, threshold, left_n, left_pos, low_bin = chunk
+                if lo:
+                    i += lo
+                # A winner that fails the exact test below stays a leaf,
+                # and no later step reads its rows' order.
+                _partition(keys, order, start[i], size[i], feature, low_bin, left_n)
+                found.append((i, feature, threshold, left_n, left_pos))
+        if not found:
+            continue
+        i, feature, threshold, left_n, left_pos = (
+            found[0] if len(found) == 1 else map(np.concatenate, zip(*found)))
+        right_n, right_pos = size[i] - left_n, positive[i] - left_pos
+        better = _strictly_improves(left_n, left_pos, right_n, right_pos)
+        if not better.all():
+            i, feature, threshold, left_n, left_pos, right_n, right_pos = (
+                column[better]
+                for column in (i, feature, threshold, left_n, left_pos, right_n, right_pos))
+            if not i.size:
+                continue
+
+        # Number each split's children, then push them right first, so
+        # the left child is expanded first. A child that may not split
+        # takes no slot: the next push, or the stack's top, covers it.
+        t = growing[i]
+        child = n_nodes[t]
+        n_nodes[t] = child + 2
+        left_start, kid_depth = start[i], depth[i] + 1
+        # (node, start, size, positives, depth) × (right, left) × split
+        kids = np.concatenate((child + 1, child, left_start + left_n, left_start, right_n, left_n,
+                               right_pos, left_pos, kid_depth, kid_depth)).reshape(5, 2, -1)
+        records.append((t, node[i], feature, threshold, kids))
+        may_split = (kids[3] > 0) & (kids[3] < kids[2]) & (kid_depth < depth_limit)
+        right_at = height[i]
+        # Below its top two siblings a stack holds at most one node per
+        # depth, so no push writes at slot ``depth_limit`` or above.
+        if depth_limit > stack.shape[2] and right_at.max() + 2 > stack.shape[2]:
+            stack = np.concatenate((stack, np.zeros_like(stack)), axis=2)
+        left_at = right_at + may_split[0]
+        stack[:, t, right_at] = kids[:, 0]
+        stack[:, t, left_at] = kids[:, 1]
+        height[i] = left_at + may_split[1]
+    return _assemble(sizes, positives, n_nodes, records)
+
+
+def _assemble(sizes, positives, n_nodes, records) -> list[Tree]:
+    """Every tree from its root's counts, node count and split records,
+    filled as one set of joint arrays that the ``Tree``s slice."""
+    empty = np.zeros(0, dtype=np.int64)
+    tree, node, feature, threshold, kids = (
+        np.concatenate(column, axis=-1)
+        for column in zip(*records or [(empty, empty, empty, empty, empty.reshape(5, 2, 0))]))
+    first = n_nodes.cumsum() - n_nodes
+    split_at = first[tree] + node
+    links = np.full((3, n_nodes.sum()), _NO_NODE, dtype=np.int64)
+    links[:, split_at] = feature, *kids[0]
+    threshold_of = np.zeros(links.shape[1])
+    threshold_of[split_at] = threshold
+    counts = np.empty((2, links.shape[1]), dtype=np.int64)
+    counts[:, first] = sizes, positives
+    counts[:, first[tree] + kids[0]] = kids[2:4]
+    (feature_of, right, left), (n_samples, n_positive) = links, counts
+    arrays = (feature_of, threshold_of, left, right, n_positive / n_samples, n_samples, n_positive)
+    for arr in arrays:
+        arr.setflags(write=False)
+    ends = first + n_nodes
+    return [Tree(*(arr[lo:hi] for arr in arrays)) for lo, hi in zip(first.tolist(), ends.tolist())]
 
 
 def _chunks(elements: list[int]):
@@ -271,20 +300,19 @@ def _chunks(elements: list[int]):
         yield lo, len(elements)
 
 
-def _search(keys, values, order, batch, candidates, shift):
+def _search(keys, values, order, starts, sizes, positives, candidates, shift):
     """Each node's first-minimum valid cut, for the nodes that have one;
-    row i of ``candidates`` holds node i's candidate features.
+    node i owns ``order[starts[i]:][:sizes[i]]``, ``positives[i]`` of its
+    rows are positive, and row i of ``candidates`` holds its candidates.
 
-    Returns parallel lists: the node's index in ``batch``, the winner's
-    feature and threshold, its left child's size and positives, and the
-    bin just below the cut.
+    Returns parallel arrays, or ``()`` when no node has a cut: the node's
+    index i, the winner's feature and threshold, its left child's size
+    and positives, and the bin just below the cut.
     """
     n_rows = keys.shape[1]
-    _, _, starts, sizes, positives, _ = zip(*batch)
     n, k = candidates.shape
     if k == 0:
         return ()
-    sizes, positives = np.array(sizes), np.array(positives)
     # One segment per (node, candidate), node-major, in candidate order.
     seg_len = np.repeat(sizes, k)
     seg_end = seg_len.cumsum()
@@ -293,7 +321,7 @@ def _search(keys, values, order, batch, candidates, shift):
 
     # Element j of segment s holds the key of its candidate for row
     # order[start + j] of its node.
-    flat = np.repeat(np.repeat(np.array(starts), k) - seg_start, seg_len)
+    flat = np.repeat(np.repeat(starts, k) - seg_start, seg_len)
     flat += np.arange(total)
     flat = order.take(flat)
     flat += np.repeat(candidates.ravel() * n_rows, seg_len)
@@ -316,7 +344,8 @@ def _search(keys, values, order, batch, candidates, shift):
     del cut
     if at.size == 0:
         return ()
-    seg = packed[at] >> shift
+    # int64 segments: numpy converts an int32 index array on every gather.
+    seg = (packed[at] >> shift).astype(np.int64, copy=False)
 
     running = packed & 1
     np.cumsum(running, out=running)
@@ -339,22 +368,16 @@ def _search(keys, values, order, batch, candidates, shift):
     key_mask = (1 << shift) - 1
     won = at[win]
     low_bin = (packed[won] & key_mask) >> 1
-    return (
-        node[win].tolist(),
-        candidates.ravel()[seg[win]].tolist(),
-        _midpoints(values, low_bin, (packed[won + 1] & key_mask) >> 1).tolist(),
-        (cut_at[win] + 1).tolist(),
-        left_count[win].tolist(),
-        low_bin.tolist(),
-    )
+    threshold = _midpoints(values, low_bin, (packed[won + 1] & key_mask) >> 1)
+    return (node[win], candidates.ravel()[seg[win]], threshold, cut_at[win] + 1,
+            left_count[win].astype(np.int64, copy=False), low_bin)
 
 
-def _count_search(keys, values, order, node, candidates):
-    """``_search`` of a chunk holding the one batch entry ``node``, from
-    counts of the node's keys instead of a sort. Each candidate's keys
-    are gathered and counted alone, from the lowest (bin, label) pair
-    they reach, into that feature's slice of the count array."""
-    _, _, start, size, positives, _ = node
+def _count_search(keys, values, order, start, size, positives, candidates):
+    """``_search`` of a chunk holding one node, from counts of the node's
+    keys instead of a sort. Each candidate's keys are gathered and
+    counted alone, from the lowest (bin, label) pair they reach, into
+    that feature's slice of the count array."""
     rows = order[start:start + size]
     counts = np.zeros(2 * len(values), dtype=np.int64)
     for feature in candidates:
@@ -378,16 +401,11 @@ def _count_search(keys, values, order, node, candidates):
     left_n = n_at[at] - run * size
     left_pos = pos_at[at] - run * positives
     score = _scores(size, positives, left_n.astype(np.float64), left_pos.astype(np.float64))
-    win = int(np.argmin(score))  # the first minimum: candidate, then threshold order
+    # The first minimum: candidate, then threshold order.
+    win = np.argmin(score, keepdims=True)
     low_bin, high_bin = present[at[win]], present[at[win] + 1]
-    return (
-        [0],
-        [int(candidates[run[win]])],
-        [float(_midpoints(values, low_bin, high_bin))],
-        [int(left_n[win])],
-        [int(left_pos[win])],
-        [int(low_bin)],
-    )
+    return (np.zeros(1, dtype=np.int64), candidates[run[win]],
+            _midpoints(values, low_bin, high_bin), left_n[win], left_pos[win], low_bin)
 
 
 def _scores(m, pos, left_n, left_pos):

@@ -123,10 +123,11 @@ def test_exact_split_tests_agree_with_fraction_gini(counts):
     weighted = (Fraction(left_n, n) * gini_counts(left_n, left_pos)
                 + Fraction(n - left_n, n) * gini_counts(n - left_n, pos - left_pos))
     improves = weighted < gini_counts(n, pos)
-    assert _strictly_improves(*counts) is improves
+    children = (left_n, left_pos, n - left_n, pos - left_pos)
+    assert _strictly_improves(*children) is improves
     assert quartic_strictly_improves(*counts) is improves
     # Every product is below n**2 <= 2**60, so int64 arrays cannot overflow.
-    as_int64 = _strictly_improves(*(np.array([count], dtype=np.int64) for count in counts))
+    as_int64 = _strictly_improves(*(np.array([count], dtype=np.int64) for count in children))
     assert as_int64.tolist() == [improves]
 
 
@@ -337,9 +338,58 @@ class TestLockstepAgainstPerNodeGrower:
 
 
 @st.composite
+def mixed_trees(draw):
+    """(x, y, samples, tree seeds, max_depth, n_candidates, initial stack
+    slots) of one lockstep call whose trees grow very differently: some
+    end at the root (a one-row sample, or a sample of one label), others
+    grow on all rows or a bootstrap sample, of random data or of a
+    staircase whose every split peels off one row."""
+    if draw(st.booleans()):
+        x, y, _, seed = draw(tree_problems())
+    else:  # ascending values with alternating labels, beside a constant column
+        n, seed = draw(st.integers(2, 60)), draw(st.integers(0, 2**32 - 1))
+        x = np.column_stack((np.arange(n, dtype=float), np.zeros(n)))
+        y = np.arange(n) % 2
+    g = np.random.default_rng(seed)
+    n = len(y)
+    samples = []
+    for kind in draw(st.lists(st.sampled_from(["all", "bootstrap", "one row", "one label"]),
+                              min_size=1, max_size=12)):
+        if kind == "all":
+            samples.append(None)
+        elif kind == "bootstrap":
+            samples.append(g.integers(0, n, size=n))
+        elif kind == "one row":
+            samples.append(g.integers(0, n, size=1))
+        else:
+            same_label = np.flatnonzero(y == y[g.integers(n)])
+            samples.append(g.choice(same_label, size=draw(st.integers(1, n))))
+    return (x, y, samples, [seed ^ j for j in range(len(samples))],
+            draw(st.sampled_from([0, 1, 2, 3, None])),
+            draw(st.one_of(st.none(), st.integers(1, x.shape[1]))),
+            draw(st.integers(1, tree_module._STACK_SLOTS)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_trees())
+def test_trees_that_grow_unalike_in_one_call_equal_the_per_node_grower(problem):
+    # A small first stack makes every tree that splits twice outgrow it.
+    x, y, samples, seeds, max_depth, n_candidates, slots = problem
+    coded = _code_columns(x, y)
+    trees = [(sample, SeededRng(seed)) for sample, seed in zip(samples, seeds)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tree_module, "_STACK_SLOTS", slots)
+        grown = _grow_trees(coded, trees, max_depth, n_candidates)
+    for tree, sample, seed in zip(grown, samples, seeds):
+        expected = _grow(coded, sample, max_depth, 1, n_candidates, SeededRng(seed))
+        for name in TREE_ARRAYS:
+            assert np.array_equal(getattr(tree, name), getattr(expected, name)), name
+
+
+@st.composite
 def lone_nodes(draw):
-    """(coded columns, row order, one batch entry, its candidates) of a node
-    searched alone."""
+    """(coded columns, row order, (start, size, positives), candidates) of
+    a node searched alone."""
     n = draw(st.integers(1, 80))
     p = draw(st.integers(1, 6))
     g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -357,7 +407,12 @@ def lone_nodes(draw):
     k = draw(st.integers(1, p))
     candidates = np.sort(g.permutation(p)[:k])
     positives = int(coded[2][order[start:start + size]].sum())
-    return coded, order, (None, 0, start, size, positives, 0), candidates
+    return coded, order, (start, size, positives), candidates
+
+
+def same_splits(found, expected):
+    """Two search results hold equal columns, or are both empty."""
+    return len(found) == len(expected) and all(map(np.array_equal, found, expected))
 
 
 class TestCountedSearch:
@@ -366,8 +421,8 @@ class TestCountedSearch:
     def test_counts_find_the_sorted_search_split(self, problem):
         (keys, values, _), order, node, candidates = problem
         shift = _key_shift(1, len(values))
-        assert _count_search(keys, values, order, node, candidates) == _search(
-            keys, values, order, [node], candidates[None], shift)
+        assert same_splits(_count_search(keys, values, order, *node, candidates), _search(
+            keys, values, order, *(np.array([count]) for count in node), candidates[None], shift))
 
     @pytest.mark.parametrize("offset, counted", [(-1, False), (0, True), (1, True)])
     def test_a_lone_node_is_counted_from_twice_the_bins(self, offset, counted):
@@ -451,21 +506,23 @@ def test_a_node_tag_above_bit_31_keeps_nodes_apart():
     x = g.integers(0, 6, size=(90, 4)).astype(float)
     keys, values, labels = _code_columns(x, g.integers(0, 2, size=90))
     order = g.permutation(90)
-    batch = [(None, 0, start, 30, int(labels[order[start:start + 30]].sum()), 0)
-             for start in (0, 30, 60)]
+    starts = np.array([0, 30, 60])
+    nodes = (starts, np.full(3, 30), np.array([labels[order[s:s + 30]].sum() for s in starts]))
     candidates = np.broadcast_to(np.arange(4), (3, 4))
-    narrow = _search(keys, values, order, batch, candidates, _key_shift(3, len(values)))
-    assert narrow[0] == [0, 1, 2]
-    assert _search(keys, values, order, batch, candidates, 40) == narrow
-    for i, node in enumerate(batch):
-        alone = _search(keys, values, order, [node], candidates[:1], _key_shift(1, len(values)))
+    narrow = _search(keys, values, order, *nodes, candidates, _key_shift(3, len(values)))
+    assert narrow[0].tolist() == [0, 1, 2]
+    assert same_splits(_search(keys, values, order, *nodes, candidates, 40), narrow)
+    for i in range(3):
+        node = (column[i:i + 1] for column in nodes)
+        alone = _search(keys, values, order, *node, candidates[:1], _key_shift(1, len(values)))
         assert [column[0] for column in alone[1:]] == [column[i] for column in narrow[1:]]
 
 
 @st.composite
 def batched_nodes(draw):
-    """(coded columns, row order, a batch of nodes, their candidates) of
-    several nodes searched together, as one lockstep step searches them."""
+    """(coded columns, row order, the nodes' (starts, sizes, positives),
+    their candidates) of several nodes searched together, as one lockstep
+    step searches them."""
     n = draw(st.integers(2, 60))
     p = draw(st.integers(1, 6))
     g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -482,28 +539,30 @@ def batched_nodes(draw):
         start = draw(st.integers(0, len(order) - 2))
         size = draw(st.integers(2, len(order) - start))
         positives = int(coded[2][order[start:start + size]].sum())
-        batch.append((None, 0, start, size, positives, 0))
+        batch.append((start, size, positives))
         candidates.append(np.sort(g.permutation(p)[:k]))
-    return coded, order, batch, np.array(candidates)
+    return coded, order, tuple(np.array(column) for column in zip(*batch)), np.array(candidates)
 
 
 @settings(max_examples=300, deadline=None)
 @given(batched_nodes())
 def test_batched_nodes_split_alike_on_int32_and_int64_keys_and_alone(problem):
     # The narrowest shift sorts the tagged keys as int32, shift 40 as int64.
-    (keys, values, _), order, batch, candidates = problem
+    (keys, values, _), order, nodes, candidates = problem
     n, k = candidates.shape
     shift = _key_shift(n * k, len(values))
     assert n * k << shift <= 1 << 31 < n * k << 40
-    together = _search(keys, values, order, batch, candidates, shift)
-    assert _search(keys, values, order, batch, candidates, 40) == together
+    together = _search(keys, values, order, *nodes, candidates, shift)
+    assert same_splits(_search(keys, values, order, *nodes, candidates, 40), together)
     together = together or ([],) * 6
-    for i, node in enumerate(batch):
-        alone = _search(keys, values, order, [node], candidates[i:i + 1], _key_shift(k, len(values)))
+    for i in range(n):
+        node = (column[i:i + 1] for column in nodes)
+        alone = _search(keys, values, order, *node, candidates[i:i + 1], _key_shift(k, len(values)))
         alone = alone or ([],) * 6
         mine = [j for j, of in enumerate(together[0]) if of == i]
-        assert alone[0] == [0] * len(mine)
-        assert list(alone[1:]) == [[column[j] for j in mine] for column in together[1:]]
+        assert list(alone[0]) == [0] * len(mine)
+        assert [list(column) for column in alone[1:]] == [
+            [column[j] for j in mine] for column in together[1:]]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

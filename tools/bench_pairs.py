@@ -23,7 +23,8 @@ sides: the in-process CPU time and tracemalloc peak of the decision-tree
 fit on the 88 480-row fixture. Naming ``forest-fit`` adds
 ``FOREST_FIT_ROUNDS`` rounds of ``tools/forest_fit.py``, alternating sides:
 the in-process CPU time of the 100-tree forest fit on the 4424-row bench
-fixture, a digest of its trees, and its scoring time. Naming ``fixture-gen`` adds
+fixture, a digest of its trees, its scoring time, and the CPU time of a
+lone depth-5 tree on the same rows. Naming ``fixture-gen`` adds
 ``FIXTURE_GEN_ROUNDS`` rounds of the 88 480-row ``dropcast fixture``
 child, alternating sides: its wall time, peak RSS and the sha256 of the
 ``fixture.csv`` it wrote. ``setup_s`` mixes fixture time with the
@@ -164,7 +165,8 @@ def forest_fit(checkouts: dict[str, Path]) -> dict:
                 f"split of the {BENCH_ROWS}-row seed-{SEED} fixture, CPU seconds of {fits} fits, "
                 f"a sha256 of the trees, and the median CPU seconds and sha256 of forest_scores "
                 f"on the test rows and on them repeated to 17690 rows, with the tracemalloc "
-                f"peak of the latter, per round; rounds alternate which side runs first",
+                f"peak of the latter, and the median CPU seconds of build_tree(max_depth=5) on "
+                f"the same training rows, per round; rounds alternate which side runs first",
         **results,
     }
 
