@@ -218,22 +218,20 @@ def _cmd_eda(args) -> int:
     classes = eda_ops.class_distribution(dataset)
     binary = to_binary(dataset)
     del dataset  # free the three-outcome matrix before the correlation's copies
+    # Every table is computed before --out is made, so a rejected run writes nothing.
+    gender = (eda_ops.gender_distribution(binary)
+              if eda_ops.GENDER_COLUMN in binary.column_names else None)
+    rates = {feature: eda_ops.rate_by_category(binary, feature)
+             for feature in EDA_RATE_FEATURES if feature in binary.column_names}
+    correlation = eda_ops.correlation_matrix(binary)
     out = _out_dir(args)
 
     report_ops.write_class_distribution_csv(classes, out / "eda_class_distribution.csv")
-    if eda_ops.GENDER_COLUMN in binary.column_names:
-        report_ops.write_gender_csv(
-            eda_ops.gender_distribution(binary), out / "eda_gender_distribution.csv"
-        )
-    for feature in EDA_RATE_FEATURES:
-        if feature in binary.column_names:
-            table = eda_ops.rate_by_category(binary, feature)
-            report_ops.write_category_rates_csv(
-                table, out / f"eda_rates_{_slug(feature)}.csv"
-            )
-    report_ops.write_correlation_csv(
-        eda_ops.correlation_matrix(binary), out / "eda_correlation.csv"
-    )
+    if gender is not None:
+        report_ops.write_gender_csv(gender, out / "eda_gender_distribution.csv")
+    for feature, table in rates.items():
+        report_ops.write_category_rates_csv(table, out / f"eda_rates_{_slug(feature)}.csv")
+    report_ops.write_correlation_csv(correlation, out / "eda_correlation.csv")
     return 0
 
 

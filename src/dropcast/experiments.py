@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .ingest import Dataset, FeatureGroup, load_dataset, load_manifest, to_binary
+from .ingest import LABELS, Dataset, FeatureGroup, Outcome, load_dataset, load_manifest, to_binary
 from .metrics import RocReport, accuracy, auc, roc_curve
 from .models import (
     GRID_MODEL_ORDER,
@@ -138,9 +138,22 @@ def evaluate_cells(
     A column is the group to exclude, or None for all features. Every
     column reuses the same split per seed, so the feature subset is the
     only factor that varies. Each model is handed over as soon as it is
-    trained; the caller keeps or drops it.
+    trained; the caller keeps or drops it. A seed whose test split lacks
+    an outcome that the table holds is rejected before the first fit,
+    since its AUC is undefined; a table short of an outcome is left to
+    the fit's or the metric's own check.
     """
     splits = [split(binary.n_rows, config.test_fraction, seed) for seed in config.seeds]
+    present = np.bincount(binary.labels, minlength=2) > 0
+    for indices in splits:
+        missing = present & (np.bincount(binary.labels[indices.test_rows], minlength=2) == 0)
+        for outcome in (Outcome.DROPOUT, Outcome.GRADUATE):
+            if missing[LABELS[outcome]]:
+                raise InvalidArgumentError(
+                    f"seed {indices.seed}: its test split of {indices.test_rows.size} "
+                    f"of {binary.n_rows} rows holds no {outcome.value} row; "
+                    f"ROC-AUC needs both outcomes"
+                )
     for group in columns:
         dataset = binary if group is None else exclude_group(binary, group)
         for kind in config.models:

@@ -502,6 +502,41 @@ def test_rejected_run_leaves_no_out_directory(fixture_dir, tmp_path, capsys, arg
     assert not (tmp_path / "out").exists()
 
 
+def test_seed_whose_test_split_lacks_an_outcome_is_rejected_before_any_fit(tmp_path, capsys,
+                                                                          counted):
+    # Seed 1's split holds both outcomes; seed 5's two test rows are both Dropout.
+    generate_fixture(tmp_path / "data.csv", tmp_path / "manifest.tsv", n_rows=20, seed=5)
+    out = tmp_path / "out"
+    code = main(["train", "--model", "dt", "--seeds", "1,5", "--test-fraction", "0.1",
+                 "--data", str(tmp_path / "data.csv"), "--manifest", str(tmp_path / "manifest.tsv"),
+                 "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "dropcast: error: seed 5: its test split of 2 of 18 rows holds no Graduate row; "
+        "ROC-AUC needs both outcomes\n")
+    assert counted[0].calls == 0
+    assert not out.exists()
+
+
+def test_eda_rejected_at_the_correlation_writes_no_file(fixture_dir, tmp_path, capsys):
+    # Every other table takes the overflowing column; only the correlation rejects it.
+    lines = (fixture_dir / "data.csv").read_text().splitlines()
+    column = lines[0].split(";").index("Unemployment rate")
+    rows = [line.split(";") for line in lines[1:]]
+    for i, row in enumerate(rows):
+        row[column] = "1e200" if i % 2 else "-1e200"
+    data = tmp_path / "overflow.csv"
+    data.write_text("\n".join([lines[0], *(";".join(row) for row in rows)]) + "\n")
+    out = tmp_path / "out"
+    code = main(["eda", "--data", str(data), "--manifest", str(fixture_dir / "manifest.tsv"),
+                 "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"dropcast: error: cannot standardize column {column}: "
+        "its mean or standard deviation is not finite\n")
+    assert not out.exists()
+
+
 def test_largest_seed_is_accepted(fixture_dir, tmp_path):
     code = main(["train", *_data_flags(fixture_dir), "--model", "dt", "--out", str(tmp_path),
                  "--seeds", "18446744073709551615,42"])

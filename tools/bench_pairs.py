@@ -1,34 +1,39 @@
 """Run the benchmark on two checkouts in alternating pairs and summarise.
 
     python3 tools/bench_pairs.py --parent P --change C --out BENCH_20.json \
-        ingest-large=10 margin=4 ablate-importance=6 fixture-gen
+        ingest-large=10 margin=4 ablate-importance=6 dt-fit forest-fit fixture-gen
 
 For each ``WORKLOAD=N`` it runs N pairs of
 
     python3 perfbench/run.py --workload W --seed 7 --seconds 30 --trace 0
 
 once from the parent checkout P and once from the change checkout C, one
-process at a time, alternating which side runs first. Before every run a
-short child process makes one multithreaded matrix product, so that a
-slow first BLAS call after an idle gap lands outside the measured run.
+process at a time, alternating which side runs first (``alternate``).
+Before every run a short child process makes one multithreaded matrix
+product, so that a slow first BLAS call after an idle gap lands outside
+the measured run.
 
 The JSON written to ``--out`` holds every run (its result line and the
 output digests it printed) and, per workload, each metric's quartiles
 on each side (``statistics.quantiles(n=4, method='inclusive')``), the
 pairs the change wins and ties (by the metric's direction in
 ``BENCHMARK.json``), failed and attempted operations, and whether every
-output digest is the same on both sides. Naming ``dt-fit`` among the
-workloads adds ``DT_FIT_ROUNDS`` rounds of ``tools/dt_fit.py``, alternating
-sides: the in-process CPU time and tracemalloc peak of the decision-tree
-fit on the 88 480-row fixture. Naming ``forest-fit`` adds
-``FOREST_FIT_ROUNDS`` rounds of ``tools/forest_fit.py``, alternating sides:
-the in-process CPU time of the 100-tree forest fit on the 4424-row bench
-fixture, a digest of its trees, its scoring time, and the CPU time of a
-lone depth-5 tree on the same rows. Naming ``fixture-gen`` adds
-``FIXTURE_GEN_ROUNDS`` rounds of the 88 480-row ``dropcast fixture``
-child, alternating sides: its wall time, peak RSS and the sha256 of the
-``fixture.csv`` it wrote. ``setup_s`` mixes fixture time with the
-warm-up operation, so the fixture's own numbers get their own record.
+output digest is the same on both sides.
+
+Naming a probe of ``PROBES`` (``dt-fit``, ``forest-fit``) adds its
+rounds, alternating sides, under ``in_process``: each round is a child
+that runs ``dt_probe`` or ``forest_probe`` of this file with the side's
+``src`` first on ``PYTHONPATH``, on one fixture built by the change's
+checkout. One probe runs alone as
+
+    PYTHONPATH=CHECKOUT/src:tools python3 -c \
+        "import bench_pairs; bench_pairs.forest_probe('F.csv', 'M.tsv')"
+
+Naming ``fixture-gen`` adds ``FIXTURE_GEN_ROUNDS`` rounds of the
+88 480-row ``dropcast fixture`` child, alternating sides: its wall time,
+peak RSS and the sha256 of the ``fixture.csv`` it wrote. ``setup_s``
+mixes fixture time with the warm-up operation, so the fixture's own
+numbers get their own record.
 """
 
 from __future__ import annotations
@@ -43,22 +48,40 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
+SIDES = ("parent", "change")
 SECONDS = "30"
 SEED = 7  # the benchmark's default fixture seed
 WARM_UP = "import numpy as np; a = np.ones((512, 512)); a @ a"
 LARGE_ROWS = "88480"  # the ingest-large fixture
 BENCH_ROWS = "4424"  # the bench fixture
-DT_FIT_ROUNDS = 4
-FOREST_FIT_ROUNDS = 4
 FIXTURE_GEN_ROUNDS = 6
-EXTRAS = ("dt-fit", "forest-fit", "fixture-gen")
+DT_FITS = 7
+FOREST_FITS = 5
+SCORES = 5
+TREE_FITS = 41
+TREES = 100
+LARGE_QUERIES = 17690
+
+
+def alternate(rounds: int):
+    """Yield ``(round, side)`` for ``rounds`` rounds, the parent first on
+    even rounds and the change first on odd ones, after running the
+    warm-up product in a child before each."""
+    for r in range(rounds):
+        for side in SIDES if r % 2 == 0 else SIDES[::-1]:
+            subprocess.run([sys.executable, "-c", WARM_UP], check=True)
+            yield r, side
+
+
+def pythonpath(*folders: Path) -> dict:
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, folders))}
 
 
 def run_benchmark(checkout: Path, workload: str) -> dict:
-    subprocess.run([sys.executable, "-c", WARM_UP], check=True)
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
          "--seconds", SECONDS, "--trace", "0"],
@@ -80,6 +103,12 @@ def quartiles(values: list[float]) -> dict:
 
 
 def summarise(workload: str, runs: list[dict], better: dict[str, str]) -> dict:
+    """Per metric of ``better`` that every complete pair reports: its
+    quartiles on each side, the pairs where the change's value is better
+    in the metric's direction (``change_wins``) and those where the two
+    are equal (``ties``). ``output_digests.equal`` holds when every label
+    printed one digest on all runs of a side and the two sides printed
+    the same labels and digests."""
     by_pair: dict[int, dict[str, dict]] = {}
     for run in runs:
         by_pair.setdefault(run["pair"], {})[run["side"]] = run["result"]
@@ -87,7 +116,7 @@ def summarise(workload: str, runs: list[dict], better: dict[str, str]) -> dict:
     metrics = {}
     for name, direction in better.items():
         values = {side: [p[side]["metrics"].get(name, {}).get("value") for p in pairs]
-                  for side in ("parent", "change")}
+                  for side in SIDES}
         if any(v is None for side in values.values() for v in side):
             continue
         sign = 1 if direction == "lower" else -1
@@ -96,7 +125,7 @@ def summarise(workload: str, runs: list[dict], better: dict[str, str]) -> dict:
         metrics[name] = {"parent": quartiles(values["parent"]),
                          "change": quartiles(values["change"]),
                          "change_wins": wins, "ties": ties}
-    digests = {side: {} for side in ("parent", "change")}
+    digests = {side: {} for side in SIDES}
     for run in runs:
         for label, digest in run["result"]["digests"].items():
             digests[run["side"]].setdefault(label, set()).add(digest)
@@ -105,13 +134,123 @@ def summarise(workload: str, runs: list[dict], better: dict[str, str]) -> dict:
     return {
         "workload": workload, "seed": SEED, "pairs": len(pairs),
         "metrics": metrics,
-        "failed_ops": {side: sum(p[side]["failed"] for p in pairs) for side in ("parent", "change")},
-        "attempted_ops": {side: sum(p[side]["attempted"] for p in pairs)
-                          for side in ("parent", "change")},
+        "failed_ops": {side: sum(p[side]["failed"] for p in pairs) for side in SIDES},
+        "attempted_ops": {side: sum(p[side]["attempted"] for p in pairs) for side in SIDES},
         "output_digests": {"equal": flat["parent"] == flat["change"]
                            and all(len(d) == 1 for d in flat["parent"].values()),
                            **flat},
     }
+
+
+# The probes import dropcast when called, so each child measures the
+# dropcast first on its path and the runner itself needs none.
+def load_split(data: str, manifest: str):
+    """Training matrix, training labels and test matrix of the seed-42
+    split (test fraction 0.2), as ``train --seeds 42`` draws it."""
+    from dropcast.ingest import load_dataset, load_manifest, to_binary
+    from dropcast.preprocess import split
+
+    binary = to_binary(load_dataset(data, load_manifest(manifest)))
+    rows = split(binary.n_rows, 0.2, 42)
+    matrix = binary.feature_matrix
+    return matrix[rows.train_rows], binary.labels[rows.train_rows], matrix[rows.test_rows]
+
+
+def cpu_seconds(call, times: int) -> tuple[list[float], object]:
+    """CPU seconds of each of ``times`` calls, and the last call's result;
+    each earlier result is dropped before the next call."""
+    cpu, result = [], None
+    for _ in range(times):
+        result = None
+        start = time.process_time()
+        result = call()
+        cpu.append(time.process_time() - start)
+    return cpu, result
+
+
+def median_cpu(call, times: int) -> float:
+    return round(statistics.median(cpu_seconds(call, times)[0]), 6)
+
+
+def traced_peak(call) -> int:
+    """tracemalloc's peak, in bytes, over one call."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def fit_summary(cpu: list[float]) -> dict:
+    return {"cpu_s": [round(t, 4) for t in cpu], "cpu_s_min": round(min(cpu), 4),
+            "cpu_s_median": round(statistics.median(cpu), 4)}
+
+
+def dt_probe(data: str, manifest: str) -> None:
+    """Print the CPU seconds of ``DT_FITS`` depth-5 tree fits on the
+    seed-42 training split and the tracemalloc peak of one more."""
+    from dropcast.models.tree import build_tree
+
+    x, y, _ = load_split(data, manifest)
+    cpu, _ = cpu_seconds(lambda: build_tree(x, y, max_depth=5), DT_FITS)
+    peak = traced_peak(lambda: build_tree(x, y, max_depth=5))
+    print(json.dumps({
+        "rows": x.shape[0], "features": x.shape[1], **fit_summary(cpu),
+        "tracemalloc_peak_mb": round(peak / 1e6, 2),
+        "peak_over_matrix": round(peak / x.nbytes, 3),
+    }))
+
+
+def forest_probe(data: str, manifest: str) -> None:
+    """Print the CPU seconds of ``FOREST_FITS`` 100-tree forest fits on the
+    seed-42 training split with a sha256 of the trees, the median CPU
+    seconds and a sha256 of scoring the test rows and them repeated to
+    ``LARGE_QUERIES`` rows, the latter's tracemalloc peak, and the median
+    CPU seconds of ``TREE_FITS`` depth-5 tree fits on the same rows."""
+    import numpy as np
+
+    from dropcast.models.forest import build_forest, forest_scores
+    from dropcast.models.tree import build_tree
+
+    x, y, queries = load_split(data, manifest)
+    large = np.resize(queries, (LARGE_QUERIES, queries.shape[1]))
+    cpu, forest = cpu_seconds(lambda: build_forest(x, y, TREES, 42), FOREST_FITS)
+    trees = hashlib.sha256()
+    for tree in forest.trees:
+        for name in ("feature", "threshold", "left", "right", "n_samples", "n_positive"):
+            trees.update(getattr(tree, name).tobytes())
+    scores = hashlib.sha256(forest_scores(forest, queries).tobytes())
+    scores.update(forest_scores(forest, large).tobytes())
+    score_cpu = [median_cpu(lambda: forest_scores(forest, q), SCORES) for q in (queries, large)]
+    peak = traced_peak(lambda: forest_scores(forest, large))
+    tree_cpu = median_cpu(lambda: build_tree(x, y, max_depth=5), TREE_FITS)
+    print(json.dumps({
+        "rows": x.shape[0], "features": x.shape[1], "trees": TREES, **fit_summary(cpu),
+        "trees_sha256": trees.hexdigest(),
+        "score_rows": [len(queries), LARGE_QUERIES],
+        "score_cpu_s_median": score_cpu,
+        "score_large_tracemalloc_peak_mb": round(peak / 1e6, 2),
+        "scores_sha256": scores.hexdigest(),
+        "tree_fits": TREE_FITS, "tree_cpu_s_median": tree_cpu,
+    }))
+
+
+# Probe name: (probe, fixture rows, rounds, what its record holds).
+PROBES = {
+    "dt-fit": (dt_probe, LARGE_ROWS, 4,
+               f"bench_pairs.dt_probe: build_tree(max_depth=5) on the seed-42 training split of "
+               f"the {LARGE_ROWS}-row seed-{SEED} fixture, CPU seconds of {DT_FITS} fits and the "
+               f"tracemalloc peak of one more, per round; rounds alternate which side runs first"),
+    "forest-fit": (forest_probe, BENCH_ROWS, 4,
+                   f"bench_pairs.forest_probe: build_forest({TREES} trees, seed 42) on the seed-42 "
+                   f"training split of the {BENCH_ROWS}-row seed-{SEED} fixture, CPU seconds of "
+                   f"{FOREST_FITS} fits, a sha256 of the trees, and the median CPU seconds and "
+                   f"sha256 of forest_scores on the test rows and on them repeated to "
+                   f"{LARGE_QUERIES} rows, with the tracemalloc peak of the latter, and the median "
+                   f"CPU seconds of build_tree(max_depth=5) on the same training rows, per round; "
+                   f"rounds alternate which side runs first"),
+}
 
 
 def fixture_argv(folder: str | Path, rows: str = LARGE_ROWS) -> list[str]:
@@ -120,80 +259,42 @@ def fixture_argv(folder: str | Path, rows: str = LARGE_ROWS) -> list[str]:
             "--out", str(folder)]
 
 
-def probe_rounds(checkouts: dict[str, Path], script: str, rows: str, rounds: int) -> dict:
-    """``tools/<script>`` on each side, ``rounds`` times, alternating, on one
-    fixture of ``rows`` rows built by the change's checkout."""
-    results: dict[str, list[dict]] = {side: [] for side in checkouts}
+def probe_rounds(checkouts: dict[str, Path], name: str) -> dict:
+    """The probe named ``name`` on each side, its rounds alternating, on one
+    fixture built by the change's checkout."""
+    probe, rows, rounds, what = PROBES[name]
+    results: dict[str, list[dict]] = {side: [] for side in SIDES}
     with tempfile.TemporaryDirectory() as folder:
-        subprocess.run(
-            fixture_argv(folder, rows),
-            env={**os.environ, "PYTHONPATH": str(checkouts["change"] / "src")}, check=True,
-            stdout=subprocess.DEVNULL,
-        )
-        for r in range(rounds):
-            sides = list(checkouts) if r % 2 == 0 else list(reversed(checkouts))
-            for side in sides:
-                subprocess.run([sys.executable, "-c", WARM_UP], check=True)
-                proc = subprocess.run(
-                    [sys.executable, str(HERE / script),
-                     "--data", f"{folder}/fixture.csv", "--manifest", f"{folder}/fixture_manifest.tsv"],
-                    env={**os.environ, "PYTHONPATH": str(checkouts[side] / "src")},
-                    capture_output=True, text=True, check=True,
-                )
-                results[side].append(json.loads(proc.stdout.splitlines()[-1]))
-    return results
-
-
-def dt_fit(checkouts: dict[str, Path]) -> dict:
-    """``tools/dt_fit.py`` on each side, ``DT_FIT_ROUNDS`` times, alternating."""
-    results = probe_rounds(checkouts, "dt_fit.py", LARGE_ROWS, DT_FIT_ROUNDS)
-    fits = len(results["change"][0]["cpu_s"])
-    return {
-        "what": f"tools/dt_fit.py: build_tree(max_depth=5) on the seed-42 training split of the "
-                f"{LARGE_ROWS}-row seed-{SEED} fixture, CPU seconds of {fits} fits and the "
-                f"tracemalloc peak of one more, per round; rounds alternate which side runs first",
-        **results,
-    }
-
-
-def forest_fit(checkouts: dict[str, Path]) -> dict:
-    """``tools/forest_fit.py`` on each side, ``FOREST_FIT_ROUNDS`` times, alternating."""
-    results = probe_rounds(checkouts, "forest_fit.py", BENCH_ROWS, FOREST_FIT_ROUNDS)
-    fits = len(results["change"][0]["cpu_s"])
-    return {
-        "what": f"tools/forest_fit.py: build_forest(100 trees, seed 42) on the seed-42 training "
-                f"split of the {BENCH_ROWS}-row seed-{SEED} fixture, CPU seconds of {fits} fits, "
-                f"a sha256 of the trees, and the median CPU seconds and sha256 of forest_scores "
-                f"on the test rows and on them repeated to 17690 rows, with the tracemalloc "
-                f"peak of the latter, and the median CPU seconds of build_tree(max_depth=5) on "
-                f"the same training rows, per round; rounds alternate which side runs first",
-        **results,
-    }
+        subprocess.run(fixture_argv(folder, rows), env=pythonpath(checkouts["change"] / "src"),
+                       check=True, stdout=subprocess.DEVNULL)
+        call = (f"import bench_pairs; bench_pairs.{probe.__name__}("
+                f"{folder + '/fixture.csv'!r}, {folder + '/fixture_manifest.tsv'!r})")
+        for _, side in alternate(rounds):
+            proc = subprocess.run([sys.executable, "-c", call],
+                                  env=pythonpath(checkouts[side] / "src", HERE),
+                                  capture_output=True, text=True, check=True)
+            results[side].append(json.loads(proc.stdout.splitlines()[-1]))
+    return {"what": what, **results}
 
 
 def fixture_gen(checkouts: dict[str, Path]) -> dict:
     """The ``dropcast fixture`` child on each side, ``FIXTURE_GEN_ROUNDS`` times, alternating."""
-    results: dict[str, list[dict]] = {side: [] for side in checkouts}
+    results: dict[str, list[dict]] = {side: [] for side in SIDES}
     with tempfile.TemporaryDirectory() as folder:
-        for r in range(FIXTURE_GEN_ROUNDS):
-            sides = list(checkouts) if r % 2 == 0 else list(reversed(checkouts))
-            for side in sides:
-                subprocess.run([sys.executable, "-c", WARM_UP], check=True)
-                out = Path(folder) / side
-                start = time.perf_counter()
-                proc = subprocess.Popen(
-                    fixture_argv(out), stdout=subprocess.DEVNULL,
-                    env={**os.environ, "PYTHONPATH": str(checkouts[side] / "src")},
-                )
-                _, status, usage = os.wait4(proc.pid, 0)
-                wall = time.perf_counter() - start
-                returncode = os.waitstatus_to_exitcode(status)
-                if returncode != 0:
-                    raise subprocess.CalledProcessError(returncode, proc.args)
-                digest = hashlib.sha256((out / "fixture.csv").read_bytes()).hexdigest()
-                results[side].append({"wall_s": round(wall, 4),
-                                      "peak_rss_mb": round(usage.ru_maxrss / 1024.0, 2),
-                                      "sha256": digest})
+        for _, side in alternate(FIXTURE_GEN_ROUNDS):
+            out = Path(folder) / side
+            start = time.perf_counter()
+            proc = subprocess.Popen(fixture_argv(out), stdout=subprocess.DEVNULL,
+                                    env=pythonpath(checkouts[side] / "src"))
+            _, status, usage = os.wait4(proc.pid, 0)
+            wall = time.perf_counter() - start
+            returncode = os.waitstatus_to_exitcode(status)
+            if returncode != 0:
+                raise subprocess.CalledProcessError(returncode, proc.args)
+            digest = hashlib.sha256((out / "fixture.csv").read_bytes()).hexdigest()
+            results[side].append({"wall_s": round(wall, 4),
+                                  "peak_rss_mb": round(usage.ru_maxrss / 1024.0, 2),
+                                  "sha256": digest})
     return {
         "what": f"dropcast fixture --rows {LARGE_ROWS} --seed {SEED} --planted-group academic "
                 f"--strength 3.0 as a child process: wall seconds from start to exit, its "
@@ -216,19 +317,17 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
 
     runs, summary = [], []
-    for spec in (s for s in args.pairs if s not in EXTRAS):
+    for spec in (s for s in args.pairs if s not in (*PROBES, "fixture-gen")):
         workload, n = spec.split("=")
         workload_runs = []
-        for pair in range(int(n)):
-            sides = ["parent", "change"] if pair % 2 == 0 else ["change", "parent"]
-            for order, side in enumerate(sides, 1):
-                result = run_benchmark(checkouts[side], workload)
-                run = {"workload": workload, "seed": SEED, "trace": 0, "pair": pair,
-                       "side": side, "order": order, "result": result}
-                workload_runs.append(run)
-                print(json.dumps({k: run[k] for k in ("workload", "pair", "side")}
-                                 | {k: v["value"] for k, v in result["metrics"].items()}),
-                      flush=True)
+        for pair, side in alternate(int(n)):
+            result = run_benchmark(checkouts[side], workload)
+            run = {"workload": workload, "seed": SEED, "trace": 0, "pair": pair, "side": side,
+                   "order": 1 if side == SIDES[pair % 2] else 2, "result": result}
+            workload_runs.append(run)
+            print(json.dumps({k: run[k] for k in ("workload", "pair", "side")}
+                             | {k: v["value"] for k, v in result["metrics"].items()}),
+                  flush=True)
         runs += workload_runs
         summary.append(summarise(workload, workload_runs, better))
 
@@ -242,9 +341,8 @@ def main(argv=None) -> int:
                    f"Python {platform.python_version()}",
         "summary": summary,
     }
-    probes = {"dt-fit": dt_fit, "forest-fit": forest_fit}
-    in_process = {name.replace("-", "_"): probe(checkouts)
-                  for name, probe in probes.items() if name in args.pairs}
+    in_process = {name.replace("-", "_"): probe_rounds(checkouts, name)
+                  for name in PROBES if name in args.pairs}
     if in_process:
         doc["in_process"] = in_process
     if "fixture-gen" in args.pairs:
