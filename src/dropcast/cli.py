@@ -1,11 +1,10 @@
 """Command-line entry point.
 
-Subcommands: eda, train, ablate, importance, roc, fixture. Outputs land
-in the --out directory, which is made only when the first output is
-written: a run rejected before then leaves no directory behind. Exit
-codes: 0 success, 1 runtime error (one diagnostic line on stderr), 2
-usage error. No environment variables are consulted; everything is a
-flag.
+Subcommands: eda, train, ablate, importance, roc, fixture. Every command
+computes all its outputs before it makes the --out directory, so a
+rejected run leaves no directory and no file behind. Exit codes: 0
+success, 1 runtime error (one diagnostic line on stderr), 2 usage error.
+No environment variables are consulted; everything is a flag.
 """
 
 from __future__ import annotations
@@ -206,7 +205,7 @@ def _config_from_args(args) -> RunConfig:
 
 def _out_dir(args) -> Path:
     """The --out directory, made if missing; called only once a command
-    has something to write."""
+    has computed everything it writes."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -218,7 +217,6 @@ def _cmd_eda(args) -> int:
     classes = eda_ops.class_distribution(dataset)
     binary = to_binary(dataset)
     del dataset  # free the three-outcome matrix before the correlation's copies
-    # Every table is computed before --out is made, so a rejected run writes nothing.
     gender = (eda_ops.gender_distribution(binary)
               if eda_ops.GENDER_COLUMN in binary.column_names else None)
     rates = {feature: eda_ops.rate_by_category(binary, feature)
@@ -238,13 +236,15 @@ def _cmd_eda(args) -> int:
 def _cmd_train(args, command: str = "train") -> int:
     config = _config_from_args(args)
     binary, manifest_version = load_binary(config)
-    reports = []
-    for model, rep in evaluate_cells(binary, (config.excluded_group,), config):
-        out = _out_dir(args)  # made by the first trained cell
+    save_models = getattr(args, "save_models", False)
+    cells = [(model if save_models else None, rep)
+             for model, rep in evaluate_cells(binary, (config.excluded_group,), config)]
+    out = _out_dir(args)
+    for model, rep in cells:
         report_ops.write_roc_csv(rep.curve, out / report_ops.roc_csv_name(rep.model_kind.label, rep.seed))
-        if getattr(args, "save_models", False):
+        if model is not None:
             save_model(model, out / f"model_{rep.model_kind.value}_seed{rep.seed}.txt")
-        reports.append(rep)
+    reports = [rep for _, rep in cells]
     doc = report_ops.build_run_document(command, config, manifest_version, reports)
     report_ops.write_json(doc, out / "report.json")
     if command == "roc":

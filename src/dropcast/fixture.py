@@ -8,7 +8,7 @@ column is noise, so downstream AUCs concentrate at 0.5; a planted group
 needs a positive strength, and a positive strength needs a planted
 group. A fixed share of rows is marked Enrolled to exercise the binary
 filter. The output files' directories are made if missing, once the
-arguments have been checked.
+arguments have been checked and the text is built.
 
 Output bytes are a pure function of the arguments. numpy builds the text
 as one byte block per column, so no Python call is made per cell; the
@@ -96,9 +96,10 @@ def generate_fixture(
     cells.append(words.astype("S8").view(np.uint8).reshape(n_rows, 8))
     header = ";".join(list(manifest.column_names) + ["Target"]) + "\n"
 
+    text = header.encode("utf-8") + _join_rows(cells)
     for path in (csv_path, manifest_path):
         Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(csv_path).write_bytes(header.encode("utf-8") + _join_rows(cells))
+    Path(csv_path).write_bytes(text)
     shutil.copyfile(default_manifest_path("default-34"), manifest_path)
 
 

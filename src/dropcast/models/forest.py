@@ -3,10 +3,11 @@
 Every tree grows on a bootstrap sample with ceil(sqrt(p)) candidate
 features per split and no depth limit; the tree count and the seed are
 the only settings. Tree ``i`` draws its bootstrap sample and all of its
-split-time feature subsets from a generator seeded with ``seed XOR i``.
-All trees are grown in lockstep by one call (see ``tree``). No tree's
-stream depends on the other trees, so each tree equals the tree grown
-alone from its sample and stream, and the forest is a pure function of
+split-time feature subsets from a generator seeded with ``seed XOR i``,
+the subsets in level order: depth by depth, left to right. All trees
+are grown together by one call (see ``tree``). No tree's stream depends
+on the other trees, so each tree equals the tree grown alone from its
+sample and stream, and the forest is a pure function of
 (data, tree count, seed). The bootstrap samples are drawn as one
 (trees × rows) block of the trees' streams (``rng.integer_block``),
 with the values each stream would draw alone.

@@ -19,15 +19,14 @@ could hold more than 2**30 bins, whose keys would not fit, and is
 refused. Scores and thresholds (midpoints of the two bins' values) are
 computed as from the raw values, so the coding changes no tree.
 
-Trees grow in lockstep; a forest passes all of its trees to one call.
-Each tree keeps its own subset stream and its own depth-first stack,
-left child first, which holds only nodes that may split; the stacks are
-one int64 array indexed by tree. At each step every growing tree pops
-one node, and one ``subsets`` call draws all of their feature subsets
-as one block, so a tree's draws and nodes come in the order a lone tree
-would make them. The popped nodes are searched in chunks of at most
+Trees grow together, level by level; a forest passes all of its trees
+to one call. The nodes that may split at the current depth form one
+frontier, tree by tree and left to right. One ``subsets`` call draws a
+feature subset for every frontier node, each from its tree's own
+stream, so a tree's draws come in the order a lone tree grown level by
+level would make them. The frontier is searched in chunks of at most
 ``_CHUNK_ELEMENTS`` (node, candidate, row) elements, which bounds the
-search's memory however many trees grow together; a larger node is
+search's memory however many nodes a depth holds; a larger node is
 searched alone.
 
 A chunk is searched in one of two ways, which find the same split:
@@ -57,11 +56,12 @@ A chunk is searched in one of two ways, which find the same split:
 Either way each cut's left size and positives are the same integers,
 scored by the same float64 expression, and the first minimum in
 (candidate, threshold) order is the tie-break winner; its rows are
-partitioned stably in place. Then the step's winners take the exact
-test, number their children (a tree's i-th split appends nodes 2i + 1
-and 2i + 2) and push those that may split, right then left, each as one
-array operation for all trees. With feature subsampling, each split
-attempt advances its tree's stream by one subset draw of ``n_features``
+partitioned stably in place. Then the depth's winners take the exact
+test and number their children: a tree's j-th split, counted level by
+level and left to right, appends nodes 2j + 1 and 2j + 2. The children
+that may split form the next frontier. Each of these is one array
+operation for all trees. With feature subsampling, each split attempt
+advances its tree's stream by one subset draw of ``n_features``
 counters.
 
 Leaves store the positive-class fraction of their training samples,
@@ -88,9 +88,6 @@ _CHUNK_ELEMENTS = 1 << 15
 # Bins number at most the matrix's values; with at most 2**30 bins every
 # key ``2 * bin + label`` is below 2**31 and fits an int32.
 _MAX_VALUES = 1 << 30
-
-# Slots of each tree's first stack; all stacks double when a push could overflow one.
-_STACK_SLOTS = 8
 
 # Scoring walks the (tree, query row) pairs of about this many at once.
 _WALK_PAIRS = 1 << 16
@@ -161,19 +158,20 @@ def build_tree(x: np.ndarray, y: np.ndarray, max_depth: int | None = None) -> Tr
 
 
 def _grow_trees(coded, trees, max_depth, n_candidates) -> list[Tree]:
-    """One ``Tree`` per (sample_idx, rng) of ``trees``, grown in lockstep
-    on columns coded by ``_code_columns``: on rows ``sample_idx`` (all
-    rows when None; a bootstrap sample repeats rows), each split drawing
-    ``n_candidates`` features from ``rng`` when given. Each tree equals
-    the tree grown alone from the same sample and stream."""
+    """One ``Tree`` per (sample_idx, rng) of ``trees``, grown together
+    level by level on columns coded by ``_code_columns``: on rows
+    ``sample_idx`` (all rows when None; a bootstrap sample repeats rows),
+    each split drawing ``n_candidates`` features from ``rng`` when given.
+    Each tree equals the tree grown alone from the same sample and stream."""
     keys, values, labels = coded
     n_features, n_rows = keys.shape
     subsample = n_candidates is not None and n_candidates < n_features
     k = n_candidates if subsample else n_features
-    shift = _key_shift(len(trees) * k, len(values))
+    # A chunk of several nodes of at least two rows holds fewer segments
+    # than elements; a lone node holds k.
+    shift = _key_shift(max(_CHUNK_ELEMENTS, k), len(values))
     depth_limit = np.iinfo(np.int64).max if max_depth is None else max_depth
     streams = np.fromiter((rng for _, rng in trees), dtype=object, count=len(trees))
-    candidates = np.repeat(np.arange(n_features)[None], len(trees), axis=0)  # unless subsampled
 
     # Every tree's rows, one range per tree; each node owns a subrange,
     # which its split partitions stably in place, left rows first.
@@ -189,24 +187,21 @@ def _grow_trees(coded, trees, max_depth, n_candidates) -> list[Tree]:
     starts = sizes.cumsum() - sizes
     positives = np.add.reduceat(labels[order], starts)
 
-    # Tree t = growing[j] stacks the nodes that may split as columns
-    # (node, start, size, positives, depth) of ``stack[:, t, :height[j]]``,
-    # top last; a tree leaves ``growing`` when its stack is empty.
-    stack = np.zeros((5, len(trees), _STACK_SLOTS), dtype=np.int64)
-    stack[1:4, :, 0] = starts, sizes, positives
-    growing = np.arange(len(trees))
-    height = ((positives > 0) & (positives < sizes) & (depth_limit > 0)).astype(np.int64)
-    n_nodes = np.ones(len(trees), dtype=np.int64)
-    records = []  # per step: the splits' trees, nodes, features, thresholds, children
-    while True:
-        if not height.all():
-            growing, height = growing[height > 0], height[height > 0]
-            if growing.size == 0:
-                break
-        height -= 1
-        node, start, size, positive, depth = stack[:, growing, height]
+    # The nodes of the current depth as columns (tree, node, start, size,
+    # positives), tree by tree and left to right.
+    frontier = np.stack((np.arange(len(trees)), np.zeros_like(sizes), starts, sizes, positives))
+    n_splits = np.zeros(len(trees), dtype=np.int64)
+    records = []  # per depth: the splits' nodes, features, thresholds, and children's columns
+    depth = 0
+    while depth < depth_limit:
+        frontier = frontier[:, (frontier[4] > 0) & (frontier[4] < frontier[3])]
+        tree, node, start, size, positive = frontier
+        if not tree.size:
+            break
         if subsample:
-            candidates = subsets(streams[growing], n_features, k)
+            candidates = subsets(streams[tree], n_features, k)
+        else:
+            candidates = np.broadcast_to(np.arange(n_features), (tree.size, n_features))
 
         found = []
         elements = (size * k).tolist()
@@ -223,11 +218,11 @@ def _grow_trees(coded, trees, max_depth, n_candidates) -> list[Tree]:
                 if lo:
                     i += lo
                 # A winner that fails the exact test below stays a leaf,
-                # and no later step reads its rows' order.
+                # and no later depth reads its rows' order.
                 _partition(keys, order, start[i], size[i], feature, low_bin, left_n)
                 found.append((i, feature, threshold, left_n, left_pos))
         if not found:
-            continue
+            break
         i, feature, threshold, left_n, left_pos = (
             found[0] if len(found) == 1 else map(np.concatenate, zip(*found)))
         right_n, right_pos = size[i] - left_n, positive[i] - left_pos
@@ -236,50 +231,39 @@ def _grow_trees(coded, trees, max_depth, n_candidates) -> list[Tree]:
             i, feature, threshold, left_n, left_pos, right_n, right_pos = (
                 column[better]
                 for column in (i, feature, threshold, left_n, left_pos, right_n, right_pos))
-            if not i.size:
-                continue
 
-        # Number each split's children, then push them right first, so
-        # the left child is expanded first. A child that may not split
-        # takes no slot: the next push, or the stack's top, covers it.
-        t = growing[i]
-        child = n_nodes[t]
-        n_nodes[t] = child + 2
-        left_start, kid_depth = start[i], depth[i] + 1
-        # (node, start, size, positives, depth) × (right, left) × split
-        kids = np.concatenate((child + 1, child, left_start + left_n, left_start, right_n, left_n,
-                               right_pos, left_pos, kid_depth, kid_depth)).reshape(5, 2, -1)
-        records.append((t, node[i], feature, threshold, kids))
-        may_split = (kids[3] > 0) & (kids[3] < kids[2]) & (kid_depth < depth_limit)
-        right_at = height[i]
-        # Below its top two siblings a stack holds at most one node per
-        # depth, so no push writes at slot ``depth_limit`` or above.
-        if depth_limit > stack.shape[2] and right_at.max() + 2 > stack.shape[2]:
-            stack = np.concatenate((stack, np.zeros_like(stack)), axis=2)
-        left_at = right_at + may_split[0]
-        stack[:, t, right_at] = kids[:, 0]
-        stack[:, t, left_at] = kids[:, 1]
-        height[i] = left_at + may_split[1]
-    return _assemble(sizes, positives, n_nodes, records)
+        # A tree's j-th split, counted level by level and left to right,
+        # appends nodes 2j + 1 (left) and 2j + 2; the splits of one tree
+        # are consecutive, in that order.
+        t = tree[i]
+        j = n_splits[t] + np.arange(t.size) - np.searchsorted(t, t)
+        n_splits += np.bincount(t, minlength=len(trees))
+        kids = np.empty((5, t.size, 2), dtype=np.int64)
+        kids[:, :, 0] = t, 2 * j + 1, start[i], left_n, left_pos
+        kids[:, :, 1] = t, 2 * j + 2, start[i] + left_n, right_n, right_pos
+        frontier = kids.reshape(5, -1)
+        records.append((node[i], feature, threshold, frontier))
+        depth += 1
+    return _assemble(sizes, positives, 2 * n_splits + 1, records)
 
 
 def _assemble(sizes, positives, n_nodes, records) -> list[Tree]:
     """Every tree from its root's counts, node count and split records,
     filled as one set of joint arrays that the ``Tree``s slice."""
     empty = np.zeros(0, dtype=np.int64)
-    tree, node, feature, threshold, kids = (
+    node, feature, threshold, kids = (
         np.concatenate(column, axis=-1)
-        for column in zip(*records or [(empty, empty, empty, empty, empty.reshape(5, 2, 0))]))
+        for column in zip(*records or [(empty, empty, empty, empty.reshape(5, 0))]))
     first = n_nodes.cumsum() - n_nodes
-    split_at = first[tree] + node
+    split_at = first[kids[0, ::2]] + node
     links = np.full((3, n_nodes.sum()), _NO_NODE, dtype=np.int64)
-    links[:, split_at] = feature, *kids[0]
+    links[:, split_at] = feature, kids[1, ::2], kids[1, 1::2]
     threshold_of = np.zeros(links.shape[1])
     threshold_of[split_at] = threshold
     counts = np.empty((2, links.shape[1]), dtype=np.int64)
     counts[:, first] = sizes, positives
-    counts[:, first[tree] + kids[0]] = kids[2:4]
-    (feature_of, right, left), (n_samples, n_positive) = links, counts
+    counts[:, first[kids[0]] + kids[1]] = kids[3:]
+    (feature_of, left, right), (n_samples, n_positive) = links, counts
     arrays = (feature_of, threshold_of, left, right, n_positive / n_samples, n_samples, n_positive)
     for arr in arrays:
         arr.setflags(write=False)

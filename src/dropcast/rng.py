@@ -18,7 +18,8 @@ Each method consumes a contiguous block of counter values, so a fixed
 call sequence always sees the same stream regardless of batch sizes.
 ``subsets`` and ``integer_block`` take the next draws of several streams
 as one (streams × n) block, with the values each stream would draw
-alone.
+alone; a stream listed several times gives its successive draws, in
+list order.
 When several logically independent streams are carved out of one seed
 (the fixture generator does this per column), use :meth:`child` rather
 than interleaving draws: child streams sit at mixer-scrambled offsets
@@ -74,12 +75,15 @@ def _mix64(z: np.ndarray) -> np.ndarray:
 
 
 def _raw_block(streams: list["SeededRng"], n: int) -> np.ndarray:
-    """(streams × n) raw draws, row i the next n of ``streams[i]``; each
-    stream advances n counters."""
+    """(streams × n) raw draws, row i the next n of ``streams[i]``. Each
+    entry reads its stream's counter and then advances it by n, so a
+    stream listed twice gives its next 2n draws, in two rows."""
     seeds = np.array([stream._seed for stream in streams], dtype=np.uint64)
-    starts = np.array([stream._counter + 1 for stream in streams], dtype=np.uint64)
+    starts = []
     for stream in streams:
+        starts.append(stream._counter + 1)
         stream._counter += n
+    starts = np.array(starts, dtype=np.uint64)
     z = starts[:, None] + np.arange(n, dtype=np.uint64)
     z *= _GAMMA
     z += seeds[:, None]
@@ -127,7 +131,8 @@ class SeededRng:
 
 def subsets(streams: list[SeededRng], n: int, k: int) -> np.ndarray:
     """Row i: the first k of ``streams[i].permutation(n)``, sorted, from one
-    (streams × n) block of raw keys; each stream advances n counters."""
+    (streams × n) block of raw keys; each entry advances its stream n
+    counters."""
     if k > n:
         raise ValueError("subset size exceeds population")
     return np.sort(np.argsort(_raw_block(streams, n), axis=1)[:, :k], axis=1)
@@ -135,7 +140,7 @@ def subsets(streams: list[SeededRng], n: int, k: int) -> np.ndarray:
 
 def integer_block(streams: list[SeededRng], n: int, bound: int) -> np.ndarray:
     """Row i: ``streams[i].integers(n, bound)``, from one (streams × n)
-    block of raw draws; each stream advances n counters."""
+    block of raw draws; each entry advances its stream n counters."""
     if bound <= 0:
         raise ValueError("bound must be positive")
     raw = _raw_block(streams, n)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import deque
 from dataclasses import fields, is_dataclass, replace
 from fractions import Fraction
 from pathlib import Path
@@ -182,7 +183,7 @@ def reference_build_tree(x, y, sample_idx=None, max_depth=None, min_leaf=1,
                          n_candidates=None, rng=None) -> Tree:
     """The CART grower as first written: per node, argsort the raw float
     values of every candidate column and draw one ``subsets([rng], ...)``
-    row per split, depth-first, left child first. ``build_tree`` must return
+    row per split, level by level, left child first. ``build_tree`` must return
     the same arrays for the same arguments."""
     if sample_idx is None:
         sample_idx = np.arange(x.shape[0], dtype=np.int64)
@@ -193,9 +194,9 @@ def reference_build_tree(x, y, sample_idx=None, max_depth=None, min_leaf=1,
         nodes.append([-1, 0.0, -1, -1, 0.0, 0, 0])
         return len(nodes) - 1
 
-    stack = [(new_node(), sample_idx, 0)]
-    while stack:
-        node, idx, depth = stack.pop()
+    queue = deque([(new_node(), sample_idx, 0)])
+    while queue:
+        node, idx, depth = queue.popleft()
         m = idx.shape[0]
         pos = int(y[idx].sum())
         nodes[node][4:] = [pos / m, m, pos]
@@ -215,8 +216,8 @@ def reference_build_tree(x, y, sample_idx=None, max_depth=None, min_leaf=1,
         go_left = x[idx, feat] <= thr
         left_id, right_id = new_node(), new_node()
         nodes[node][:4] = [feat, thr, left_id, right_id]
-        stack.append((right_id, idx[~go_left], depth + 1))
-        stack.append((left_id, idx[go_left], depth + 1))
+        queue.append((left_id, idx[go_left], depth + 1))
+        queue.append((right_id, idx[~go_left], depth + 1))
 
     columns = list(zip(*nodes))
     dtypes = (np.int64, np.float64, np.int64, np.int64, np.float64, np.int64, np.int64)
@@ -239,9 +240,9 @@ def _grow(coded, sample_idx, max_depth, min_leaf, n_candidates, rng) -> Tree:
     # One [feature, threshold, left, right, n_samples, n_positive] row per
     # node; a split fills in its first four and appends its two children.
     nodes = [[_NO_NODE, 0.0, _NO_NODE, _NO_NODE, len(sample_idx), int(labels[sample_idx].sum())]]
-    stack = [(0, sample_idx, 0)]
-    while stack:
-        node, idx, depth = stack.pop()
+    queue = deque([(0, sample_idx, 0)])
+    while queue:
+        node, idx, depth = queue.popleft()
         m, pos = nodes[node][4:]
         at_depth_limit = max_depth is not None and depth >= max_depth
         if at_depth_limit or pos == 0 or pos == m or m < 2 * min_leaf:
@@ -291,9 +292,9 @@ def _grow(coded, sample_idx, max_depth, min_leaf, n_candidates, rng) -> Tree:
         nodes[node][:4] = feat, thr, child, child + 1
         nodes.append([_NO_NODE, 0.0, _NO_NODE, _NO_NODE, left_count, left_pos_count])
         nodes.append([_NO_NODE, 0.0, _NO_NODE, _NO_NODE, m - left_count, pos - left_pos_count])
-        # Push right first so the left child is expanded first.
-        stack.append((child + 1, idx[~go_left], depth + 1))
-        stack.append((child, idx[go_left], depth + 1))
+        # Queue the left child first, so each level is expanded left to right.
+        queue.append((child, idx[go_left], depth + 1))
+        queue.append((child + 1, idx[~go_left], depth + 1))
 
     feature, threshold, left, right, n_samples, n_positive = (
         np.array(column, dtype=np.float64 if i == 1 else np.int64)

@@ -188,7 +188,7 @@ def test_ablate_svg_bytes_are_pinned(fixture_dir, tmp_path):
     svg = (out / "roc.svg").read_bytes()
     assert svg.count(b"<polyline") == 4
     assert hashlib.sha256(svg).hexdigest() == (
-        "ae4ca01e5d3da737259a770de12da0f9e22d8b699bf32101993144a08b580602")
+        "c72971915405bb68aa6d1e1f1e30a56f63328a70d92c89fa287ec8fe9f193102")
 
 
 def test_threads_flag_does_not_change_output(fixture_dir, tmp_path):
@@ -446,6 +446,7 @@ def test_flag_the_command_cannot_honor_is_usage_error(fixture_dir, tmp_path, cap
     ("--seeds", "42,-1", "non-negative"),
     ("--threads", "0", "at least 1"),
     ("--threads", "-4", "at least 1"),
+    ("--threads", "x", "not an integer"),
     ("--seeds", "42,18446744073709551658", "below 2**64"),
     ("--seeds", "18446744073709551616", "below 2**64"),
     ("--delimiter", "", "exactly one character"),
@@ -515,6 +516,22 @@ def test_seed_whose_test_split_lacks_an_outcome_is_rejected_before_any_fit(tmp_p
         "dropcast: error: seed 5: its test split of 2 of 18 rows holds no Graduate row; "
         "ROC-AUC needs both outcomes\n")
     assert counted[0].calls == 0
+    assert not out.exists()
+
+
+def test_fit_rejected_at_a_later_seed_leaves_no_earlier_seeds_file(tmp_path, capsys):
+    # The C bound depends on each seed's standardized training rows: seed 43's
+    # fit passes it, seed 42's does not.
+    generate_fixture(tmp_path / "data.csv", tmp_path / "manifest.tsv", n_rows=200, seed=7,
+                     planted_group=FeatureGroup.ACADEMIC, signal_strength=3.0)
+    out = tmp_path / "out"
+    code = main(["train", "--model", "svc", "--seeds", "43,42", "--svm-c", "8.46e150",
+                 "--svm-epochs", "5", "--data", str(tmp_path / "data.csv"),
+                 "--manifest", str(tmp_path / "manifest.tsv"), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("dropcast: error: SVM C = 8.46e+150 is too large for 140 training rows")
     assert not out.exists()
 
 

@@ -91,6 +91,21 @@ def test_manifest_malformed_line(tmp_path):
         load_manifest(path)
 
 
+def test_manifest_blank_lines_are_skipped(tmp_path):
+    path = tmp_path / "blank.tsv"
+    path.write_text("\nAge\tdemographic\n  \nDebt\tsocioeconomic\n\n")
+    assert load_manifest(path).entries == (
+        ("Age", FeatureGroup.DEMOGRAPHIC), ("Debt", FeatureGroup.SOCIOECONOMIC))
+
+
+def test_manifest_empty_column_name(tmp_path):
+    path = tmp_path / "bad.tsv"
+    path.write_text("A\tacademic\n \tdemographic\n")
+    message = f"{path}:2: empty column name"
+    with pytest.raises(FileFormatError, match=f"^{re.escape(message)}$"):
+        load_manifest(path)
+
+
 _DEFAULT_ENTRIES = load_manifest(default_manifest_path("default-34")).entries
 
 
@@ -180,6 +195,14 @@ def test_load_dataset_missing_column(tmp_path, small_manifest):
 def test_load_dataset_missing_target_column(tmp_path, small_manifest):
     path = tmp_path / "d.csv"
     write_rows(path, ["Age", "Debt", "GDP"], [["20", "1", "1.5"]])
+    with pytest.raises(MissingColumnError) as err:
+        load_dataset(path, small_manifest)
+    assert err.value.column == "Target"
+
+
+def test_records_file_without_a_header_line_misses_the_target(tmp_path, small_manifest):
+    path = tmp_path / "d.csv"
+    path.write_text("")
     with pytest.raises(MissingColumnError) as err:
         load_dataset(path, small_manifest)
     assert err.value.column == "Target"

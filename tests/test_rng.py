@@ -142,6 +142,47 @@ def test_integer_block_rows_equal_each_streams_bootstrap(seed, n_trees, n, drawn
         assert stream.uint64(2).tolist() == copy.uint64(2).tolist()  # each advanced by n
 
 
+@st.composite
+def repeated_entries(draw):
+    """(stream seeds, entries that may list a stream several times, n, k)."""
+    seeds = draw(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4))
+    entries = draw(st.lists(st.integers(0, len(seeds) - 1), min_size=1, max_size=12))
+    n = draw(st.integers(1, 40))
+    return seeds, entries, n, draw(st.integers(1, n))
+
+
+def assert_rows_drawn_entry_by_entry(block_draw, draw_alone, problem):
+    """Row j of ``block_draw(entries, n, k)`` is the next draw of its
+    entry's stream, as one call per entry in entry order would give it,
+    and every stream ends where those calls leave it."""
+    seeds, entries, n, k = problem
+    streams, fresh = [SeededRng(s) for s in seeds], [SeededRng(s) for s in seeds]
+    for stream, copy in zip(streams, fresh):  # streams that have drawn before
+        stream.uint64(3), copy.uint64(3)
+    block = block_draw([streams[i] for i in entries], n, k)
+    assert len(block) == len(entries)
+    for row, i in zip(block, entries):
+        assert np.array_equal(row, draw_alone(fresh[i], n, k))
+    for stream, copy in zip(streams, fresh):
+        assert stream.uint64(2).tolist() == copy.uint64(2).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(repeated_entries())
+@example(problem=([5, 6], [0, 0, 1], 34, 6))  # subsets([a, a, b], 34, 6)
+def test_subsets_of_a_repeated_stream_are_its_successive_subsets(problem):
+    assert_rows_drawn_entry_by_entry(
+        subsets, lambda stream, n, k: subsets([stream], n, k)[0], problem)
+
+
+@settings(max_examples=200, deadline=None)
+@given(repeated_entries())
+@example(problem=([5, 6], [0, 0, 1], 34, 34))  # integer_block([a, a, b], 34, 34)
+def test_integer_block_of_a_repeated_stream_is_its_successive_draws(problem):
+    assert_rows_drawn_entry_by_entry(
+        integer_block, lambda stream, n, bound: stream.integers(n, bound), problem)
+
+
 def test_integers_are_the_floor_of_scaled_uniforms():
     for seed, bound in ((0, 1), (7, 10), (2**64 - 1, 4424), (42, 2**40 + 1)):
         expected = np.floor(SeededRng(seed).uniforms(500) * bound).astype(np.int64)

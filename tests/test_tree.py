@@ -339,8 +339,8 @@ class TestLockstepAgainstPerNodeGrower:
 
 @st.composite
 def mixed_trees(draw):
-    """(x, y, samples, tree seeds, max_depth, n_candidates, initial stack
-    slots) of one lockstep call whose trees grow very differently: some
+    """(x, y, samples, tree seeds, max_depth, n_candidates) of one
+    lockstep call whose trees grow very differently: some
     end at the root (a one-row sample, or a sample of one label), others
     grow on all rows or a bootstrap sample, of random data or of a
     staircase whose every split peels off one row."""
@@ -366,20 +366,16 @@ def mixed_trees(draw):
             samples.append(g.choice(same_label, size=draw(st.integers(1, n))))
     return (x, y, samples, [seed ^ j for j in range(len(samples))],
             draw(st.sampled_from([0, 1, 2, 3, None])),
-            draw(st.one_of(st.none(), st.integers(1, x.shape[1]))),
-            draw(st.integers(1, tree_module._STACK_SLOTS)))
+            draw(st.one_of(st.none(), st.integers(1, x.shape[1]))))
 
 
 @settings(max_examples=300, deadline=None)
 @given(mixed_trees())
 def test_trees_that_grow_unalike_in_one_call_equal_the_per_node_grower(problem):
-    # A small first stack makes every tree that splits twice outgrow it.
-    x, y, samples, seeds, max_depth, n_candidates, slots = problem
+    x, y, samples, seeds, max_depth, n_candidates = problem
     coded = _code_columns(x, y)
     trees = [(sample, SeededRng(seed)) for sample, seed in zip(samples, seeds)]
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(tree_module, "_STACK_SLOTS", slots)
-        grown = _grow_trees(coded, trees, max_depth, n_candidates)
+    grown = _grow_trees(coded, trees, max_depth, n_candidates)
     for tree, sample, seed in zip(grown, samples, seeds):
         expected = _grow(coded, sample, max_depth, 1, n_candidates, SeededRng(seed))
         for name in TREE_ARRAYS:
