@@ -2,15 +2,16 @@
 
 Every tree grows on a bootstrap sample with ceil(sqrt(p)) candidate
 features per split and no depth limit; the tree count and the seed are
-the only settings. Tree ``i`` draws its bootstrap sample and all of its
-split-time feature subsets from a generator seeded with ``seed XOR i``,
-the subsets in level order: depth by depth, left to right. All trees
-are grown together by one call (see ``tree``). No tree's stream depends
-on the other trees, so each tree equals the tree grown alone from its
-sample and stream, and the forest is a pure function of
-(data, tree count, seed). The bootstrap samples are drawn as one
-(trees × rows) block of the trees' streams (``rng.integer_block``),
-with the values each stream would draw alone.
+the only settings. Tree ``i`` draws from the stream seeded with
+``seed XOR i``, each draw at a fixed address: its bootstrap sample of
+``rows`` indices at counters 1 to ``rows``, and the subset of its node
+``v`` (the level-order id written in the model text) from the
+``n_features`` counters after ``rows + v * n_features``. All trees are
+grown together by one call (see ``tree``). No draw depends on the other
+trees or on the order of growth, so each tree equals the tree grown
+alone from its sample and seed, any node's candidates can be recomputed
+from the saved model, and the forest is a pure function of
+(data, tree count, seed).
 
 A forest's score is the ``np.mean`` over its trees of the leaf
 positive-fractions. Scoring walks all trees together, in blocks of
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..rng import SeededRng, integer_block
+from ..rng import integer_block, scramble
 from .tree import Tree, _code_columns, _grow_trees, _mean_scores
 
 
@@ -47,9 +48,9 @@ def candidate_count(n_features: int) -> int:
 def build_forest(x: np.ndarray, y: np.ndarray, n_trees: int, seed: int) -> Forest:
     n_rows, n_features = x.shape
     tree_seeds = tuple((seed ^ i) & 0xFFFFFFFFFFFFFFFF for i in range(n_trees))
-    streams = [SeededRng(tree_seed) for tree_seed in tree_seeds]
-    samples = integer_block(streams, n_rows, n_rows)
-    grown = _grow_trees(_code_columns(x, y), list(zip(samples, streams)), max_depth=None,
+    seeds = scramble(tree_seeds)
+    samples = integer_block(seeds, np.zeros(n_trees, dtype=np.uint64), n_rows, n_rows)
+    grown = _grow_trees(_code_columns(x, y), samples, seeds, max_depth=None,
                         n_candidates=candidate_count(n_features))
     return Forest(trees=tuple(grown), tree_seeds=tree_seeds)
 

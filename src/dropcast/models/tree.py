@@ -22,9 +22,9 @@ computed as from the raw values, so the coding changes no tree.
 Trees grow together, level by level; a forest passes all of its trees
 to one call. The nodes that may split at the current depth form one
 frontier, tree by tree and left to right. One ``subsets`` call draws a
-feature subset for every frontier node, each from its tree's own
-stream, so a tree's draws come in the order a lone tree grown level by
-level would make them. The frontier is searched in chunks of at most
+feature subset for every frontier node at the node's own address (see
+``_grow_trees``), so no draw depends on other trees or on the order of
+growth. The frontier is searched in chunks of at most
 ``_CHUNK_ELEMENTS`` (node, candidate, row) elements, which bounds the
 search's memory however many nodes a depth holds; a larger node is
 searched alone.
@@ -60,9 +60,8 @@ partitioned stably in place. Then the depth's winners take the exact
 test and number their children: a tree's j-th split, counted level by
 level and left to right, appends nodes 2j + 1 and 2j + 2. The children
 that may split form the next frontier. Each of these is one array
-operation for all trees. With feature subsampling, each split attempt
-advances its tree's stream by one subset draw of ``n_features``
-counters.
+operation for all trees. A node's id is therefore its level-order
+position, and a split's right child is its left child plus one.
 
 Leaves store the positive-class fraction of their training samples,
 which is the tree's score. Trees are flat parallel arrays. Scoring walks
@@ -95,7 +94,8 @@ _WALK_PAIRS = 1 << 16
 
 @dataclass(frozen=True)
 class Tree:
-    """Flat binary tree. ``feature[i] == -1`` marks node i as a leaf."""
+    """Flat binary tree. ``feature[i] == -1`` marks node i as a leaf;
+    a split node's right child is ``left[i] + 1``."""
 
     feature: np.ndarray
     threshold: np.ndarray
@@ -154,15 +154,16 @@ def _key_shift(n_nodes: int, n_bins: int) -> int:
 def build_tree(x: np.ndarray, y: np.ndarray, max_depth: int | None = None) -> Tree:
     """Grow a CART tree on all rows of (x, y), every feature a candidate
     at each split."""
-    return _grow_trees(_code_columns(x, y), [(None, None)], max_depth, None)[0]
+    return _grow_trees(_code_columns(x, y), [None], None, max_depth, None)[0]
 
 
-def _grow_trees(coded, trees, max_depth, n_candidates) -> list[Tree]:
-    """One ``Tree`` per (sample_idx, rng) of ``trees``, grown together
-    level by level on columns coded by ``_code_columns``: on rows
-    ``sample_idx`` (all rows when None; a bootstrap sample repeats rows),
-    each split drawing ``n_candidates`` features from ``rng`` when given.
-    Each tree equals the tree grown alone from the same sample and stream."""
+def _grow_trees(coded, samples, seeds, max_depth, n_candidates) -> list[Tree]:
+    """One ``Tree`` per sample of ``samples``, grown together level by
+    level on columns coded by ``_code_columns``: on rows ``samples[i]``
+    (all rows when None; a bootstrap sample repeats rows), each split
+    drawing ``n_candidates`` features when given. Node ``v`` of tree ``i``
+    draws them at ``(seeds[i], len(samples[i]) + v * n_features)``, so
+    each tree equals the tree grown alone from the same sample and seed."""
     keys, values, labels = coded
     n_features, n_rows = keys.shape
     subsample = n_candidates is not None and n_candidates < n_features
@@ -171,13 +172,12 @@ def _grow_trees(coded, trees, max_depth, n_candidates) -> list[Tree]:
     # than elements; a lone node holds k.
     shift = _key_shift(max(_CHUNK_ELEMENTS, k), len(values))
     depth_limit = np.iinfo(np.int64).max if max_depth is None else max_depth
-    streams = np.fromiter((rng for _, rng in trees), dtype=object, count=len(trees))
 
     # Every tree's rows, one range per tree; each node owns a subrange,
     # which its split partitions stably in place, left rows first.
     samples = [
         np.arange(n_rows, dtype=np.int64) if idx is None else np.asarray(idx, dtype=np.int64)
-        for idx, _ in trees
+        for idx in samples
     ]
     if any(len(sample) == 0 for sample in samples):
         raise ValueError("a tree needs at least one training row")
@@ -189,8 +189,8 @@ def _grow_trees(coded, trees, max_depth, n_candidates) -> list[Tree]:
 
     # The nodes of the current depth as columns (tree, node, start, size,
     # positives), tree by tree and left to right.
-    frontier = np.stack((np.arange(len(trees)), np.zeros_like(sizes), starts, sizes, positives))
-    n_splits = np.zeros(len(trees), dtype=np.int64)
+    frontier = np.stack((np.arange(len(sizes)), np.zeros_like(sizes), starts, sizes, positives))
+    n_splits = np.zeros(len(sizes), dtype=np.int64)
     records = []  # per depth: the splits' nodes, features, thresholds, and children's columns
     depth = 0
     while depth < depth_limit:
@@ -199,7 +199,7 @@ def _grow_trees(coded, trees, max_depth, n_candidates) -> list[Tree]:
         if not tree.size:
             break
         if subsample:
-            candidates = subsets(streams[tree], n_features, k)
+            candidates = subsets(seeds[tree], sizes[tree] + node * n_features, n_features, k)
         else:
             candidates = np.broadcast_to(np.arange(n_features), (tree.size, n_features))
 
@@ -237,7 +237,7 @@ def _grow_trees(coded, trees, max_depth, n_candidates) -> list[Tree]:
         # are consecutive, in that order.
         t = tree[i]
         j = n_splits[t] + np.arange(t.size) - np.searchsorted(t, t)
-        n_splits += np.bincount(t, minlength=len(trees))
+        n_splits += np.bincount(t, minlength=len(sizes))
         kids = np.empty((5, t.size, 2), dtype=np.int64)
         kids[:, :, 0] = t, 2 * j + 1, start[i], left_n, left_pos
         kids[:, :, 1] = t, 2 * j + 2, start[i] + left_n, right_n, right_pos
@@ -454,10 +454,7 @@ def _mean_scores(trees, x: np.ndarray) -> np.ndarray:
     roots = np.cumsum([0] + sizes[:-1])
     feature = np.concatenate([tree.feature for tree in trees])
     threshold = np.concatenate([tree.threshold for tree in trees])
-    # Node i's children at 2i (left) and 2i + 1 (right).
-    children = np.concatenate([
-        np.stack((tree.left, tree.right), axis=1) + root for tree, root in zip(trees, roots)
-    ]).ravel()
+    left = np.concatenate([tree.left + root for tree, root in zip(trees, roots)])
     leaf_value = np.concatenate([tree.pos_fraction for tree in trees])
     x = x.ravel()
     block = max(2, _WALK_PAIRS // len(trees))
@@ -467,18 +464,15 @@ def _mean_scores(trees, x: np.ndarray) -> np.ndarray:
         first = lo - 1 if hi - lo == 1 and n > 1 else lo
         node = np.repeat(roots, hi - first)
         # Where each pair's query row starts in the flat ``x``.
-        row_at = np.tile(np.arange(first * n_features, hi * n_features, n_features), len(trees))
+        row_at = np.tile(np.arange(first, hi) * n_features, len(trees))
         while True:
             split = feature.take(node)
             active = np.flatnonzero(split >= 0)
             if active.size == 0:
                 break
             current = node.take(active)
-            go_right = x.take(row_at.take(active) + split.take(active)) <= threshold.take(current)
-            np.logical_not(go_right, out=go_right)
-            current += current
-            current += go_right
-            node[active] = children.take(current)
+            go_right = x.take(row_at.take(active) + split.take(active)) > threshold.take(current)
+            node[active] = left.take(current) + go_right
         leaves = leaf_value.take(node).reshape(len(trees), hi - first)
         scores[lo:hi] = np.mean(leaves, axis=0)[lo - first:]
     return scores

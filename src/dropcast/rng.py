@@ -1,11 +1,11 @@
 """Deterministic counter-based random number generation.
 
 All randomness in the package (train/test splits, bootstrap samples,
-per-split feature subsets, epoch shuffles, synthetic fixtures) flows
-through :class:`SeededRng`, a counter-based generator built on the
-SplitMix64 mixing function. The seed is scrambled once through the
-mixer at construction, so nearby seeds (42, 43, ...) start unrelated
-streams; the ``i``-th raw output is then
+per-split feature subsets, epoch shuffles, synthetic fixtures) comes
+from a counter-based generator built on the SplitMix64 mixing function.
+A seed is scrambled once through the mixer (``scramble``), so nearby
+seeds (42, 43, ...) start unrelated streams; the raw output at counter
+``i`` (from 1) is then
 
     mix64(mix64(seed) + i * 0x9E3779B97F4A7C15)
 
@@ -14,16 +14,14 @@ computed in wrapping 64-bit arithmetic. Output is a pure function of
 processes, and platforms. The process-global ``random`` and
 ``numpy.random`` states are never touched.
 
-Each method consumes a contiguous block of counter values, so a fixed
-call sequence always sees the same stream regardless of batch sizes.
-``subsets`` and ``integer_block`` take the next draws of several streams
-as one (streams × n) block, with the values each stream would draw
-alone; a stream listed several times gives its successive draws, in
-list order.
-When several logically independent streams are carved out of one seed
-(the fixture generator does this per column), use :meth:`child` rather
-than interleaving draws: child streams sit at mixer-scrambled offsets
-instead of small structured ones, which measurably decorrelates them.
+:class:`SeededRng` is one stream consumed in counter order, so a fixed
+call sequence sees the same values regardless of batch sizes.
+``subsets`` and ``integer_block`` hold no stream: row i is drawn after
+counter ``counters[i]`` of the scrambled seed ``seeds[i]``, as a
+``SeededRng`` draws it after ``counters[i]`` values. Lanes compared row
+by row (the fixture's columns) take :meth:`SeededRng.child` streams, at
+mixer-scrambled rather than small structured offsets, which measurably
+decorrelates them.
 """
 
 from __future__ import annotations
@@ -74,17 +72,15 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _raw_block(streams: list["SeededRng"], n: int) -> np.ndarray:
-    """(streams × n) raw draws, row i the next n of ``streams[i]``. Each
-    entry reads its stream's counter and then advances it by n, so a
-    stream listed twice gives its next 2n draws, in two rows."""
-    seeds = np.array([stream._seed for stream in streams], dtype=np.uint64)
-    starts = []
-    for stream in streams:
-        starts.append(stream._counter + 1)
-        stream._counter += n
-    starts = np.array(starts, dtype=np.uint64)
-    z = starts[:, None] + np.arange(n, dtype=np.uint64)
+def scramble(seeds) -> np.ndarray:
+    """The uint64 stream keys ``mix64(seed mod 2**64)`` of ``seeds``."""
+    return _mix64(np.array([seed & _MASK64 for seed in seeds], dtype=np.uint64))
+
+
+def _raw_block(seeds: np.ndarray, counters, n: int) -> np.ndarray:
+    """(entries × n) raw draws, row i those at counters ``counters[i] + 1``
+    to ``counters[i] + n`` of the stream keyed ``seeds[i]``."""
+    z = np.asarray(counters, dtype=np.uint64)[:, None] + np.arange(1, n + 1, dtype=np.uint64)
     z *= _GAMMA
     z += seeds[:, None]
     return _mix64(z)
@@ -94,11 +90,12 @@ class SeededRng:
     """One SplitMix64 stream per seed, consumed in counter order."""
 
     def __init__(self, seed: int):
-        self._seed = _mix64(np.array([seed & _MASK64], dtype=np.uint64))[0]
+        self._seed = scramble([seed])
         self._counter = 0
 
     def uint64(self, n: int) -> np.ndarray:
-        return _raw_block([self], n)[0]
+        self._counter += n
+        return _raw_block(self._seed, [self._counter - n], n)[0]
 
     def child(self) -> "SeededRng":
         """Independent stream seeded by one draw from this one."""
@@ -116,7 +113,9 @@ class SeededRng:
         keeps the draw count independent of the values drawn (no
         rejection).
         """
-        return integer_block([self], n, bound)[0]
+        out = integer_block(self._seed, [self._counter], n, bound)[0]
+        self._counter += n
+        return out
 
     def permutation(self, n: int) -> np.ndarray:
         """Permutation of range(n): argsort of n raw keys.
@@ -129,21 +128,22 @@ class SeededRng:
         return np.argsort(self.uint64(n)).astype(np.int64, copy=False)
 
 
-def subsets(streams: list[SeededRng], n: int, k: int) -> np.ndarray:
-    """Row i: the first k of ``streams[i].permutation(n)``, sorted, from one
-    (streams × n) block of raw keys; each entry advances its stream n
-    counters."""
+def subsets(seeds: np.ndarray, counters, n: int, k: int) -> np.ndarray:
+    """Row i: the first k, sorted, of the permutation of range(n) drawn
+    at ``(seeds[i], counters[i])``, from one (entries × n) block of raw
+    keys."""
     if k > n:
         raise ValueError("subset size exceeds population")
-    return np.sort(np.argsort(_raw_block(streams, n), axis=1)[:, :k], axis=1)
+    return np.sort(np.argsort(_raw_block(seeds, counters, n), axis=1)[:, :k], axis=1)
 
 
-def integer_block(streams: list[SeededRng], n: int, bound: int) -> np.ndarray:
-    """Row i: ``streams[i].integers(n, bound)``, from one (streams × n)
-    block of raw draws; each entry advances its stream n counters."""
+def integer_block(seeds: np.ndarray, counters, n: int, bound: int) -> np.ndarray:
+    """Row i: n ints on [0, bound) drawn at ``(seeds[i], counters[i])``
+    as ``SeededRng.integers`` draws them, from one (entries × n) block of
+    raw draws."""
     if bound <= 0:
         raise ValueError("bound must be positive")
-    raw = _raw_block(streams, n)
+    raw = _raw_block(seeds, counters, n)
     raw >>= np.uint64(11)
     u = raw.astype(np.float64)
     u *= _DOUBLE_SCALE

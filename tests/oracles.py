@@ -51,7 +51,7 @@ from dropcast.models.knn import KnnModel
 from dropcast.models.svm import BATCH_SIZE, LinearSvm, _objective
 from dropcast.models.tree import _NO_NODE, Tree, _code_columns, _grow_trees
 from dropcast.preprocess import Standardizer, apply_standardizer
-from dropcast.rng import SeededRng, subsets
+from dropcast.rng import SeededRng, scramble
 
 
 def gini_counts(n: int, pos: int) -> Fraction:
@@ -179,12 +179,23 @@ def _reference_best_split(x, y, idx, candidates, min_leaf):
     return int(candidates[f_local]), threshold, int(cut + 1), int(round(cum_pos[cut, f_local]))
 
 
+def node_subset(seed, n_samples, node, n_features, n_candidates) -> np.ndarray:
+    """The sorted candidate features of node ``node`` of a forest tree of
+    seed ``seed`` grown on ``n_samples`` sample rows: the first
+    ``n_candidates`` of the permutation that the tree's stream draws
+    after its first ``n_samples + node * n_features`` values."""
+    stream = SeededRng(seed)
+    stream.uint64(n_samples + node * n_features)
+    return np.sort(stream.permutation(n_features)[:n_candidates])
+
+
 def reference_build_tree(x, y, sample_idx=None, max_depth=None, min_leaf=1,
-                         n_candidates=None, rng=None) -> Tree:
+                         n_candidates=None, seed=None) -> Tree:
     """The CART grower as first written: per node, argsort the raw float
-    values of every candidate column and draw one ``subsets([rng], ...)``
-    row per split, level by level, left child first. ``build_tree`` must return
-    the same arrays for the same arguments."""
+    values of every candidate column; level by level, left child first,
+    so node ids are level-order. Node ``v`` draws its subset at its
+    address (see ``node_subset``). ``build_tree`` must return the same
+    arrays for the same arguments."""
     if sample_idx is None:
         sample_idx = np.arange(x.shape[0], dtype=np.int64)
     n_features = x.shape[1]
@@ -204,7 +215,7 @@ def reference_build_tree(x, y, sample_idx=None, max_depth=None, min_leaf=1,
         if at_depth_limit or pos == 0 or pos == m or m < 2 * min_leaf:
             continue
         if n_candidates is not None and n_candidates < n_features:
-            candidates = subsets([rng], n_features, n_candidates)[0]
+            candidates = node_subset(seed, len(sample_idx), node, n_features, n_candidates)
         else:
             candidates = np.arange(n_features, dtype=np.int64)
         found = _reference_best_split(x, y, idx, candidates, min_leaf)
@@ -224,11 +235,11 @@ def reference_build_tree(x, y, sample_idx=None, max_depth=None, min_leaf=1,
     return Tree(*(np.array(c, dtype=d) for c, d in zip(columns, dtypes)))
 
 
-def _grow(coded, sample_idx, max_depth, min_leaf, n_candidates, rng) -> Tree:
+def _grow(coded, sample_idx, max_depth, min_leaf, n_candidates, seed) -> Tree:
     """One tree on columns coded by ``_code_columns``, searched node by
     node: each node sorts its rows' keys per candidate feature and takes
     the first minimum of the float64 Gini scores. The lockstep grower
-    must return the same arrays for the same sample and stream."""
+    must return the same arrays for the same sample and seed."""
     keys, values, labels = coded
     n_features, n_rows = keys.shape
     if sample_idx is None:
@@ -252,7 +263,7 @@ def _grow(coded, sample_idx, max_depth, min_leaf, n_candidates, rng) -> Tree:
             candidates = None
             packed = keys[:, idx]
         else:
-            candidates = subsets([rng], n_features, n_candidates)[0]
+            candidates = node_subset(seed, len(sample_idx), node, n_features, n_candidates)
             packed = keys[candidates[:, None], idx]
         packed.sort(axis=1)
         cuts = (packed[:, :-1] ^ packed[:, 1:]) > 1  # the bin changes
@@ -408,11 +419,12 @@ def max_node_depth(tree: Tree) -> int:
     return depth
 
 
-def grow_tree(x, y, sample_idx=None, max_depth=None, n_candidates=None, rng=None) -> Tree:
+def grow_tree(x, y, sample_idx=None, max_depth=None, n_candidates=None, seed=None) -> Tree:
     """One tree grown alone on rows ``sample_idx`` of (x, y), drawing
-    ``n_candidates`` features per split from ``rng`` when given, as
-    ``build_forest`` grows each of its trees."""
-    return _grow_trees(_code_columns(x, y), [(sample_idx, rng)], max_depth, n_candidates)[0]
+    ``n_candidates`` features per split at the tree seed ``seed`` when
+    given, as ``build_forest`` grows each of its trees."""
+    keys = None if seed is None else scramble([seed])
+    return _grow_trees(_code_columns(x, y), [sample_idx], keys, max_depth, n_candidates)[0]
 
 
 def standardize_dataset(dataset: Dataset, standardizer: Standardizer) -> Dataset:

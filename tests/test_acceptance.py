@@ -352,9 +352,8 @@ class TestCriterion5:
         k = candidate_count(7)
         mismatches = 0
         for i, grown in enumerate(forest.payload.trees):
-            stream = SeededRng(42 ^ i)
-            alone = grow_tree(x, y, sample_idx=stream.integers(200, 200),
-                              n_candidates=k, rng=stream)
+            alone = grow_tree(x, y, sample_idx=SeededRng(42 ^ i).integers(200, 200),
+                              n_candidates=k, seed=42 ^ i)
             same = all(
                 np.array_equal(getattr(grown, name), getattr(alone, name))
                 for name in ("feature", "threshold", "left", "right", "pos_fraction",

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -19,7 +20,10 @@ from dropcast.fixture import generate_fixture
 from dropcast.ingest import FeatureGroup, load_dataset, load_manifest
 from dropcast.metrics import forest_importance
 from dropcast.models import HyperParams
+from dropcast.models.forest import candidate_count
 from dropcast.report import SCHEMA_PATH
+
+from oracles import model_from_text, node_subset
 
 
 @pytest.fixture(scope="module")
@@ -188,7 +192,7 @@ def test_ablate_svg_bytes_are_pinned(fixture_dir, tmp_path):
     svg = (out / "roc.svg").read_bytes()
     assert svg.count(b"<polyline") == 4
     assert hashlib.sha256(svg).hexdigest() == (
-        "c72971915405bb68aa6d1e1f1e30a56f63328a70d92c89fa287ec8fe9f193102")
+        "646acdf150ff373eb3a3674b97d99b271301fd369c92538faa81e52ddcc3d2e9")
 
 
 def test_threads_flag_does_not_change_output(fixture_dir, tmp_path):
@@ -694,3 +698,29 @@ def test_merged_error_classes_keep_their_stderr_line(fixture_dir, tmp_path, caps
     assert code == 1
     assert capsys.readouterr().err == f"dropcast: error: {message.format(**paths)}\n"
     assert not out.exists()
+
+
+def test_each_saved_forest_node_splits_on_a_feature_of_its_addressed_subset(fixture_dir, tmp_path):
+    # Node v of tree i drew its candidates at counter n + v * p of the
+    # tree's seed, n the root's sample count: all read from the saved text.
+    out = tmp_path / "out"
+    assert main(["train", *_data_flags(fixture_dir), "--model", "rf", "--save-models",
+                 "--out", str(out), *_fast_flags()]) == 0
+    model = model_from_text((out / "model_rf_seed42.txt").read_text())
+    p = model.n_features
+    splits = 0
+    for tree, seed in zip(model.payload.trees, model.payload.tree_seeds):
+        for v in np.flatnonzero(tree.feature >= 0).tolist():
+            subset = node_subset(seed, int(tree.n_samples[0]), v, p, candidate_count(p))
+            assert tree.feature[v] in subset, (seed, v)
+            splits += 1
+    assert splits > 8
+
+
+def test_roc_of_an_excluded_group_names_it_in_the_legend(fixture_dir, tmp_path):
+    out = tmp_path / "out"
+    assert main(["roc", *_data_flags(fixture_dir), "--exclude", "academic", "--model", "dt",
+                 "--seeds", "42", "--out", str(out)]) == 0
+    svg = (out / "roc.svg").read_text()
+    assert svg.count("<polyline") == 1
+    assert re.search(r">DT excl academic \(AUC=[01]\.\d{3}\)<", svg)

@@ -292,3 +292,8 @@ class TestRankGroupInfluence:
 def test_run_config_rejects_seeds_that_would_repeat_a_split(seeds):
     with pytest.raises(InvalidArgumentError):
         RunConfig(data_path="d.csv", manifest_path="m.tsv", seeds=seeds)
+
+
+def test_a_run_config_without_models_is_refused():
+    with pytest.raises(InvalidArgumentError, match=r"^models list must be nonempty$"):
+        RunConfig(data_path="d.csv", manifest_path="m.tsv", models=())

@@ -55,9 +55,8 @@ def test_lockstep_trees_equal_trees_grown_alone():
     queries = rng.normal(size=(40, 7)) * 4
     k = candidate_count(7)
     for i, grown in enumerate(forest.payload.trees):
-        stream = SeededRng(42 ^ i)
-        sample = stream.integers(150, 150)
-        alone = grow_tree(x, y, sample_idx=sample, n_candidates=k, rng=stream)
+        sample = SeededRng(42 ^ i).integers(150, 150)
+        alone = grow_tree(x, y, sample_idx=sample, n_candidates=k, seed=42 ^ i)
         assert trees_equal(grown, alone)
         assert np.array_equal(tree_scores(grown, queries), tree_scores(alone, queries))
 

@@ -185,3 +185,8 @@ class TestForestImportance:
         model = train_model(ModelKind.RANDOM_FOREST, ds, HyperParams(forest_n_trees=5, seed=3))
         with pytest.raises(InvalidArgumentError, match="^every tree in the forest is a single leaf$"):
             forest_importance(model)
+
+
+def test_accuracy_over_zero_rows_is_refused():
+    with pytest.raises(InvalidArgumentError, match=r"^accuracy over zero rows is undefined$"):
+        accuracy([], [], 0.5)

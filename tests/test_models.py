@@ -173,3 +173,14 @@ def test_train_model_equals_the_three_step_protocol(kind):
     assert type(model.payload) is type(payload)
     for field in fields(payload):
         assert same_bits(getattr(model.payload, field.name), getattr(payload, field.name)), field.name
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_a_table_with_no_feature_column_trains_and_scores(kind):
+    # Nothing to split on or to measure distance by: every row gets one score.
+    model = train_model(kind, make_binary(np.zeros((6, 0)), [0, 1, 1, 0, 1, 1]),
+                        HyperParams(forest_n_trees=4, svm_epochs=5, knn_k=3))
+    out = score(model, np.zeros((3, 0)))
+    assert out.shape == (3,) and np.isfinite(out).all() and (out == out[0]).all()
+    if kind is ModelKind.DECISION_TREE:
+        assert out[0] == 4 / 6

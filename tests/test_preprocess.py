@@ -247,3 +247,14 @@ def test_standardize_dataset_wraps_matrix():
     out = standardize_dataset(ds, std)
     assert out.feature_matrix[:, 0].tolist() == [-1.0, 1.0]
     assert out.column_names == ds.column_names
+
+
+def test_a_one_row_table_is_not_split():
+    with pytest.raises(InvalidArgumentError, match=r"^need at least 2 rows to split, got 1$"):
+        split(1, 0.2, 42)
+
+
+def test_a_standardizer_is_not_fitted_on_zero_rows():
+    with pytest.raises(InvalidArgumentError,
+                       match=r"^cannot fit standardizer on zero training rows$"):
+        fit_standardizer(np.zeros((0, 3)))

@@ -5,6 +5,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from dropcast.errors import InvalidArgumentError
 from dropcast.experiments import RunConfig, run_ablation, run_baseline
 from dropcast.fixture import generate_fixture
 from dropcast.ingest import FeatureGroup
@@ -202,3 +203,8 @@ def test_standardization_documented_per_model(run_config, baseline_reports):
     doc = build_run_document("train", run_config, "default-34", baseline_reports)
     flags = {r["model"]: r["standardized"] for r in doc["runs"]}
     assert flags == {"SVC": True, "KNN": True, "DT": False, "RF": False}
+
+
+def test_an_empty_roc_plot_is_refused():
+    with pytest.raises(InvalidArgumentError, match=r"^need at least one report to plot$"):
+        render_roc_svg([])

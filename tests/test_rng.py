@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dropcast.errors import InvalidArgumentError
-from dropcast.rng import SeededRng, check_seed, check_seeds, integer_block, subsets
+from dropcast.rng import SeededRng, check_seed, check_seeds, integer_block, scramble, subsets
 
 
 def test_same_seed_same_stream():
@@ -94,18 +94,26 @@ def test_permutation_is_the_stable_argsort_of_the_stream(n, seed):
 
 
 def test_subset_distinct_and_sorted():
-    sub = subsets([SeededRng(8)], 30, 6)[0]
+    sub = subsets(scramble([8]), [0], 30, 6)[0]
     assert len(set(sub.tolist())) == 6
     assert sub.tolist() == sorted(sub.tolist())
     assert all(0 <= v < 30 for v in sub)
 
 
+def drawn_after(seed: int, counter: int) -> SeededRng:
+    """The stream of ``seed`` once it has drawn ``counter`` values."""
+    stream = SeededRng(seed)
+    stream.uint64(counter)
+    return stream
+
+
 @st.composite
 def subset_calls(draw):
-    """(stream seeds, calls): each call draws (n, k) from some streams, in any order."""
+    """(stream seeds, calls): each call draws (n, k) at some (stream, counter)
+    entries, which may list a stream or an address several times."""
     seeds = draw(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8))
     call = st.tuples(
-        st.lists(st.integers(0, len(seeds) - 1), unique=True),
+        st.lists(st.tuples(st.integers(0, len(seeds) - 1), st.integers(0, 500))),
         st.integers(1, 40).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
     )
     return seeds, draw(st.lists(call, max_size=8))
@@ -115,14 +123,14 @@ def subset_calls(draw):
 @given(subset_calls())
 def test_subsets_rows_equal_each_streams_next_permutation(problem):
     seeds, calls = problem
-    streams, fresh = [SeededRng(s) for s in seeds], [SeededRng(s) for s in seeds]
-    for drawn, (n, k) in calls:
-        block = subsets([streams[i] for i in drawn], n, k)
-        assert block.shape == (len(drawn), k)
-        for row, i in zip(block, drawn):
-            assert np.array_equal(row, np.sort(fresh[i].permutation(n)[:k]))
-    for stream, copy in zip(streams, fresh):  # each advanced by n per row drawn
-        assert stream.uint64(1) == copy.uint64(1)
+    keys = scramble(seeds)
+    for entries, (n, k) in calls:
+        drawn = [i for i, _ in entries]
+        counters = [counter for _, counter in entries]
+        block = subsets(keys[drawn], np.array(counters, dtype=np.int64), n, k)
+        assert block.shape == (len(entries), k)
+        for row, (i, counter) in zip(block, entries):
+            assert np.array_equal(row, np.sort(drawn_after(seeds[i], counter).permutation(n)[:k]))
 
 
 @settings(max_examples=200, deadline=None)
@@ -131,68 +139,23 @@ def test_subsets_rows_equal_each_streams_next_permutation(problem):
 @example(seed=2**64 - 1, n_trees=40, n=300, drawn=1)
 def test_integer_block_rows_equal_each_streams_bootstrap(seed, n_trees, n, drawn):
     # The forest's bootstrap: tree i's stream is seeded with seed ^ i.
-    streams = [SeededRng(seed ^ i) for i in range(n_trees)]
-    alone = [SeededRng(seed ^ i) for i in range(n_trees)]
-    for stream, copy in zip(streams, alone):  # streams that have drawn before
-        stream.uint64(drawn), copy.uint64(drawn)
-    block = integer_block(streams, n, n)
+    block = integer_block(scramble([seed ^ i for i in range(n_trees)]), [drawn] * n_trees, n, n)
     assert block.shape == (n_trees, n) and block.dtype == np.int64
-    for row, stream, copy in zip(block, streams, alone):
-        assert np.array_equal(row, copy.integers(n, n))
-        assert stream.uint64(2).tolist() == copy.uint64(2).tolist()  # each advanced by n
-
-
-@st.composite
-def repeated_entries(draw):
-    """(stream seeds, entries that may list a stream several times, n, k)."""
-    seeds = draw(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4))
-    entries = draw(st.lists(st.integers(0, len(seeds) - 1), min_size=1, max_size=12))
-    n = draw(st.integers(1, 40))
-    return seeds, entries, n, draw(st.integers(1, n))
-
-
-def assert_rows_drawn_entry_by_entry(block_draw, draw_alone, problem):
-    """Row j of ``block_draw(entries, n, k)`` is the next draw of its
-    entry's stream, as one call per entry in entry order would give it,
-    and every stream ends where those calls leave it."""
-    seeds, entries, n, k = problem
-    streams, fresh = [SeededRng(s) for s in seeds], [SeededRng(s) for s in seeds]
-    for stream, copy in zip(streams, fresh):  # streams that have drawn before
-        stream.uint64(3), copy.uint64(3)
-    block = block_draw([streams[i] for i in entries], n, k)
-    assert len(block) == len(entries)
-    for row, i in zip(block, entries):
-        assert np.array_equal(row, draw_alone(fresh[i], n, k))
-    for stream, copy in zip(streams, fresh):
-        assert stream.uint64(2).tolist() == copy.uint64(2).tolist()
-
-
-@settings(max_examples=200, deadline=None)
-@given(repeated_entries())
-@example(problem=([5, 6], [0, 0, 1], 34, 6))  # subsets([a, a, b], 34, 6)
-def test_subsets_of_a_repeated_stream_are_its_successive_subsets(problem):
-    assert_rows_drawn_entry_by_entry(
-        subsets, lambda stream, n, k: subsets([stream], n, k)[0], problem)
-
-
-@settings(max_examples=200, deadline=None)
-@given(repeated_entries())
-@example(problem=([5, 6], [0, 0, 1], 34, 34))  # integer_block([a, a, b], 34, 34)
-def test_integer_block_of_a_repeated_stream_is_its_successive_draws(problem):
-    assert_rows_drawn_entry_by_entry(
-        integer_block, lambda stream, n, bound: stream.integers(n, bound), problem)
+    for i, row in enumerate(block):
+        assert np.array_equal(row, drawn_after(seed ^ i, drawn).integers(n, n))
 
 
 def test_integers_are_the_floor_of_scaled_uniforms():
     for seed, bound in ((0, 1), (7, 10), (2**64 - 1, 4424), (42, 2**40 + 1)):
         expected = np.floor(SeededRng(seed).uniforms(500) * bound).astype(np.int64)
         assert np.array_equal(SeededRng(seed).integers(500, bound), expected)
-        assert np.array_equal(integer_block([SeededRng(seed)], 500, bound)[0], expected)
+        assert np.array_equal(integer_block(scramble([seed]), [0], 500, bound)[0], expected)
 
 
 def test_a_bad_bound_is_refused_before_any_draw():
     streams = [SeededRng(1), SeededRng(2)]
-    for draw in (lambda: integer_block(streams, 5, 0), lambda: streams[0].integers(5, -1)):
+    for draw in (lambda: integer_block(scramble([1, 2]), [0, 0], 5, 0),
+                 lambda: streams[0].integers(5, -1)):
         with pytest.raises(ValueError, match="bound must be positive"):
             draw()
     assert [s.uint64(1).tolist() for s in streams] == [SeededRng(s).uint64(1).tolist()
@@ -223,3 +186,8 @@ def test_check_seed_accepts_the_range_ends():
 def test_check_seeds_rejects_empty_repeated_and_bad_lists(seeds, message):
     with pytest.raises(InvalidArgumentError, match=message):
         check_seeds(seeds)
+
+
+def test_a_subset_larger_than_its_population_is_refused():
+    with pytest.raises(ValueError, match=r"^subset size exceeds population$"):
+        subsets(scramble([1]), [0], 3, 4)

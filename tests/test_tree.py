@@ -23,7 +23,7 @@ from dropcast.models.tree import (
     build_tree,
     tree_scores,
 )
-from dropcast.rng import SeededRng, subsets
+from dropcast.rng import SeededRng, scramble, subsets
 
 from conftest import make_binary
 from oracles import (
@@ -253,9 +253,9 @@ class TestAgainstReferenceGrower:
     @given(tree_problems())
     def test_every_array_equals_the_reference(self, problem):
         x, y, kwargs, seed = problem
-        # Each grower draws from its own stream at the same seed.
-        tree = grow_tree(x, y, **kwargs, rng=SeededRng(seed))
-        reference = reference_build_tree(x, y, **kwargs, rng=SeededRng(seed))
+        # Each grower draws each node's subset at the node's address.
+        tree = grow_tree(x, y, **kwargs, seed=seed)
+        reference = reference_build_tree(x, y, **kwargs, seed=seed)
         for name in TREE_ARRAYS:
             assert np.array_equal(getattr(tree, name), getattr(reference, name)), name
 
@@ -265,31 +265,27 @@ class TestAgainstReferenceGrower:
         y = (x[:, 0] + rng.normal(size=120) > 4).astype(int)
         forest = build_forest(x, y, n_trees=12, seed=42)
         for tree, tree_seed in zip(forest.trees, forest.tree_seeds):
-            stream = SeededRng(tree_seed)
-            sample = stream.integers(120, 120)
-            reference = reference_build_tree(x, y, sample, n_candidates=3, rng=stream)
+            sample = SeededRng(tree_seed).integers(120, 120)
+            reference = reference_build_tree(x, y, sample, n_candidates=3, seed=tree_seed)
             for name in TREE_ARRAYS:
                 assert np.array_equal(getattr(tree, name), getattr(reference, name)), name
 
     @pytest.mark.parametrize("n_features, k", [(1, 1), (5, 2), (34, 6), (36, 6), (9, 9)])
     def test_batched_subsets_equal_successive_subset_calls(self, n_features, k):
-        # Two streams drawn together, then apart, as trees stop growing.
-        streams, fresh = [SeededRng(11), SeededRng(12)], [SeededRng(11), SeededRng(12)]
+        # Two streams drawn together, then apart, as trees stop growing, at
+        # the counters of successive nodes of a tree of 120 sample rows;
+        # alone, each stream skips the sample and draws one permutation a node.
+        keys = scramble([11, 12])
+        fresh = [SeededRng(11), SeededRng(12)]
+        for stream in fresh:
+            stream.uint64(120)
         for step in range(150):
             drawn = [i for i in range(2) if step % 3 != i]
-            block = subsets([streams[i] for i in drawn], n_features, k)
+            block = subsets(keys[drawn], [120 + step * n_features] * len(drawn), n_features, k)
             assert block.shape == (len(drawn), k)
+            alone = [np.sort(stream.permutation(n_features)[:k]) for stream in fresh]
             for row, i in zip(block, drawn):
-                assert np.array_equal(row, np.sort(fresh[i].permutation(n_features)[:k]))
-
-    def test_growth_leaves_the_stream_where_sequential_draws_leave_it(self):
-        rng = np.random.default_rng(28)
-        x = rng.integers(0, 8, size=(120, 9)).astype(float)
-        y = (x[:, 0] + rng.normal(size=120) > 4).astype(int)
-        a, b = SeededRng(5), SeededRng(5)
-        grow_tree(x, y, n_candidates=3, rng=a)
-        reference_build_tree(x, y, n_candidates=3, rng=b)
-        assert a.uint64(1) == b.uint64(1)
+                assert np.array_equal(row, alone[i])
 
 
 @st.composite
@@ -304,11 +300,10 @@ def forest_problems(draw):
             draw(st.integers(20, 400)))
 
 
-def forest_tree_args(n_rows, tree_seed, bootstrap):
-    """(sample, stream) of a tree grown as ``build_forest`` grows one: the
+def forest_sample(n_rows, tree_seed, bootstrap):
+    """The sample of a tree grown as ``build_forest`` grows one: the
     bootstrap sample, when drawn, comes first from the tree's stream."""
-    stream = SeededRng(tree_seed)
-    return (stream.integers(n_rows, n_rows) if bootstrap else None), stream
+    return SeededRng(tree_seed).integers(n_rows, n_rows) if bootstrap else None
 
 
 class TestLockstepAgainstPerNodeGrower:
@@ -318,13 +313,12 @@ class TestLockstepAgainstPerNodeGrower:
         # Small chunks: a step's nodes are searched in several chunks or alone.
         x, y, seeds, bootstrap, max_depth, n_candidates, chunk = problem
         coded = _code_columns(x, y)
-        trees = [forest_tree_args(len(y), seed, bootstrap) for seed in seeds]
+        samples = [forest_sample(len(y), seed, bootstrap) for seed in seeds]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(tree_module, "_CHUNK_ELEMENTS", chunk)
-            grown = _grow_trees(coded, trees, max_depth, n_candidates)
-        for lockstep, seed in zip(grown, seeds):
-            sample, stream = forest_tree_args(len(y), seed, bootstrap)
-            expected = _grow(coded, sample, max_depth, 1, n_candidates, stream)
+            grown = _grow_trees(coded, samples, scramble(seeds), max_depth, n_candidates)
+        for lockstep, sample, seed in zip(grown, samples, seeds):
+            expected = _grow(coded, sample, max_depth, 1, n_candidates, seed)
             for name in TREE_ARRAYS:
                 assert np.array_equal(getattr(lockstep, name), getattr(expected, name)), name
 
@@ -374,10 +368,9 @@ def mixed_trees(draw):
 def test_trees_that_grow_unalike_in_one_call_equal_the_per_node_grower(problem):
     x, y, samples, seeds, max_depth, n_candidates = problem
     coded = _code_columns(x, y)
-    trees = [(sample, SeededRng(seed)) for sample, seed in zip(samples, seeds)]
-    grown = _grow_trees(coded, trees, max_depth, n_candidates)
+    grown = _grow_trees(coded, samples, scramble(seeds), max_depth, n_candidates)
     for tree, sample, seed in zip(grown, samples, seeds):
-        expected = _grow(coded, sample, max_depth, 1, n_candidates, SeededRng(seed))
+        expected = _grow(coded, sample, max_depth, 1, n_candidates, seed)
         for name in TREE_ARRAYS:
             assert np.array_equal(getattr(tree, name), getattr(expected, name)), name
 
@@ -429,9 +422,9 @@ class TestCountedSearch:
         sample = g.integers(0, 40, size=2 * 12 + offset)  # size * k at 2 * n_bins + offset
         with mock.patch.object(tree_module, "_count_search", wraps=_count_search) as count, \
              mock.patch.object(tree_module, "_search", wraps=_search) as sort:
-            tree = grow_tree(x, y, sample, max_depth=1, n_candidates=1, rng=SeededRng(3))
+            tree = grow_tree(x, y, sample, max_depth=1, n_candidates=1, seed=3)
         assert (count.call_count, sort.call_count) == ((1, 0) if counted else (0, 1))
-        expected = _grow(_code_columns(x, y), sample, 1, 1, 1, SeededRng(3))
+        expected = _grow(_code_columns(x, y), sample, 1, 1, 1, 3)
         for name in TREE_ARRAYS:
             assert np.array_equal(getattr(tree, name), getattr(expected, name)), name
 
@@ -575,3 +568,8 @@ def test_builders_reject_non_finite_features(bad):
 def test_builder_rejects_empty_sample():
     with pytest.raises(ValueError, match="training row"):
         grow_tree(np.zeros((3, 2)), np.array([0, 1, 0]), sample_idx=np.zeros(0, dtype=np.int64))
+
+
+def test_builder_rejects_a_label_other_than_0_or_1():
+    with pytest.raises(ValueError, match=r"^tree labels must be 0 or 1$"):
+        build_tree(np.zeros((3, 2)), np.array([0, 1, 2]))
