@@ -4,7 +4,20 @@ Ingests the student records CSV, trains four from-scratch binary
 classifiers (decision tree, random forest, linear SVM, k-NN), evaluates
 them with ROC-AUC, and measures each feature group's influence by
 excluding it and retraining. Fully deterministic for a given seed list.
+
+Imported before numpy, the package sets ``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` to 1 where the caller has
+not set them: parallel work runs in cell worker processes, and idle BLAS
+threads only spin.
 """
+
+import os
+import sys
+
+if "numpy" not in sys.modules:  # BLAS reads these once, when numpy loads
+    for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_name, "1")
+    del _name
 
 __version__ = "0.1.0"
 

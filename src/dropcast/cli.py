@@ -5,11 +5,14 @@ computes all its outputs before it makes the --out directory, so a
 rejected run leaves no directory and no file behind. Exit codes: 0
 success, 1 runtime error (one diagnostic line on stderr), 2 usage error.
 No environment variables are consulted; everything is a flag.
+``--threads`` is the number of forked cell workers, at most the CPUs
+this process may use.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -89,6 +92,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--seeds",
@@ -97,8 +107,10 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
         help="comma-separated split seeds (default 42,43,44,45,46)",
     )
     parser.add_argument("--test-fraction", type=float, default=0.2)
-    parser.add_argument("--threads", type=_positive_int, default=1,
-                        help="worker count, at least 1; no effect yet: every fit runs serially")
+    parser.add_argument("--threads", type=_positive_int, default=usable_cpus(),
+                        help="worker processes for the cells, at least 1, capped at the cells "
+                             "and at the usable CPUs (default: the usable CPUs); outputs do not "
+                             "depend on it")
     _add_hyper_flags(parser)
 
 
@@ -203,6 +215,10 @@ def _config_from_args(args) -> RunConfig:
     )
 
 
+def _workers(args) -> int:
+    return min(args.threads, usable_cpus())
+
+
 def _out_dir(args) -> Path:
     """The --out directory, made if missing; called only once a command
     has computed everything it writes."""
@@ -236,9 +252,8 @@ def _cmd_eda(args) -> int:
 def _cmd_train(args, command: str = "train") -> int:
     config = _config_from_args(args)
     binary, manifest_version = load_binary(config)
-    save_models = getattr(args, "save_models", False)
-    cells = [(model if save_models else None, rep)
-             for model, rep in evaluate_cells(binary, (config.excluded_group,), config)]
+    keep = (lambda model: model) if getattr(args, "save_models", False) else (lambda model: None)
+    cells = list(evaluate_cells(binary, (config.excluded_group,), config, _workers(args), keep))
     out = _out_dir(args)
     for model, rep in cells:
         report_ops.write_roc_csv(rep.curve, out / report_ops.roc_csv_name(rep.model_kind.label, rep.seed))
@@ -254,7 +269,7 @@ def _cmd_train(args, command: str = "train") -> int:
 
 def _cmd_ablate(args) -> int:
     config = _config_from_args(args)
-    ablation = run_ablation(config)
+    ablation = run_ablation(config, _workers(args))
     out = _out_dir(args)
     doc = report_ops.build_ablation_document(config, ablation)
     report_ops.write_json(doc, out / "report.json")
@@ -275,7 +290,8 @@ def _cmd_importance(args) -> int:
     if config.excluded_group is not None:
         binary = exclude_group(binary, config.excluded_group)
     # The exclusion is applied above, so the cells use every column left.
-    per_seed = [forest_importance(model) for model, _ in evaluate_cells(binary, (None,), config)]
+    cells = evaluate_cells(binary, (None,), config, _workers(args), keep=forest_importance)
+    per_seed = [vector for vector, _ in cells]
     # Average the per-seed vectors in seed order, then rank by value, then name.
     combined = sum(vector / len(per_seed) for vector in per_seed)
     ranked = sorted(zip(binary.column_names, combined.tolist()),

@@ -7,12 +7,18 @@ file that cannot be read (not UTF-8, malformed, a column named twice),
 ``MissingColumnError`` (``.column``) for a header without a required
 column, ``CellParseError`` or ``MissingValueError`` (``.row``,
 ``.column``) for a bad or empty data cell, and ``InvalidArgumentError``
-for an argument or a dataset an operation cannot take.
+for an argument or a dataset an operation cannot take. Every class
+pickles to an equal error, so a cell worker's error reaches its parent.
 """
+
+import copyreg
 
 
 class DropcastError(Exception):
-    pass
+    def __reduce__(self):
+        # Rebuilt from the message and the attributes without calling
+        # ``__init__``, whose arguments differ from ``args`` in subclasses.
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class InvalidArgumentError(DropcastError):

@@ -15,9 +15,12 @@ labeled accordingly. Either is zero when there is a single sample.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+import functools
+import os
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
@@ -132,16 +135,24 @@ def evaluate_cells(
     binary: Dataset,
     columns: Iterable[FeatureGroup | None],
     config: RunConfig,
-) -> Iterator[tuple[TrainedModel, RocReport]]:
-    """Yield (model, report) per (column, model, seed), columns outermost.
+    workers: int = 1,
+    keep: Callable[[TrainedModel], Any] = lambda model: model,
+) -> Iterator[tuple[Any, RocReport]]:
+    """Yield (keep(model), report) per (column, model, seed), columns outermost.
 
     A column is the group to exclude, or None for all features. Every
     column reuses the same split per seed, so the feature subset is the
-    only factor that varies. Each model is handed over as soon as it is
-    trained; the caller keeps or drops it. A seed whose test split lacks
-    an outcome that the table holds is rejected before the first fit,
-    since its AUC is undefined; a table short of an outcome is left to
-    the fit's or the metric's own check.
+    only factor that varies. ``keep`` maps each trained model to what
+    the caller keeps of it (by default the model itself). A seed whose
+    test split lacks an outcome that the table holds is rejected before
+    the first fit, since its AUC is undefined; a table short of an
+    outcome is left to the fit's or the metric's own check.
+
+    With ``workers`` above 1 (capped at the number of cells) the cells
+    are computed in that many forked processes, handed out and yielded
+    in cell order (``workers.forked_map``); only the report and what
+    ``keep`` returns come back, and no byte depends on the count. Where
+    ``os.fork`` does not exist, the cells run in this process.
     """
     splits = [split(binary.n_rows, config.test_fraction, seed) for seed in config.seeds]
     present = np.bincount(binary.labels, minlength=2) > 0
@@ -154,13 +165,27 @@ def evaluate_cells(
                     f"of {binary.n_rows} rows holds no {outcome.value} row; "
                     f"ROC-AUC needs both outcomes"
                 )
-    for group in columns:
-        dataset = binary if group is None else exclude_group(binary, group)
-        for kind in config.models:
-            for indices in splits:
-                yield evaluate_single(
-                    dataset, indices, kind, config.hyperparams, excluded_group=group
-                )
+    cells = [(group, kind, indices)
+             for group in columns for kind in config.models for indices in splits]
+
+    @functools.lru_cache(maxsize=1)  # cells come column by column
+    def column(group: FeatureGroup | None) -> Dataset:
+        return binary if group is None else exclude_group(binary, group)
+
+    def compute(i: int) -> tuple[Any, RocReport]:
+        group, kind, indices = cells[i]
+        model, report = evaluate_single(
+            column(group), indices, kind, config.hyperparams, excluded_group=group
+        )
+        return keep(model), report
+
+    workers = min(workers, len(cells))
+    if workers > 1 and hasattr(os, "fork"):
+        from .workers import forked_map
+
+        yield from forked_map(compute, len(cells), workers)
+    else:
+        yield from map(compute, range(len(cells)))
 
 
 def run_baseline(config: RunConfig) -> list[RocReport]:
@@ -176,14 +201,15 @@ def _sample_std(values: np.ndarray, axis: int) -> np.ndarray:
     return np.zeros_like(values.take(0, axis=axis))
 
 
-def run_ablation(config: RunConfig) -> AblationReport:
+def run_ablation(config: RunConfig, workers: int = 1) -> AblationReport:
     """Baseline plus the four exclusions under identical per-seed splits."""
     if config.excluded_group is not None:
         raise InvalidArgumentError(
             "the ablation excludes every group in turn; excluded_group must be unset"
         )
     binary, manifest_version = load_binary(config)
-    runs = tuple(report for _, report in evaluate_cells(binary, ABLATION_COLUMNS, config))
+    cells = evaluate_cells(binary, ABLATION_COLUMNS, config, workers, keep=lambda model: None)
+    runs = tuple(report for _, report in cells)
     # columns x models x seeds, in the generator's order; then models first.
     grid = np.array([r.auc for r in runs]).reshape(
         len(ABLATION_COLUMNS), len(config.models), len(config.seeds)

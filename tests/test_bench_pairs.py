@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from conftest import REPO_ROOT
+from dropcast.cli import usable_cpus
 from dropcast.fixture import generate_fixture
 from dropcast.ingest import FeatureGroup
 
@@ -101,3 +102,31 @@ def test_alternate_puts_the_parent_first_on_even_rounds(monkeypatch):
     monkeypatch.setattr(bench_pairs, "WARM_UP", "pass")
     assert list(bench_pairs.alternate(3)) == [
         (0, "parent"), (0, "change"), (1, "change"), (1, "parent"), (2, "parent"), (2, "change")]
+
+
+def test_ablate_probe_prints_the_recorded_keys_and_the_same_digests_for_any_thread_count(
+        fixture_paths, monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(bench_pairs, "ABLATE_FLAGS",
+                        ("--seeds", "42,43", "--forest-trees", "5", "--svm-epochs", "5"))
+    printed = []
+    for threads in ("1", "2"):
+        bench_pairs.ablate_probe(*fixture_paths, threads, str(tmp_path / threads))
+        printed.append(_printed(capsys))
+    recorded = json.loads((REPO_ROOT / "BENCH_29.json").read_text())["ablate_threads"]["change"][0]
+    assert ["round", *printed[0]] == list(recorded)
+    one, two = printed
+    assert (one["threads"], two["threads"]) == (1, 2)
+    assert one["returncode"] == two["returncode"] == 0
+    assert one["worker_peaks_mb"] == []
+    assert len(two["worker_peaks_mb"]) == min(2, usable_cpus())
+    assert set(one["sha256"]) == {"ablation.csv", "ablation.json", "report.json", "roc.svg"}
+    assert one["sha256"] == two["sha256"]
+
+
+def test_threads_summary_takes_medians_and_ratios_per_thread_count():
+    runs = [{"threads": t, "wall_s": w, "cpu_s": c}
+            for t, w, c in [(1, 10.0, 12.0), (2, 5.0, 12.6), (1, 12.0, 12.2), (2, 6.0, 12.4),
+                            (1, 11.0, 12.1), (2, 7.0, 12.8)]]
+    assert bench_pairs.threads_summary(runs) == {
+        "threads_1": {"wall_s": 11.0, "cpu_s": 12.1}, "threads_2": {"wall_s": 6.0, "cpu_s": 12.6},
+        "wall_s_ratio_2_over_1": round(6.0 / 11.0, 4), "cpu_s_ratio_2_over_1": round(12.6 / 12.1, 4)}

@@ -598,24 +598,33 @@ def test_ablate_model_flag_builds_single_model_grid(fixture_dir, tmp_path):
 
 
 class _Counter:
-    """Wraps a function and counts its calls."""
+    """Wraps a function and counts its calls as bytes appended to a file,
+    so that calls made in forked cell workers count too."""
 
-    def __init__(self, fn):
-        self.fn, self.calls = fn, 0
+    def __init__(self, fn, path):
+        self.fn, self.path = fn, path
+        path.write_bytes(b"")
+
+    @property
+    def calls(self) -> int:
+        return len(self.path.read_bytes())
 
     def __call__(self, *args, **kwargs):
-        self.calls += 1
+        with open(self.path, "ab") as log:
+            log.write(b".")
         return self.fn(*args, **kwargs)
 
 
 @pytest.fixture
-def counted(monkeypatch):
-    """Call counters on training and on CSV parsing, wherever it is called from."""
+def counted(monkeypatch, tmp_path_factory):
+    """Call counters on training and on CSV parsing, wherever it is called
+    from, in this process or a worker."""
     import dropcast.cli as cli
     import dropcast.experiments as exp
 
-    train = _Counter(exp.train_model)
-    load = _Counter(exp.load_dataset)
+    folder = tmp_path_factory.mktemp("counts")
+    train = _Counter(exp.train_model, folder / "train_model")
+    load = _Counter(exp.load_dataset, folder / "load_dataset")
     monkeypatch.setattr(exp, "train_model", train)
     monkeypatch.setattr(exp, "load_dataset", load)
     monkeypatch.setattr(cli, "load_dataset", load)

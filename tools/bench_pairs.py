@@ -1,7 +1,8 @@
 """Run the benchmark on two checkouts in alternating pairs and summarise.
 
     python3 tools/bench_pairs.py --parent P --change C --out BENCH_20.json \
-        ingest-large=10 margin=4 ablate-importance=6 dt-fit forest-fit fixture-gen
+        ingest-large=10 margin=4 ablate-importance=6 dt-fit forest-fit fixture-gen \
+        ablate-threads
 
 For each ``WORKLOAD=N`` it runs N pairs of
 
@@ -34,6 +35,16 @@ Naming ``fixture-gen`` adds ``FIXTURE_GEN_ROUNDS`` rounds of the
 peak RSS and the sha256 of the ``fixture.csv`` it wrote. ``setup_s``
 mixes fixture time with the warm-up operation, so the fixture's own
 numbers get their own record.
+
+Naming ``ablate-threads`` adds ``ABLATE_ROUNDS`` rounds of the bench
+fixture's 5-seed ``ablate``, alternating sides, each side run with
+``--threads 1`` and ``--threads 2`` (in alternating order) by
+``ablate_probe`` in a child: wall and CPU seconds, the peak RSS of the
+dropcast process and of each cell worker apart, and the sha256 of each
+output file, plus the median wall and CPU per side and thread count.
+``ru_maxrss`` from ``wait4`` on a child folds in the runner's own peak,
+so the dropcast process reads its own ``VmHWM`` and each worker's peak
+comes from the ``wait4`` that reaps it.
 """
 
 from __future__ import annotations
@@ -59,6 +70,8 @@ WARM_UP = "import numpy as np; a = np.ones((512, 512)); a @ a"
 LARGE_ROWS = "88480"  # the ingest-large fixture
 BENCH_ROWS = "4424"  # the bench fixture
 FIXTURE_GEN_ROUNDS = 6
+ABLATE_ROUNDS = 3
+ABLATE_FLAGS: tuple[str, ...] = ()  # flags after the data flags; the default seeds and models
 DT_FITS = 7
 FOREST_FITS = 5
 SCORES = 5
@@ -236,6 +249,94 @@ def forest_probe(data: str, manifest: str) -> None:
     }))
 
 
+def own_peak_mb() -> float:
+    """This process's peak RSS: ``VmHWM``, which starts afresh at exec,
+    where ``/proc`` has it, else ``ru_maxrss``."""
+    try:
+        with open("/proc/self/status") as status:
+            kb = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
+    except (OSError, StopIteration):
+        import resource
+
+        kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return round(int(kb) / 1024.0, 2)
+
+
+def ablate_probe(data: str, manifest: str, threads: str, out: str) -> None:
+    """Print the wall and CPU seconds (this process and its reaped
+    workers) of one in-process ``dropcast ablate --threads THREADS`` into
+    ``out``, the peak RSS of this process and of each worker, and the
+    sha256 of each output file. Each worker's peak is read from the
+    ``wait4`` that reaps it, in place of the ``os.waitpid`` call that
+    reaps it."""
+    import dropcast.cli  # before numpy, as the ``dropcast`` command imports it
+
+    workers: list[float] = []
+    waitpid = os.waitpid
+
+    def wait4(pid: int, options: int) -> tuple[int, int]:
+        pid, status, usage = os.wait4(pid, options)
+        workers.append(round(usage.ru_maxrss / 1024.0, 2))
+        return pid, status
+
+    os.waitpid = wait4
+    try:
+        before, start = os.times(), time.perf_counter()
+        code = dropcast.cli.main(["ablate", "--data", data, "--manifest", manifest,
+                                  *ABLATE_FLAGS, "--threads", threads, "--out", out])
+        wall, after = time.perf_counter() - start, os.times()
+    finally:
+        os.waitpid = waitpid
+    cpu = sum(after[:4]) - sum(before[:4])  # user, system, children's user and system
+    print(json.dumps({
+        "threads": int(threads), "returncode": code, "wall_s": round(wall, 4),
+        "cpu_s": round(cpu, 4), "parent_peak_mb": own_peak_mb(), "worker_peaks_mb": workers,
+        "sha256": {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in sorted(Path(out).iterdir())} if Path(out).is_dir() else {},
+    }))
+
+
+def threads_summary(runs: list[dict]) -> dict:
+    """Median wall and CPU seconds per thread count, and their ratios 2 over 1."""
+    out = {f"threads_{t}": {key: round(statistics.median(r[key] for r in runs if r["threads"] == t), 4)
+                            for key in ("wall_s", "cpu_s")}
+           for t in (1, 2)}
+    for key in ("wall_s", "cpu_s"):
+        out[f"{key}_ratio_2_over_1"] = round(out["threads_2"][key] / out["threads_1"][key], 4)
+    return out
+
+
+def ablate_threads(checkouts: dict[str, Path]) -> dict:
+    """``ablate_probe`` with ``--threads`` 1 and 2 on each side, alternating,
+    on one bench fixture built by the change's checkout."""
+    results: dict[str, list[dict]] = {side: [] for side in SIDES}
+    with tempfile.TemporaryDirectory() as folder:
+        subprocess.run(fixture_argv(folder, BENCH_ROWS), env=pythonpath(checkouts["change"] / "src"),
+                       check=True, stdout=subprocess.DEVNULL)
+        for r, side in alternate(ABLATE_ROUNDS):
+            for threads in ("1", "2") if r % 2 == 0 else ("2", "1"):
+                out = Path(folder) / f"{side}{r}t{threads}"
+                call = (f"import bench_pairs; bench_pairs.ablate_probe("
+                        f"{folder + '/fixture.csv'!r}, {folder + '/fixture_manifest.tsv'!r}, "
+                        f"{threads!r}, {str(out)!r})")
+                proc = subprocess.run([sys.executable, "-c", call],
+                                      env=pythonpath(checkouts[side] / "src", HERE),
+                                      capture_output=True, text=True, check=True)
+                results[side].append({"round": r, **json.loads(proc.stdout.splitlines()[-1])})
+    medians = {side: threads_summary(runs) for side, runs in results.items()}
+    digests = {json.dumps(run["sha256"], sort_keys=True) for runs in results.values() for run in runs}
+    return {
+        "what": f"bench_pairs.ablate_probe: dropcast ablate (default seeds and models) on the "
+                f"{BENCH_ROWS}-row seed-{SEED} fixture, in a child per run, with --threads 1 and "
+                f"--threads 2 on each side; wall and CPU seconds of the command (CPU includes "
+                f"the reaped workers), the dropcast process's VmHWM and each worker's ru_maxrss "
+                f"from wait4, and the sha256 of each output file; rounds alternate which side "
+                f"runs first and which thread count runs first",
+        "medians": medians, "output_digests_equal": len(digests) == 1,
+        **results,
+    }
+
+
 # Probe name: (probe, fixture rows, rounds, what its record holds).
 PROBES = {
     "dt-fit": (dt_probe, LARGE_ROWS, 4,
@@ -310,14 +411,14 @@ def main(argv=None) -> int:
     parser.add_argument("--change", type=Path, required=True, help="change's checkout")
     parser.add_argument("--out", type=Path, required=True, help="JSON file to write")
     parser.add_argument("pairs", nargs="+",
-                        metavar="WORKLOAD=N | dt-fit | forest-fit | fixture-gen")
+                        metavar="WORKLOAD=N | dt-fit | forest-fit | fixture-gen | ablate-threads")
     args = parser.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     benchmark = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
 
     runs, summary = [], []
-    for spec in (s for s in args.pairs if s not in (*PROBES, "fixture-gen")):
+    for spec in (s for s in args.pairs if s not in (*PROBES, "fixture-gen", "ablate-threads")):
         workload, n = spec.split("=")
         workload_runs = []
         for pair, side in alternate(int(n)):
@@ -347,6 +448,8 @@ def main(argv=None) -> int:
         doc["in_process"] = in_process
     if "fixture-gen" in args.pairs:
         doc["fixture_gen"] = fixture_gen(checkouts)
+    if "ablate-threads" in args.pairs:
+        doc["ablate_threads"] = ablate_threads(checkouts)
     doc["runs"] = runs
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0 if all(r["result"]["correct"] for r in runs) else 1
