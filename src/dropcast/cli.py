@@ -6,7 +6,10 @@ rejected run leaves no directory and no file behind. Exit codes: 0
 success, 1 runtime error (one diagnostic line on stderr), 2 usage error.
 No environment variables are consulted; everything is a flag.
 ``--threads`` is the number of forked cell workers, at most the CPUs
-this process may use.
+this process may use. Its default is those CPUs when dropcast runs as
+the program (``main()``), and 1 when another program calls
+``main(argv)``: a fork copies the whole calling process, with any
+threads and memory of its own, so dropcast forks a host only when asked.
 """
 
 from __future__ import annotations
@@ -107,7 +110,7 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
         help="comma-separated split seeds (default 42,43,44,45,46)",
     )
     parser.add_argument("--test-fraction", type=float, default=0.2)
-    parser.add_argument("--threads", type=_positive_int, default=usable_cpus(),
+    parser.add_argument("--threads", type=_positive_int,
                         help="worker processes for the cells, at least 1, capped at the cells "
                              "and at the usable CPUs (default: the usable CPUs); outputs do not "
                              "depend on it")
@@ -332,11 +335,15 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    """Run the command in ``argv``, or in ``sys.argv`` when it is None."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    if getattr(args, "threads", 1) is None:
+        # The program forks by default; a calling program only when it asks.
+        args.threads = usable_cpus() if argv is None else 1
     try:
         return _COMMANDS[args.command](args)
     except (DropcastError, OSError) as exc:

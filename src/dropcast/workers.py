@@ -9,6 +9,11 @@ the output cannot depend on the worker count. A task's exception is
 raised again in the parent at that task's place in the order; a child
 that dies without a result raises ``ChildProcessError``. Every child is
 reaped before the generator ends, however it ends.
+
+Why not ``multiprocessing``: a fork ``Pool``'s ``imap`` waits forever
+for the task of a worker that is killed (by the OOM killer, say), where
+this raises at once; ``ProcessPoolExecutor`` raises too, but its import
+and start-up add about 5 ms to each command.
 """
 
 from __future__ import annotations

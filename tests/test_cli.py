@@ -603,7 +603,10 @@ class _Counter:
 
     def __init__(self, fn, path):
         self.fn, self.path = fn, path
-        path.write_bytes(b"")
+        self.reset()
+
+    def reset(self) -> None:
+        self.path.write_bytes(b"")
 
     @property
     def calls(self) -> int:
@@ -640,12 +643,21 @@ def counted(monkeypatch, tmp_path_factory):
     (["importance"], 2),
     (["importance", "--exclude", "demographic"], 2),
 ])
-def test_each_cell_trained_once_and_data_loaded_once(fixture_dir, tmp_path, counted, argv, fits):
+def test_each_cell_trained_once_and_data_loaded_once(fixture_dir, tmp_path, counted, argv, fits,
+                                                     monkeypatch):
+    import dropcast.cli as cli
+
     train, load = counted
-    code = main([*argv, *_data_flags(fixture_dir), "--out", str(tmp_path), *_fast_flags("42,43")])
-    assert code == 0
-    assert train.calls == fits
-    assert load.calls == 1
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
+    # The default (one process for a main(argv) call), then two forked cell workers.
+    for name, threads in (("default", []), ("workers", ["--threads", "2"])):
+        train.reset()
+        load.reset()
+        code = main([*argv, *threads, *_data_flags(fixture_dir), "--out", str(tmp_path / name),
+                     *_fast_flags("42,43")])
+        assert code == 0
+        assert train.calls == fits
+        assert load.calls == 1
 
 
 def test_ablate_svg_matches_roc_of_first_seed(fixture_dir, tmp_path):

@@ -155,21 +155,39 @@ def small_fixture(tmp_path_factory):
     return folder
 
 
-@pytest.mark.parametrize("threads, cpus, forks", [("1000", 2, 2), ("4", 4, 2), ("1", 4, 0)])
-def test_workers_are_capped_at_the_cells_and_the_usable_cpus(small_fixture, tmp_path, threads,
-                                                             cpus, forks):
+@pytest.fixture
+def fork_calls():
+    """One entry per ``os.fork`` call made while the test runs."""
     real_fork, calls = os.fork, []
 
     def counted_fork():
         calls.append(1)
         return real_fork()
 
-    with mock.patch.object(cli, "usable_cpus", lambda: cpus), \
-            mock.patch.object(os, "fork", counted_fork):
+    with mock.patch.object(os, "fork", counted_fork):
+        yield calls
+
+
+@pytest.mark.parametrize("threads, cpus, forks", [("1000", 2, 2), ("4", 4, 2), ("1", 4, 0)])
+def test_workers_are_capped_at_the_cells_and_the_usable_cpus(small_fixture, tmp_path, fork_calls,
+                                                             threads, cpus, forks):
+    with mock.patch.object(cli, "usable_cpus", lambda: cpus):
         code = cli.main(["train", "--model", "dt", "--seeds", "42,43", "--threads", threads,
                          *_data_flags(small_fixture), "--out", str(tmp_path / "out")])
     assert code == 0
-    assert len(calls) == forks
+    assert len(fork_calls) == forks
+
+
+def test_the_program_forks_by_default_and_a_calling_program_only_when_asked(small_fixture,
+                                                                          tmp_path, fork_calls):
+    argv = ["train", "--model", "dt", "--seeds", "42,43", *_data_flags(small_fixture)]
+    with mock.patch.object(cli, "usable_cpus", lambda: 2):
+        assert cli.main([*argv, "--out", str(tmp_path / "called")]) == 0
+        assert fork_calls == []
+        with mock.patch.object(sys, "argv", ["dropcast", *argv, "--out", str(tmp_path / "program")]):
+            assert cli.main() == 0
+        assert len(fork_calls) == 2
+    _assert_no_child_left()
 
 
 def test_without_fork_the_cells_run_in_this_process(small_fixture, tmp_path, monkeypatch):
