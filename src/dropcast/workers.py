@@ -6,9 +6,11 @@ through the fork, so only a task's index goes out and only its pickled
 result comes back. The parent hands out tasks in index order, one at a
 time to whichever child is free, and yields results in index order, so
 the output cannot depend on the worker count. A task's exception is
-raised again in the parent at that task's place in the order; a child
-that dies without a result raises ``ChildProcessError``. Every child is
-reaped before the generator ends, however it ends.
+raised again in the parent at that task's place in the order. A child
+that dies while it holds a task, before its whole result is back, raises
+``ChildProcessError``; one that dies idle, after its last result, does
+not, since the parent polls only the children that hold a task. Every
+child is reaped before the generator ends, however it ends.
 
 Why not ``multiprocessing``: a fork ``Pool``'s ``imap`` waits forever
 for the task of a worker that is killed (by the OOM killer, say), where
@@ -63,8 +65,9 @@ class _Worker:
 
     def receive(self) -> tuple[bool, object]:
         header = self.results.read(_HEADER_BYTES)
-        data = self.results.read(int.from_bytes(header, "little")) if header else b""
-        if len(header) < _HEADER_BYTES or not data:
+        size = int.from_bytes(header, "little")
+        data = self.results.read(size) if len(header) == _HEADER_BYTES else b""
+        if not data or len(data) < size:  # the child ended before writing all of it
             raise ChildProcessError(f"worker process {self.pid} ended without returning task {self.task}")
         return pickle.loads(data)
 
@@ -91,12 +94,11 @@ def forked_map(compute: Callable[[int], object], n_tasks: int, workers: int) -> 
         for _ in range(workers):
             pool.append(_Worker(compute, pool))
         by_fd = {worker.results.fileno(): worker for worker in pool}
-        poller = select.poll()
-        for fd in by_fd:
-            poller.register(fd, select.POLLIN)
+        poller = select.poll()  # holds the workers that hold a task
         tasks = iter(range(n_tasks))
         for worker, index in zip(pool, tasks):
             worker.send(index)
+            poller.register(worker.results, select.POLLIN)
         done: dict[int, tuple[bool, object]] = {}
         for index in range(n_tasks):
             while index not in done:
@@ -107,6 +109,8 @@ def forked_map(compute: Callable[[int], object], n_tasks: int, workers: int) -> 
                         tasks = iter(())  # the run ends at this task: no later one is needed
                     if (task := next(tasks, None)) is not None:
                         worker.send(task)
+                    else:
+                        poller.unregister(fd)
             ok, value = done.pop(index)
             if not ok:
                 raise value

@@ -1,8 +1,10 @@
-"""The measurement script ``tools/bench_pairs.py``: its probes, its
-pair summary and its alternation order."""
+"""The measurement script ``tools/bench_pairs.py``: its probes, the loop
+that runs them, its pair summary and its alternation order."""
 
+import hashlib
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -105,12 +107,12 @@ def test_alternate_puts_the_parent_first_on_even_rounds(monkeypatch):
 
 
 def test_ablate_probe_prints_the_recorded_keys_and_the_same_digests_for_any_thread_count(
-        fixture_paths, monkeypatch, tmp_path, capsys):
+        fixture_paths, monkeypatch, capsys):
     monkeypatch.setattr(bench_pairs, "ABLATE_FLAGS",
                         ("--seeds", "42,43", "--forest-trees", "5", "--svm-epochs", "5"))
     printed = []
     for threads in ("1", "2"):
-        bench_pairs.ablate_probe(*fixture_paths, threads, str(tmp_path / threads))
+        bench_pairs.ablate_probe(*fixture_paths, threads)
         printed.append(_printed(capsys))
     recorded = json.loads((REPO_ROOT / "BENCH_29.json").read_text())["ablate_threads"]["change"][0]
     assert ["round", *printed[0]] == list(recorded)
@@ -130,3 +132,44 @@ def test_threads_summary_takes_medians_and_ratios_per_thread_count():
     assert bench_pairs.threads_summary(runs) == {
         "threads_1": {"wall_s": 11.0, "cpu_s": 12.1}, "threads_2": {"wall_s": 6.0, "cpu_s": 12.6},
         "wall_s_ratio_2_over_1": round(6.0 / 11.0, 4), "cpu_s_ratio_2_over_1": round(12.6 / 12.1, 4)}
+
+
+def test_fixture_probe_prints_the_recorded_keys_and_the_fixture_digest(fixture_paths, monkeypatch,
+                                                                       capsys):
+    monkeypatch.setattr(bench_pairs, "LARGE_ROWS", "200")
+    monkeypatch.setenv("PYTHONPATH", str(REPO_ROOT / "src"))
+    bench_pairs.fixture_probe("no.csv", "no.tsv")  # its row builds no fixture
+    result = _printed(capsys)
+    recorded = json.loads((REPO_ROOT / "BENCH_20.json").read_text())["fixture_gen"]["change"][0]
+    assert list(result) == list(recorded)
+    assert result["sha256"] == hashlib.sha256(Path(fixture_paths[0]).read_bytes()).hexdigest()
+    assert result["wall_s"] > 0 and result["peak_rss_mb"] > 0
+
+
+def stub_probe(data, manifest, letter):
+    """Only its name reaches the child, which imports each side's stub."""
+
+
+def test_probe_rounds_alternates_the_argument_lists_by_round_in_each_sides_child(tmp_path,
+                                                                                 monkeypatch):
+    checkouts = {}
+    for side in bench_pairs.SIDES:
+        checkouts[side] = tmp_path / side
+        (checkouts[side] / "src").mkdir(parents=True)
+        # The side's src comes first on the child's path, so this stands in for bench_pairs.
+        (checkouts[side] / "src" / "bench_pairs.py").write_text(
+            "import json\n"
+            "def stub_probe(data, manifest, letter):\n"
+            f"    print(json.dumps({{'side': {side!r}, 'letter': letter, 'sha256': 'x'}}))\n")
+    monkeypatch.setattr(bench_pairs, "WARM_UP", "pass")
+    monkeypatch.setitem(bench_pairs.PROBES, "stub",
+                        (stub_probe, None, 3, [("a",), ("b",)], len, "a stub"))
+    record = bench_pairs.probe_rounds(checkouts, "stub")
+    for side in bench_pairs.SIDES:
+        assert [(run["round"], run["letter"]) for run in record[side]] == [
+            (0, "a"), (0, "b"), (1, "b"), (1, "a"), (2, "a"), (2, "b")]
+        assert all(list(run) == ["round", "side", "letter", "sha256"] and run["side"] == side
+                   for run in record[side])
+    assert record["medians"] == {"parent": 6, "change": 6}
+    assert record["output_digests_equal"] is True
+    assert record["what"].startswith("a stub; ")

@@ -6,9 +6,11 @@ Every test here uses at most 4 workers.
 import contextlib
 import io
 import os
+import pickle
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -20,7 +22,7 @@ import dropcast.cli as cli
 from dropcast.errors import InvalidArgumentError
 from dropcast.fixture import generate_fixture
 from dropcast.ingest import FeatureGroup
-from dropcast.workers import forked_map
+from dropcast.workers import _Worker, forked_map
 
 from conftest import REPO_ROOT
 
@@ -84,6 +86,36 @@ def test_a_worker_that_dies_is_an_error_and_every_child_is_reaped():
     with pytest.raises(ChildProcessError, match="ended without returning task 2"):
         list(forked_map(die_at_two, 6, 2))
     _assert_no_child_left()
+
+
+def test_a_worker_killed_after_its_last_task_is_no_error(tmp_path):
+    pid_file = tmp_path / "pid"
+
+    def kill_the_idle_worker(i):
+        if i == 1:
+            (tmp_path / "pid.tmp").write_text(str(os.getpid()))
+            (tmp_path / "pid.tmp").rename(pid_file)
+            return i
+        while not pid_file.exists():
+            time.sleep(0.01)
+        time.sleep(0.3)  # task 1's result is back and its worker is idle
+        os.kill(int(pid_file.read_text()), signal.SIGKILL)
+        time.sleep(0.3)  # that worker's pipe closes before this result is back
+        return i
+
+    assert list(forked_map(kill_the_idle_worker, 2, 2)) == [0, 1]
+    _assert_no_child_left()
+
+
+def test_a_result_cut_short_after_its_header_is_a_child_process_error():
+    result = pickle.dumps((True, bytes(80)), protocol=pickle.HIGHEST_PROTOCOL)
+    read, write = os.pipe()
+    os.write(write, len(result).to_bytes(8, "little") + result[:5])  # then the child dies
+    os.close(write)
+    worker = _Worker.__new__(_Worker)  # the parent's end of a child's pipes, with no child
+    worker.pid, worker.task, worker.results = 123, 0, open(read, "rb")
+    with worker.results, pytest.raises(ChildProcessError, match="ended without returning task 0"):
+        worker.receive()
 
 
 def test_a_generator_closed_early_reaps_its_busy_children():

@@ -21,30 +21,23 @@ pairs the change wins and ties (by the metric's direction in
 ``BENCHMARK.json``), failed and attempted operations, and whether every
 output digest is the same on both sides.
 
-Naming a probe of ``PROBES`` (``dt-fit``, ``forest-fit``) adds its
-rounds, alternating sides, under ``in_process``: each round is a child
-that runs ``dt_probe`` or ``forest_probe`` of this file with the side's
-``src`` first on ``PYTHONPATH``, on one fixture built by the change's
-checkout. One probe runs alone as
+Every other name is a row of ``PROBES``, the one table of measurements
+that ``perfbench/run.py`` does not make: (probe, fixture rows, rounds,
+argument lists, summary, what). ``probe_rounds`` runs every row the same
+way. If the row names fixture rows, the change's checkout first builds
+one seed-7 fixture of that many rows. Then each round runs on each side,
+alternating which side goes first (``alternate``), the probe once per
+argument list, each time in a child with the side's ``src`` first on
+``PYTHONPATH``; the order of the lists alternates from round to round.
+A probe is a function of this file that takes the fixture's data and
+manifest paths, then the list's arguments, and prints one JSON line. Its
+record, under ``in_process`` and keyed by the row's name, holds ``what``
+it measures, each side's medians when the row has a summary, whether
+every ``sha256`` the rounds printed is the same on both sides, and each
+side's printed lines with their ``round``. One probe runs alone as
 
     PYTHONPATH=CHECKOUT/src:tools python3 -c \
         "import bench_pairs; bench_pairs.forest_probe('F.csv', 'M.tsv')"
-
-Naming ``fixture-gen`` adds ``FIXTURE_GEN_ROUNDS`` rounds of the
-88 480-row ``dropcast fixture`` child, alternating sides: its wall time,
-peak RSS and the sha256 of the ``fixture.csv`` it wrote. ``setup_s``
-mixes fixture time with the warm-up operation, so the fixture's own
-numbers get their own record.
-
-Naming ``ablate-threads`` adds ``ABLATE_ROUNDS`` rounds of the bench
-fixture's 5-seed ``ablate``, alternating sides, each side run with
-``--threads 1`` and ``--threads 2`` (in alternating order) by
-``ablate_probe`` in a child: wall and CPU seconds, the peak RSS of the
-dropcast process and of each cell worker apart, and the sha256 of each
-output file, plus the median wall and CPU per side and thread count.
-``ru_maxrss`` from ``wait4`` on a child folds in the runner's own peak,
-so the dropcast process reads its own ``VmHWM`` and each worker's peak
-comes from the ``wait4`` that reaps it.
 """
 
 from __future__ import annotations
@@ -69,8 +62,6 @@ SEED = 7  # the benchmark's default fixture seed
 WARM_UP = "import numpy as np; a = np.ones((512, 512)); a @ a"
 LARGE_ROWS = "88480"  # the ingest-large fixture
 BENCH_ROWS = "4424"  # the bench fixture
-FIXTURE_GEN_ROUNDS = 6
-ABLATE_ROUNDS = 3
 ABLATE_FLAGS: tuple[str, ...] = ()  # flags after the data flags; the default seeds and models
 DT_FITS = 7
 FOREST_FITS = 5
@@ -262,13 +253,14 @@ def own_peak_mb() -> float:
     return round(int(kb) / 1024.0, 2)
 
 
-def ablate_probe(data: str, manifest: str, threads: str, out: str) -> None:
+def ablate_probe(data: str, manifest: str, threads: str) -> None:
     """Print the wall and CPU seconds (this process and its reaped
     workers) of one in-process ``dropcast ablate --threads THREADS`` into
-    ``out``, the peak RSS of this process and of each worker, and the
-    sha256 of each output file. Each worker's peak is read from the
-    ``wait4`` that reaps it, in place of the ``os.waitpid`` call that
-    reaps it."""
+    a folder of its own, the peak RSS of this process and of each worker,
+    and the sha256 of each output file. ``ru_maxrss`` from ``wait4`` on a
+    child folds in the waiting process's own peak, so this process reads
+    its own ``VmHWM``, and each worker's peak is read from the ``wait4``
+    that reaps it, in place of the ``os.waitpid`` call that reaps it."""
     import dropcast.cli  # before numpy, as the ``dropcast`` command imports it
 
     workers: list[float] = []
@@ -280,19 +272,21 @@ def ablate_probe(data: str, manifest: str, threads: str, out: str) -> None:
         return pid, status
 
     os.waitpid = wait4
-    try:
-        before, start = os.times(), time.perf_counter()
-        code = dropcast.cli.main(["ablate", "--data", data, "--manifest", manifest,
-                                  *ABLATE_FLAGS, "--threads", threads, "--out", out])
-        wall, after = time.perf_counter() - start, os.times()
-    finally:
-        os.waitpid = waitpid
+    with tempfile.TemporaryDirectory() as out:
+        try:
+            before, start = os.times(), time.perf_counter()
+            code = dropcast.cli.main(["ablate", "--data", data, "--manifest", manifest,
+                                      *ABLATE_FLAGS, "--threads", threads, "--out", out])
+            wall, after = time.perf_counter() - start, os.times()
+        finally:
+            os.waitpid = waitpid
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in sorted(Path(out).iterdir())}
     cpu = sum(after[:4]) - sum(before[:4])  # user, system, children's user and system
     print(json.dumps({
         "threads": int(threads), "returncode": code, "wall_s": round(wall, 4),
         "cpu_s": round(cpu, 4), "parent_peak_mb": own_peak_mb(), "worker_peaks_mb": workers,
-        "sha256": {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-                   for p in sorted(Path(out).iterdir())} if Path(out).is_dir() else {},
+        "sha256": digests,
     }))
 
 
@@ -306,101 +300,85 @@ def threads_summary(runs: list[dict]) -> dict:
     return out
 
 
-def ablate_threads(checkouts: dict[str, Path]) -> dict:
-    """``ablate_probe`` with ``--threads`` 1 and 2 on each side, alternating,
-    on one bench fixture built by the change's checkout."""
-    results: dict[str, list[dict]] = {side: [] for side in SIDES}
-    with tempfile.TemporaryDirectory() as folder:
-        subprocess.run(fixture_argv(folder, BENCH_ROWS), env=pythonpath(checkouts["change"] / "src"),
-                       check=True, stdout=subprocess.DEVNULL)
-        for r, side in alternate(ABLATE_ROUNDS):
-            for threads in ("1", "2") if r % 2 == 0 else ("2", "1"):
-                out = Path(folder) / f"{side}{r}t{threads}"
-                call = (f"import bench_pairs; bench_pairs.ablate_probe("
-                        f"{folder + '/fixture.csv'!r}, {folder + '/fixture_manifest.tsv'!r}, "
-                        f"{threads!r}, {str(out)!r})")
-                proc = subprocess.run([sys.executable, "-c", call],
-                                      env=pythonpath(checkouts[side] / "src", HERE),
-                                      capture_output=True, text=True, check=True)
-                results[side].append({"round": r, **json.loads(proc.stdout.splitlines()[-1])})
-    medians = {side: threads_summary(runs) for side, runs in results.items()}
-    digests = {json.dumps(run["sha256"], sort_keys=True) for runs in results.values() for run in runs}
-    return {
-        "what": f"bench_pairs.ablate_probe: dropcast ablate (default seeds and models) on the "
-                f"{BENCH_ROWS}-row seed-{SEED} fixture, in a child per run, with --threads 1 and "
-                f"--threads 2 on each side; wall and CPU seconds of the command (CPU includes "
-                f"the reaped workers), the dropcast process's VmHWM and each worker's ru_maxrss "
-                f"from wait4, and the sha256 of each output file; rounds alternate which side "
-                f"runs first and which thread count runs first",
-        "medians": medians, "output_digests_equal": len(digests) == 1,
-        **results,
-    }
-
-
-# Probe name: (probe, fixture rows, rounds, what its record holds).
-PROBES = {
-    "dt-fit": (dt_probe, LARGE_ROWS, 4,
-               f"bench_pairs.dt_probe: build_tree(max_depth=5) on the seed-42 training split of "
-               f"the {LARGE_ROWS}-row seed-{SEED} fixture, CPU seconds of {DT_FITS} fits and the "
-               f"tracemalloc peak of one more, per round; rounds alternate which side runs first"),
-    "forest-fit": (forest_probe, BENCH_ROWS, 4,
-                   f"bench_pairs.forest_probe: build_forest({TREES} trees, seed 42) on the seed-42 "
-                   f"training split of the {BENCH_ROWS}-row seed-{SEED} fixture, CPU seconds of "
-                   f"{FOREST_FITS} fits, a sha256 of the trees, and the median CPU seconds and "
-                   f"sha256 of forest_scores on the test rows and on them repeated to "
-                   f"{LARGE_QUERIES} rows, with the tracemalloc peak of the latter, and the median "
-                   f"CPU seconds of build_tree(max_depth=5) on the same training rows, per round; "
-                   f"rounds alternate which side runs first"),
-}
-
-
-def fixture_argv(folder: str | Path, rows: str = LARGE_ROWS) -> list[str]:
+def fixture_argv(folder: str | Path, rows: str) -> list[str]:
     return [sys.executable, "-m", "dropcast.cli", "fixture", "--rows", rows,
             "--seed", str(SEED), "--planted-group", "academic", "--strength", "3.0",
             "--out", str(folder)]
 
 
+def fixture_probe(data: str, manifest: str) -> None:
+    """Print the wall seconds, the peak RSS (``ru_maxrss`` from ``wait4``)
+    and the sha256 of ``fixture.csv`` of one ``LARGE_ROWS``-row ``dropcast
+    fixture`` child, which writes to a folder of its own: its row builds no
+    fixture, so ``data`` and ``manifest`` name none. ``setup_s`` mixes
+    fixture time with the warm-up operation, so the fixture's own numbers
+    get their own record."""
+    with tempfile.TemporaryDirectory() as folder:
+        start = time.perf_counter()
+        proc = subprocess.Popen(fixture_argv(folder, LARGE_ROWS), stdout=subprocess.DEVNULL)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
+        returncode = os.waitstatus_to_exitcode(status)
+        if returncode != 0:
+            raise subprocess.CalledProcessError(returncode, proc.args)
+        digest = hashlib.sha256((Path(folder) / "fixture.csv").read_bytes()).hexdigest()
+    print(json.dumps({"wall_s": round(wall, 4), "peak_rss_mb": round(usage.ru_maxrss / 1024.0, 2),
+                      "sha256": digest}))
+
+
+# Name: (probe, fixture rows or None, rounds, argument lists after the
+# fixture's paths, summary of one side's rounds or None, what it measures).
+PROBES = {
+    "dt-fit": (dt_probe, LARGE_ROWS, 4, [()], None,
+               f"bench_pairs.dt_probe: build_tree(max_depth=5) on the seed-42 training split of "
+               f"the {LARGE_ROWS}-row seed-{SEED} fixture, CPU seconds of {DT_FITS} fits and the "
+               f"tracemalloc peak of one more, per round"),
+    "forest-fit": (forest_probe, BENCH_ROWS, 4, [()], None,
+                   f"bench_pairs.forest_probe: build_forest({TREES} trees, seed 42) on the seed-42 "
+                   f"training split of the {BENCH_ROWS}-row seed-{SEED} fixture, CPU seconds of "
+                   f"{FOREST_FITS} fits, a sha256 of the trees, and the median CPU seconds and "
+                   f"sha256 of forest_scores on the test rows and on them repeated to "
+                   f"{LARGE_QUERIES} rows, with the tracemalloc peak of the latter, and the median "
+                   f"CPU seconds of build_tree(max_depth=5) on the same training rows, per round. "
+                   f"score_cpu_s_median scores each side's own forest, so once a change alters "
+                   f"the trees it mixes the walk with the forest's shape"),
+    "fixture-gen": (fixture_probe, None, 6, [()], None,
+                    f"bench_pairs.fixture_probe: dropcast fixture --rows {LARGE_ROWS} --seed {SEED} "
+                    f"--planted-group academic --strength 3.0 as a child process: wall seconds "
+                    f"from start to exit, its peak RSS (ru_maxrss from wait4) and the sha256 of "
+                    f"fixture.csv, per round"),
+    "ablate-threads": (ablate_probe, BENCH_ROWS, 3, [("1",), ("2",)], threads_summary,
+                       f"bench_pairs.ablate_probe: dropcast ablate (default seeds and models) on "
+                       f"the {BENCH_ROWS}-row seed-{SEED} fixture with --threads 1 and --threads 2; "
+                       f"wall and CPU seconds of the command (CPU includes the reaped workers), "
+                       f"the dropcast process's VmHWM and each worker's ru_maxrss from wait4, and "
+                       f"the sha256 of each output file; medians per side and thread count"),
+}
+
+
 def probe_rounds(checkouts: dict[str, Path], name: str) -> dict:
-    """The probe named ``name`` on each side, its rounds alternating, on one
-    fixture built by the change's checkout."""
-    probe, rows, rounds, what = PROBES[name]
+    """The record of the ``PROBES`` row ``name``, run as the module docstring says."""
+    probe, rows, rounds, arg_lists, summary, what = PROBES[name]
     results: dict[str, list[dict]] = {side: [] for side in SIDES}
     with tempfile.TemporaryDirectory() as folder:
-        subprocess.run(fixture_argv(folder, rows), env=pythonpath(checkouts["change"] / "src"),
-                       check=True, stdout=subprocess.DEVNULL)
-        call = (f"import bench_pairs; bench_pairs.{probe.__name__}("
-                f"{folder + '/fixture.csv'!r}, {folder + '/fixture_manifest.tsv'!r})")
-        for _, side in alternate(rounds):
-            proc = subprocess.run([sys.executable, "-c", call],
-                                  env=pythonpath(checkouts[side] / "src", HERE),
-                                  capture_output=True, text=True, check=True)
-            results[side].append(json.loads(proc.stdout.splitlines()[-1]))
-    return {"what": what, **results}
-
-
-def fixture_gen(checkouts: dict[str, Path]) -> dict:
-    """The ``dropcast fixture`` child on each side, ``FIXTURE_GEN_ROUNDS`` times, alternating."""
-    results: dict[str, list[dict]] = {side: [] for side in SIDES}
-    with tempfile.TemporaryDirectory() as folder:
-        for _, side in alternate(FIXTURE_GEN_ROUNDS):
-            out = Path(folder) / side
-            start = time.perf_counter()
-            proc = subprocess.Popen(fixture_argv(out), stdout=subprocess.DEVNULL,
-                                    env=pythonpath(checkouts[side] / "src"))
-            _, status, usage = os.wait4(proc.pid, 0)
-            wall = time.perf_counter() - start
-            returncode = os.waitstatus_to_exitcode(status)
-            if returncode != 0:
-                raise subprocess.CalledProcessError(returncode, proc.args)
-            digest = hashlib.sha256((out / "fixture.csv").read_bytes()).hexdigest()
-            results[side].append({"wall_s": round(wall, 4),
-                                  "peak_rss_mb": round(usage.ru_maxrss / 1024.0, 2),
-                                  "sha256": digest})
+        paths = [f"{folder}/fixture.csv", f"{folder}/fixture_manifest.tsv"]
+        if rows:
+            subprocess.run(fixture_argv(folder, rows), env=pythonpath(checkouts["change"] / "src"),
+                           check=True, stdout=subprocess.DEVNULL)
+        for r, side in alternate(rounds):
+            for args in arg_lists if r % 2 == 0 else arg_lists[::-1]:
+                call = f"import bench_pairs; bench_pairs.{probe.__name__}(*{[*paths, *args]!r})"
+                proc = subprocess.run([sys.executable, "-c", call],
+                                      env=pythonpath(checkouts[side] / "src", HERE),
+                                      capture_output=True, text=True, check=True)
+                results[side].append({"round": r, **json.loads(proc.stdout.splitlines()[-1])})
+    digests = {json.dumps({k: v for k, v in run.items() if "sha256" in k}, sort_keys=True)
+               for runs in results.values() for run in runs}
     return {
-        "what": f"dropcast fixture --rows {LARGE_ROWS} --seed {SEED} --planted-group academic "
-                f"--strength 3.0 as a child process: wall seconds from start to exit, its "
-                f"peak RSS (ru_maxrss from wait4) and the sha256 of fixture.csv, per round; "
-                f"rounds alternate which side runs first",
+        "what": f"{what}; each run a child with the side's src first on PYTHONPATH, rounds "
+                f"alternating which side runs first and the order of the argument lists",
+        **({"medians": {side: summary(runs) for side, runs in results.items()}} if summary else {}),
+        "output_digests_equal": len(digests) == 1,
         **results,
     }
 
@@ -410,15 +388,14 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, required=True, help="parent commit's checkout")
     parser.add_argument("--change", type=Path, required=True, help="change's checkout")
     parser.add_argument("--out", type=Path, required=True, help="JSON file to write")
-    parser.add_argument("pairs", nargs="+",
-                        metavar="WORKLOAD=N | dt-fit | forest-fit | fixture-gen | ablate-threads")
+    parser.add_argument("pairs", nargs="+", metavar=" | ".join(["WORKLOAD=N", *PROBES]))
     args = parser.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     benchmark = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
 
     runs, summary = [], []
-    for spec in (s for s in args.pairs if s not in (*PROBES, "fixture-gen", "ablate-threads")):
+    for spec in (s for s in args.pairs if s not in PROBES):
         workload, n = spec.split("=")
         workload_runs = []
         for pair, side in alternate(int(n)):
@@ -446,10 +423,6 @@ def main(argv=None) -> int:
                   for name in PROBES if name in args.pairs}
     if in_process:
         doc["in_process"] = in_process
-    if "fixture-gen" in args.pairs:
-        doc["fixture_gen"] = fixture_gen(checkouts)
-    if "ablate-threads" in args.pairs:
-        doc["ablate_threads"] = ablate_threads(checkouts)
     doc["runs"] = runs
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0 if all(r["result"]["correct"] for r in runs) else 1
