@@ -29,6 +29,7 @@ from .ingest import (
     GroupManifest,
     Outcome,
     default_manifest_path,
+    load_binary_dataset,
     load_dataset,
     load_manifest,
     to_binary,
@@ -59,6 +60,7 @@ __all__ = [
     "exclude_group",
     "fit_standardizer",
     "forest_importance",
+    "load_binary_dataset",
     "load_dataset",
     "load_manifest",
     "roc_curve",

@@ -3,10 +3,12 @@
 Subcommands: eda, train, ablate, importance, roc, fixture. Every command
 computes all its outputs before it makes the --out directory, so a
 rejected run leaves no directory and no file behind. Exit codes: 0
-success, 1 runtime error (one diagnostic line on stderr), 2 usage error.
+success, 1 runtime error (one diagnostic line on stderr, also when a
+command runs out of memory), 2 usage error.
 No environment variables are consulted; everything is a flag.
 ``--threads`` is the number of forked cell workers, at most the CPUs
-this process may use. Its default is those CPUs when dropcast runs as
+this process may use (``usable_cpus``: its affinity, capped by a cgroup
+CPU quota). Its default is those CPUs when dropcast runs as
 the program (``main()``), and 1 when another program calls
 ``main(argv)``: a fork copies the whole calling process, with any
 threads and memory of its own, so dropcast forks a host only when asked.
@@ -24,7 +26,7 @@ from . import report as report_ops
 from .errors import DropcastError, InvalidArgumentError
 from .experiments import DEFAULT_SEEDS, RunConfig, evaluate_cells, load_binary, run_ablation
 from .fixture import generate_fixture
-from .ingest import FeatureGroup, default_manifest_path, load_dataset, load_manifest, to_binary
+from .ingest import FeatureGroup, default_manifest_path, load_binary_dataset, load_manifest
 from .metrics import forest_importance
 from .models import GRID_MODEL_ORDER, HyperParams, ModelKind
 from .models.serialize import save_model
@@ -34,6 +36,7 @@ from .svg import emit_roc_svg
 
 # Unused here; bound only because the trace in perfbench/spans.py patches these names.
 from .experiments import evaluate_single, run_baseline, split  # noqa: F401
+from .ingest import load_dataset, to_binary  # noqa: F401
 
 _MODEL_CODES = {kind.value: kind for kind in ModelKind}
 
@@ -95,11 +98,27 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def usable_cpus() -> int:
-    """The CPUs this process may run on."""
+def usable_cpus(cgroup: Path = Path("/sys/fs/cgroup")) -> int:
+    """The CPUs this process may run on, at most ceil(quota / period) of
+    a CPU quota set on its cgroup, mounted at ``cgroup``: v2 ``cpu.max``,
+    else v1 ``cpu/cpu.cfs_quota_us`` and ``cpu/cpu.cfs_period_us``."""
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    for files in (["cpu.max"], ["cpu/cpu.cfs_quota_us", "cpu/cpu.cfs_period_us"]):
+        try:
+            fields = " ".join((cgroup / name).read_text() for name in files).split()
+        except OSError:
+            continue
+        try:
+            quota, period = map(int, fields)
+        except ValueError:  # v2 "max": no quota
+            return cpus
+        if quota <= 0 or period <= 0:  # v1 -1: no quota
+            return cpus
+        return min(cpus, -(-quota // period))
+    return cpus
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
@@ -232,10 +251,7 @@ def _out_dir(args) -> Path:
 
 def _cmd_eda(args) -> int:
     manifest = load_manifest(args.manifest or default_manifest_path())
-    dataset = load_dataset(args.data, manifest, delimiter=args.delimiter)
-    classes = eda_ops.class_distribution(dataset)
-    binary = to_binary(dataset)
-    del dataset  # free the three-outcome matrix before the correlation's copies
+    binary, classes = load_binary_dataset(args.data, manifest, delimiter=args.delimiter)
     gender = (eda_ops.gender_distribution(binary)
               if eda_ops.GENDER_COLUMN in binary.column_names else None)
     rates = {feature: eda_ops.rate_by_category(binary, feature)
@@ -348,6 +364,10 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except (DropcastError, OSError) as exc:
         print(f"dropcast: error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"dropcast: error: {args.command} ran out of memory{detail}", file=sys.stderr)
         return 1
 
 

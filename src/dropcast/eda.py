@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .ingest import LABELS, Dataset, Outcome
+from .ingest import Dataset, Outcome, class_counts
 from .preprocess import apply_standardizer, fit_standardizer
 
 GENDER_COLUMN = "Gender"
@@ -28,8 +28,7 @@ class CorrelationMatrix:
 
 
 def class_distribution(dataset: Dataset) -> dict[Outcome, int]:
-    counts = np.bincount(dataset.labels, minlength=len(LABELS))
-    return {outcome: int(counts[LABELS[outcome]]) for outcome in Outcome}
+    return class_counts(dataset.labels)
 
 
 def _column(binary: Dataset, feature_name: str) -> np.ndarray:

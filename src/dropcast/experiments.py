@@ -25,7 +25,7 @@ from typing import Any
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .ingest import LABELS, Dataset, FeatureGroup, Outcome, load_dataset, load_manifest, to_binary
+from .ingest import LABELS, Dataset, FeatureGroup, Outcome, load_binary_dataset, load_manifest
 from .metrics import RocReport, accuracy, auc, roc_curve
 from .models import (
     GRID_MODEL_ORDER,
@@ -38,7 +38,8 @@ from .models import (
 from .preprocess import SplitIndices, exclude_group, split
 from .rng import check_seeds
 
-# Unused here; bound only because the trace in perfbench/spans.py patches this name.
+# Unused here; bound only because the trace in perfbench/spans.py patches these names.
+from .ingest import load_dataset, to_binary  # noqa: F401
 from .preprocess import fit_standardizer  # noqa: F401
 
 DEFAULT_SEEDS = (42, 43, 44, 45, 46)
@@ -100,17 +101,9 @@ def evaluate_single(
     excluded_group: FeatureGroup | None = None,
 ) -> tuple[TrainedModel, RocReport]:
     """Train one model on the train rows and score the held-out rows."""
-    matrix = binary.feature_matrix
-    labels = binary.labels
-    train_ds = Dataset(
-        feature_matrix=matrix[indices.train_rows],
-        column_names=binary.column_names,
-        column_groups=binary.column_groups,
-        labels=labels[indices.train_rows],
-    )
-    model = train_model(kind, train_ds, hp)
-    test_scores = score(model, matrix[indices.test_rows])
-    test_labels = labels[indices.test_rows]
+    model = train_model(kind, binary, hp, rows=indices.train_rows)
+    test_scores = score(model, binary.feature_matrix[indices.test_rows])
+    test_labels = binary.labels[indices.test_rows]
     curve = roc_curve(test_scores, test_labels)
     report = RocReport(
         model_kind=kind,
@@ -127,8 +120,8 @@ def evaluate_single(
 def load_binary(config: RunConfig) -> tuple[Dataset, str]:
     """The Dropout/Graduate table and the manifest's version tag."""
     manifest = load_manifest(config.manifest_path)
-    dataset = load_dataset(config.data_path, manifest, delimiter=config.delimiter)
-    return to_binary(dataset), manifest.version_tag
+    binary, _ = load_binary_dataset(config.data_path, manifest, delimiter=config.delimiter)
+    return binary, manifest.version_tag
 
 
 def evaluate_cells(

@@ -1,11 +1,16 @@
 """The four binary classifiers under one train/score contract.
 
 ``train_model`` is the one trainer, a pure function of (model kind,
-dataset, hyperparameters); scoring returns one finite real per row,
-higher meaning more dropout-like. Both take raw feature values for all
-four kinds: for the SVM and k-NN, ``train_model`` fits a standardizer on
-the training rows and the model carries it, so ``score`` standardizes
-incoming rows itself.
+dataset, training rows, hyperparameters); scoring returns one finite
+real per row, higher meaning more dropout-like. Both take raw feature
+values for all four kinds: for the SVM and k-NN, ``train_model`` fits a
+standardizer on the training rows and the model carries it, so
+``score`` standardizes incoming rows itself.
+
+A fit reads its training rows from the dataset's own matrix: trees and
+forests code one column at a time at those rows, and the SVM and k-NN
+gather them once and standardize that gather in place. The k-NN model
+keeps that gather; Pegasos copies it once more, with its bias column.
 """
 
 from __future__ import annotations
@@ -100,35 +105,48 @@ class TrainedModel:
     standardizer: Standardizer | None = None
 
 
-def _check_finite(rows: np.ndarray, problem: str) -> None:
-    finite = np.isfinite(rows).all(axis=1)
+def _check_finite(matrix: np.ndarray, problem: str, rows: np.ndarray | None = None) -> None:
+    """Reject the first row (of ``rows`` when given, named by its place
+    there) with a value that is not finite; the rows are gathered only
+    when the matrix holds such a value."""
+    if np.isfinite(matrix).all():
+        return
+    finite = np.isfinite(matrix if rows is None else matrix[rows]).all(axis=1)
     if not finite.all():
         raise InvalidArgumentError(f"row {int(np.argmin(finite))} {problem}")
 
 
-def train_model(kind: ModelKind, train: Dataset, hp: HyperParams) -> TrainedModel:
-    """Fit one model of ``kind`` on the raw rows of ``train``; an SVM or
-    k-NN model carries the standardizer fitted on them. Non-finite
-    features and labels other than 0 or 1 are rejected."""
-    if train.n_rows == 0:
+def train_model(
+    kind: ModelKind, data: Dataset, hp: HyperParams, rows: np.ndarray | None = None
+) -> TrainedModel:
+    """Fit one model of ``kind`` on the raw rows ``rows`` of ``data``
+    (every row when None), in that order; an SVM or k-NN model carries
+    the standardizer fitted on them. Non-finite features and labels
+    other than 0 or 1 in those rows are rejected, a row named by its
+    place in ``rows``."""
+    x = data.feature_matrix
+    y = data.labels if rows is None else data.labels[rows]
+    if y.size == 0:
         raise InvalidArgumentError("training set is empty")
-    x, y = train.feature_matrix, train.labels
-    _check_finite(x, "has a non-finite feature value; training needs finite rows")
+    _check_finite(x, "has a non-finite feature value; training needs finite rows", rows)
     if not np.isin(y, (0, 1)).all():
         raise InvalidArgumentError("training labels must be 0 or 1")
     standardizer = None
     if kind.needs_standardization:
+        # The one gather of the training rows, standardized in place.
+        x = (np.array(x, dtype=np.float64, order="C") if rows is None
+             else x[rows].astype(np.float64, copy=False))
         standardizer = fit_standardizer(x)
-        x = apply_standardizer(standardizer, x)
+        x = apply_standardizer(standardizer, x, out=x)
     if kind is ModelKind.DECISION_TREE:
-        payload = build_tree(x, y, max_depth=hp.tree_max_depth)
+        payload = build_tree(x, data.labels, max_depth=hp.tree_max_depth, rows=rows)
     elif kind is ModelKind.RANDOM_FOREST:
-        payload = build_forest(x, y, n_trees=hp.forest_n_trees, seed=hp.seed)
+        payload = build_forest(x, data.labels, n_trees=hp.forest_n_trees, seed=hp.seed, rows=rows)
     elif kind is ModelKind.LINEAR_SVM:
         payload = _fit_svm(x, y, c=hp.svm_regularization_c, epochs=hp.svm_epochs, seed=hp.seed)
     else:
         payload = _fit_knn(x, y, k=hp.knn_k)
-    return TrainedModel(kind, train.n_columns, payload, standardizer)
+    return TrainedModel(kind, data.n_columns, payload, standardizer)
 
 
 def score(model: TrainedModel, rows: np.ndarray) -> np.ndarray:

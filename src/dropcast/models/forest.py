@@ -45,12 +45,17 @@ def candidate_count(n_features: int) -> int:
     return math.isqrt(n_features - 1) + 1 if n_features > 0 else 0
 
 
-def build_forest(x: np.ndarray, y: np.ndarray, n_trees: int, seed: int) -> Forest:
-    n_rows, n_features = x.shape
+def build_forest(x: np.ndarray, y: np.ndarray, n_trees: int, seed: int, *,
+                 rows: np.ndarray | None = None) -> Forest:
+    """Grow the forest on rows ``rows`` of (x, y) (all rows when None),
+    which the bootstrap samples index by position."""
+    coded = _code_columns(x, y, rows)
+    n_features, n_rows = coded[0].shape
     tree_seeds = tuple((seed ^ i) & 0xFFFFFFFFFFFFFFFF for i in range(n_trees))
     seeds = scramble(tree_seeds)
+    # The (trees x rows) block of samples is the trees' row order.
     samples = integer_block(seeds, np.zeros(n_trees, dtype=np.uint64), n_rows, n_rows)
-    grown = _grow_trees(_code_columns(x, y), samples, seeds, max_depth=None,
+    grown = _grow_trees(coded, samples, seeds, max_depth=None,
                         n_candidates=candidate_count(n_features))
     return Forest(trees=tuple(grown), tree_seeds=tree_seeds)
 

@@ -63,11 +63,13 @@ class KnnModel:
 
 
 def train_knn(x: np.ndarray, y: np.ndarray, k: int) -> KnnModel:
+    """The model keeps a read-only view of ``x``, not a copy, when ``x``
+    is float64: writing to ``x`` afterwards changes the model."""
     if x.shape[0] < k:
         raise InvalidArgumentError(
             f"k-NN with k={k} needs at least {k} training rows, got {x.shape[0]}"
         )
-    train_x = np.array(x, dtype=np.float64)
+    train_x = np.asarray(x, dtype=np.float64).view()
     train_y = np.array(y, dtype=np.float64)
     train_x.setflags(write=False)
     train_y.setflags(write=False)

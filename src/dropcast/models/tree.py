@@ -116,23 +116,29 @@ def _strictly_improves(left_n: int, left_pos: int, right_n: int, right_pos: int)
     return left_pos * right_n != right_pos * left_n
 
 
-def _code_columns(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(keys, the value of each bin, labels) as described above; ``keys``
-    is a (features, rows) int32 matrix. Raises ValueError, before
-    allocating anything of the matrix's size, when ``x`` has more than
-    2**30 values."""
+def _code_columns(x: np.ndarray, y: np.ndarray, rows: np.ndarray | None = None
+                  ) -> tuple[np.ndarray, ...]:
+    """(keys, the value of each bin, labels) as described above, of rows
+    ``rows`` of (x, y) in that order (all rows when None); ``keys`` is a
+    (features, rows) int32 matrix, coded one column at a time, so no
+    copy of the rows is made. Raises ValueError, before allocating
+    anything of the rows' size, when they hold more than 2**30 values."""
     x = np.asarray(x, dtype=np.float64)
-    if x.size > _MAX_VALUES:
-        raise ValueError(f"{x.size} tree feature values could overflow an int32 key; "
-                         f"at most {_MAX_VALUES} are allowed")
-    if not np.isfinite(x).all():
-        raise ValueError("tree features must be finite")
+    n_rows, n_features = x.shape[0] if rows is None else len(rows), x.shape[1]
+    if n_rows * n_features > _MAX_VALUES:
+        raise ValueError(f"{n_rows * n_features} tree feature values could overflow an int32 "
+                         f"key; at most {_MAX_VALUES} are allowed")
     y = np.asarray(y, dtype=np.int64)
+    if rows is not None:
+        y = y[rows]
     if ((y != 0) & (y != 1)).any():
         raise ValueError("tree labels must be 0 or 1")
-    keys, values = np.empty(x.shape[::-1], dtype=np.int32), [np.zeros(0)]
-    for f, column in enumerate(x.T):
-        distinct, bins = np.unique(column, return_inverse=True)
+    keys, values = np.empty((n_features, n_rows), dtype=np.int32), [np.zeros(0)]
+    for f in range(n_features):
+        distinct, bins = np.unique(x[:, f] if rows is None else x[rows, f], return_inverse=True)
+        # Sorted, with nan last: the ends are finite only if every value is.
+        if distinct.size and not np.isfinite(distinct[[0, -1]]).all():
+            raise ValueError("tree features must be finite")
         keys[f] = 2 * (bins + sum(map(len, values))) + y
         values.append(distinct)
     return keys, np.concatenate(values), y
@@ -151,10 +157,11 @@ def _key_shift(n_nodes: int, n_bins: int) -> int:
     return shift
 
 
-def build_tree(x: np.ndarray, y: np.ndarray, max_depth: int | None = None) -> Tree:
-    """Grow a CART tree on all rows of (x, y), every feature a candidate
-    at each split."""
-    return _grow_trees(_code_columns(x, y), [None], None, max_depth, None)[0]
+def build_tree(x: np.ndarray, y: np.ndarray, max_depth: int | None = None, *,
+               rows: np.ndarray | None = None) -> Tree:
+    """Grow a CART tree on rows ``rows`` of (x, y) (all rows when None),
+    every feature a candidate at each split."""
+    return _grow_trees(_code_columns(x, y, rows), [None], None, max_depth, None)[0]
 
 
 def _grow_trees(coded, samples, seeds, max_depth, n_candidates) -> list[Tree]:
@@ -163,7 +170,9 @@ def _grow_trees(coded, samples, seeds, max_depth, n_candidates) -> list[Tree]:
     (all rows when None; a bootstrap sample repeats rows), each split
     drawing ``n_candidates`` features when given. Node ``v`` of tree ``i``
     draws them at ``(seeds[i], len(samples[i]) + v * n_features)``, so
-    each tree equals the tree grown alone from the same sample and seed."""
+    each tree equals the tree grown alone from the same sample and seed.
+    A 2-D int64 array of samples, one row per tree, becomes the trees'
+    row order itself, which the splits reorder in place."""
     keys, values, labels = coded
     n_features, n_rows = keys.shape
     subsample = n_candidates is not None and n_candidates < n_features
@@ -175,15 +184,17 @@ def _grow_trees(coded, samples, seeds, max_depth, n_candidates) -> list[Tree]:
 
     # Every tree's rows, one range per tree; each node owns a subrange,
     # which its split partitions stably in place, left rows first.
-    samples = [
-        np.arange(n_rows, dtype=np.int64) if idx is None else np.asarray(idx, dtype=np.int64)
-        for idx in samples
-    ]
-    if any(len(sample) == 0 for sample in samples):
+    if isinstance(samples, np.ndarray):
+        order = np.ascontiguousarray(samples, dtype=np.int64).reshape(-1)
+        sizes = np.full(samples.shape[0], samples.shape[1], dtype=np.int64)
+    else:
+        samples = [np.arange(n_rows, dtype=np.int64) if idx is None
+                   else np.asarray(idx, dtype=np.int64) for idx in samples]
+        order = np.concatenate(samples)
+        sizes = np.array([len(sample) for sample in samples], dtype=np.int64)
+        del samples
+    if not sizes.all():
         raise ValueError("a tree needs at least one training row")
-    order = np.concatenate(samples)
-    sizes = np.array([len(sample) for sample in samples], dtype=np.int64)
-    del samples
     starts = sizes.cumsum() - sizes
     positives = np.add.reduceat(labels[order], starts)
 

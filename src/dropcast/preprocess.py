@@ -98,13 +98,17 @@ def fit_standardizer(rows: np.ndarray) -> Standardizer:
     return Standardizer(mean=mean, std=std, constant=constant)
 
 
-def apply_standardizer(standardizer: Standardizer, matrix: np.ndarray) -> np.ndarray:
+def apply_standardizer(
+    standardizer: Standardizer, matrix: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``(matrix - mean) / std``, written into ``out`` when given; ``out``
+    may be ``matrix`` itself."""
     if matrix.shape[1] != standardizer.n_columns:
         raise InvalidArgumentError(
             f"standardizer fitted on {standardizer.n_columns} columns, "
             f"matrix has {matrix.shape[1]}"
         )
-    out = matrix - standardizer.mean
+    out = np.subtract(matrix, standardizer.mean, out=out)
     out /= standardizer.std
     return out
 

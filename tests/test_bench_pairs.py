@@ -46,9 +46,10 @@ def _printed(capsys) -> dict:
 def test_dt_probe_prints_the_recorded_keys(fixture_paths, few_calls, capsys):
     bench_pairs.dt_probe(*fixture_paths)
     result = _printed(capsys)
-    assert list(result) == _recorded_keys("BENCH_21.json", "dt_fit")
+    assert list(result) == [*_recorded_keys("BENCH_21.json", "dt_fit"), "cell_peak_over_matrix"]
     assert len(result["cpu_s"]) == 2
     assert result["tracemalloc_peak_mb"] > 0
+    assert result["cell_peak_over_matrix"] > 0
 
 
 def test_forest_probe_prints_the_recorded_keys_and_repeats_its_digests(fixture_paths, few_calls,

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import dropcast
-from dropcast.cli import _config_from_args, build_parser, main
+from dropcast.cli import _config_from_args, build_parser, main, usable_cpus
 from dropcast.experiments import evaluate_cells, load_binary
 from dropcast.fixture import generate_fixture
 from dropcast.ingest import FeatureGroup, load_dataset, load_manifest
@@ -276,7 +276,8 @@ def test_eda_peak_memory_is_near_the_matrix(tmp_path):
     finally:
         tracemalloc.stop()
     assert code == 0
-    # Measured 2.80x: the binary table and the correlation's copies of it.
+    # Measured 1.88x: the binary table and the correlation's copy of it
+    # (2.05x while the load held the three-outcome matrix beside it).
     assert peak <= 3.5 * matrix_bytes
 
 
@@ -292,9 +293,10 @@ def test_train_dt_peak_memory_is_near_the_matrix(tmp_path):
     finally:
         tracemalloc.stop()
     assert code == 0
-    # Measured 2.27x (3.22x with int64 keys and a gathered root block): the
-    # load, the binary table, its training rows and the tree's int32 keys.
-    assert peak <= 2.6 * matrix_bytes
+    # Measured 1.52x: the load, then the binary table and the tree's int32
+    # keys. 2.21x with a copy of the training rows and of the binary table,
+    # 3.22x with int64 keys and a gathered root block as well.
+    assert peak <= 1.9 * matrix_bytes
 
 
 def test_importance_outputs(fixture_dir, tmp_path):
@@ -398,6 +400,32 @@ def test_fixture_too_small_is_runtime_error(tmp_path, capsys):
     code = main(["fixture", "--rows", "5", "--out", str(tmp_path)])
     assert code == 1
     assert "at least 20" in capsys.readouterr().err
+
+
+def test_fixture_too_large_to_allocate_is_one_line_runtime_error(tmp_path, capsys):
+    # 10**15 float64 rows are 7.11 PiB, which no host allocates.
+    out = tmp_path / "out"
+    code = main(["fixture", "--rows", "1000000000000000", "--seed", "7", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("dropcast: error: fixture ran out of memory: Unable to allocate 7.11 PiB")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_a_memory_error_without_a_message_names_the_command(fixture_dir, tmp_path, capsys,
+                                                           monkeypatch):
+    import dropcast.cli as cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "run_ablation", exhausted)
+    out = tmp_path / "out"
+    assert main(["ablate", "--data", str(fixture_dir / "data.csv"), "--manifest",
+                 str(fixture_dir / "manifest.tsv"), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "dropcast: error: ablate ran out of memory\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("seed, message", [
@@ -597,6 +625,27 @@ def test_ablate_model_flag_builds_single_model_grid(fixture_dir, tmp_path):
     assert (out / "roc.svg").read_text().count("<polyline") == 1
 
 
+@pytest.mark.parametrize("files, cpus", [
+    ({}, 8),
+    ({"cpu.max": "max 100000\n"}, 8),
+    ({"cpu.max": "150000 100000\n"}, 2),
+    ({"cpu.max": "100000 100000\n"}, 1),
+    ({"cpu.max": "2000000 100000\n"}, 8),
+    ({"cpu/cpu.cfs_quota_us": "-1\n", "cpu/cpu.cfs_period_us": "100000\n"}, 8),
+    ({"cpu/cpu.cfs_quota_us": "250000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 3),
+    ({"cpu/cpu.cfs_quota_us": "20000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 1),
+    ({"cpu.max": "300000 100000\n", "cpu/cpu.cfs_quota_us": "100000\n",
+      "cpu/cpu.cfs_period_us": "100000\n"}, 3),
+], ids=["none", "v2-max", "v2-1.5", "v2-1", "v2-above-affinity", "v1-unlimited", "v1-2.5",
+        "v1-0.2", "v2-first"])
+def test_usable_cpus_are_capped_at_the_cgroup_cpu_quota(tmp_path, monkeypatch, files, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    assert usable_cpus(tmp_path) == cpus
+
+
 class _Counter:
     """Wraps a function and counts its calls as bytes appended to a file,
     so that calls made in forked cell workers count too."""
@@ -627,10 +676,10 @@ def counted(monkeypatch, tmp_path_factory):
 
     folder = tmp_path_factory.mktemp("counts")
     train = _Counter(exp.train_model, folder / "train_model")
-    load = _Counter(exp.load_dataset, folder / "load_dataset")
+    load = _Counter(exp.load_binary_dataset, folder / "load_binary_dataset")
     monkeypatch.setattr(exp, "train_model", train)
-    monkeypatch.setattr(exp, "load_dataset", load)
-    monkeypatch.setattr(cli, "load_dataset", load)
+    monkeypatch.setattr(exp, "load_binary_dataset", load)
+    monkeypatch.setattr(cli, "load_binary_dataset", load)
     return train, load
 
 

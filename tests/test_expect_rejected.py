@@ -35,6 +35,15 @@ def test_a_real_rejected_run_passes(tmp_path):
                                  f"'{tmp_path / 'none.csv'}'")
 
 
+def test_a_fixture_too_large_to_allocate_passes(tmp_path):
+    command = [sys.executable, "-m", "dropcast.cli", "fixture", "--rows", "1000000000000000",
+               "--seed", "7", "--out", str(tmp_path / "out")]
+    status, line = _check(tmp_path / "out", "dropcast: error: fixture ran out of memory: *",
+                          *command)
+    assert status == 0
+    assert line.startswith("dropcast: error: fixture ran out of memory: Unable to allocate")
+
+
 def test_the_stand_in_command_passes(tmp_path):
     command = _shell("dropcast: error: a.c\\n", 1)
     assert _check(tmp_path / "out", "dropcast: error: a.c", *command) == (0, "dropcast: error: a.c")

@@ -27,6 +27,7 @@ from dropcast.ingest import (
     GroupManifest,
     Outcome,
     default_manifest_path,
+    load_binary_dataset,
     load_dataset,
     load_manifest,
     to_binary,
@@ -740,6 +741,48 @@ def test_load_dataset_matches_reference(tmp_path_factory):
 
     check()
     assert sum(took_numpy) >= len(took_numpy) / 4
+
+
+def _binary_outcome(load, path, manifest):
+    """What ``load`` makes of a file as a binary table with class counts:
+    the exact matrix and labels and the counts, or the error's type and
+    message."""
+    try:
+        binary, counts = load(path, manifest)
+    except DropcastError as exc:
+        return type(exc), str(exc)
+    matrix = binary.feature_matrix
+    assert matrix.flags.c_contiguous and not matrix.flags.writeable
+    return _outcome(lambda *args: binary, path, manifest), counts
+
+
+def _to_binary_of_the_load(path, manifest):
+    dataset = load_dataset(path, manifest)
+    return to_binary(dataset), class_distribution(dataset)
+
+
+@pytest.mark.parametrize("move_values", [1, 5, 1 << 16], ids=["row-by-row", "a-few", "default"])
+def test_binary_load_equals_to_binary_of_the_load(tmp_path_factory, move_values):
+    """Rows move forward in blocks of at least one row, however the
+    Enrolled rows fall."""
+    @settings(max_examples=80, deadline=None)
+    @given(records_files())
+    def check(case):
+        manifest, data = case
+        path = tmp_path_factory.mktemp("records") / "d.csv"
+        path.write_bytes(data)
+        with mock.patch.object(ingest, "_MOVE_VALUES", move_values):
+            got = _binary_outcome(load_binary_dataset, path, manifest)
+        assert got == _binary_outcome(_to_binary_of_the_load, path, manifest)
+
+    check()
+
+
+def test_binary_load_of_5000_rows_equals_to_binary_of_the_load(generated):
+    folder, manifest, _ = generated
+    got = _binary_outcome(load_binary_dataset, folder / "d.csv", manifest)
+    assert got == _binary_outcome(_to_binary_of_the_load, folder / "d.csv", manifest)
+    assert 0 < got[1][Outcome.ENROLLED] < 5000
 
 
 @settings(max_examples=100, deadline=None)

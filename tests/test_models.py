@@ -12,6 +12,7 @@ from dropcast.models import (
     train_model,
 )
 from dropcast.models.knn import train_knn
+from dropcast.models.serialize import model_to_text
 from dropcast.models.svm import train_svm
 from dropcast.preprocess import apply_standardizer, fit_standardizer
 
@@ -173,6 +174,31 @@ def test_train_model_equals_the_three_step_protocol(kind):
     assert type(model.payload) is type(payload)
     for field in fields(payload):
         assert same_bits(getattr(model.payload, field.name), getattr(payload, field.name)), field.name
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_training_on_rows_of_a_table_equals_training_on_their_copy(kind):
+    # Rows in any order, some twice; a non-finite value in a row not
+    # trained on is never read.
+    rng = np.random.default_rng(75)
+    matrix = np.round(rng.normal(size=(90, 4)) * 3.0, 1)
+    labels = (matrix[:, 0] + rng.normal(size=90) > 0).astype(np.int64)
+    rows = np.concatenate([rng.permutation(80)[:60], [5, 5, 17]])
+    matrix[85, 2] = np.nan
+    hp = HyperParams(forest_n_trees=6, svm_epochs=8, knn_k=5)
+    model = train_model(kind, make_binary(matrix, labels), hp, rows=rows)
+    copy = train_model(kind, make_binary(matrix[rows], labels[rows]), hp)
+    assert model_to_text(model) == model_to_text(copy)
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_a_non_finite_training_row_is_named_by_its_place_in_the_rows(kind):
+    x = np.random.default_rng(76).normal(size=(30, 3))
+    x[4, 2] = np.inf
+    ds = make_binary(x, (x[:, 0] > 0).astype(int))
+    with pytest.raises(InvalidArgumentError, match="^row 7 has a non-finite feature value"):
+        train_model(kind, ds, HyperParams(forest_n_trees=3, svm_epochs=5, knn_k=3),
+                    rows=np.array([0, 1, 2, 3, 5, 6, 7, 4, 8, 9]))
 
 
 @pytest.mark.parametrize("kind", list(ModelKind))

@@ -4,6 +4,7 @@ Every test here uses at most 4 workers.
 """
 
 import contextlib
+import functools
 import io
 import os
 import pickle
@@ -208,6 +209,24 @@ def test_workers_are_capped_at_the_cells_and_the_usable_cpus(small_fixture, tmp_
                          *_data_flags(small_fixture), "--out", str(tmp_path / "out")])
     assert code == 0
     assert len(fork_calls) == forks
+
+
+@pytest.mark.parametrize("cpu_max, forks", [("100000 100000\n", 0), ("150000 100000\n", 2),
+                                             ("max 100000\n", 3)])
+def test_the_default_worker_count_is_capped_at_a_cgroup_cpu_quota(small_fixture, tmp_path,
+                                                                  fork_calls, cpu_max, forks):
+    # Eight CPUs and three cells: the quota, rounded up, is the cap.
+    (tmp_path / "cgroup").mkdir()
+    (tmp_path / "cgroup" / "cpu.max").write_text(cpu_max)
+    argv = ["dropcast", "train", "--model", "dt", "--seeds", "42,43,44",
+            *_data_flags(small_fixture), "--out", str(tmp_path / "out")]
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(8)), create=True), \
+            mock.patch.object(cli, "usable_cpus", functools.partial(cli.usable_cpus,
+                                                                    tmp_path / "cgroup")), \
+            mock.patch.object(sys, "argv", argv):
+        assert cli.main() == 0
+    assert len(fork_calls) == forks
+    _assert_no_child_left()
 
 
 def test_the_program_forks_by_default_and_a_calling_program_only_when_asked(small_fixture,

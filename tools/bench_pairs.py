@@ -148,14 +148,20 @@ def summarise(workload: str, runs: list[dict], better: dict[str, str]) -> dict:
 
 # The probes import dropcast when called, so each child measures the
 # dropcast first on its path and the runner itself needs none.
-def load_split(data: str, manifest: str):
-    """Training matrix, training labels and test matrix of the seed-42
-    split (test fraction 0.2), as ``train --seeds 42`` draws it."""
+def load_binary_split(data: str, manifest: str):
+    """The binary table and its seed-42 split (test fraction 0.2), as
+    ``train --seeds 42`` draws it."""
     from dropcast.ingest import load_dataset, load_manifest, to_binary
     from dropcast.preprocess import split
 
     binary = to_binary(load_dataset(data, load_manifest(manifest)))
-    rows = split(binary.n_rows, 0.2, 42)
+    return binary, split(binary.n_rows, 0.2, 42)
+
+
+def load_split(data: str, manifest: str):
+    """Training matrix, training labels and test matrix of the seed-42
+    split."""
+    binary, rows = load_binary_split(data, manifest)
     matrix = binary.feature_matrix
     return matrix[rows.train_rows], binary.labels[rows.train_rows], matrix[rows.test_rows]
 
@@ -193,16 +199,25 @@ def fit_summary(cpu: list[float]) -> dict:
 
 def dt_probe(data: str, manifest: str) -> None:
     """Print the CPU seconds of ``DT_FITS`` depth-5 tree fits on the
-    seed-42 training split and the tracemalloc peak of one more."""
+    seed-42 training split and the tracemalloc peak of one more, over
+    that split's matrix; then the tracemalloc peak of one whole seed-42
+    ``evaluate_single`` DT cell, training rows chosen from the binary
+    table and test rows scored, over the binary table's matrix."""
+    from dropcast.experiments import evaluate_single
+    from dropcast.models import HyperParams, ModelKind
     from dropcast.models.tree import build_tree
 
-    x, y, _ = load_split(data, manifest)
+    binary, rows = load_binary_split(data, manifest)
+    x, y = binary.feature_matrix[rows.train_rows], binary.labels[rows.train_rows]
     cpu, _ = cpu_seconds(lambda: build_tree(x, y, max_depth=5), DT_FITS)
     peak = traced_peak(lambda: build_tree(x, y, max_depth=5))
+    cell = traced_peak(
+        lambda: evaluate_single(binary, rows, ModelKind.DECISION_TREE, HyperParams()))
     print(json.dumps({
         "rows": x.shape[0], "features": x.shape[1], **fit_summary(cpu),
         "tracemalloc_peak_mb": round(peak / 1e6, 2),
         "peak_over_matrix": round(peak / x.nbytes, 3),
+        "cell_peak_over_matrix": round(cell / binary.feature_matrix.nbytes, 3),
     }))
 
 
@@ -332,7 +347,9 @@ PROBES = {
     "dt-fit": (dt_probe, LARGE_ROWS, 4, [()], None,
                f"bench_pairs.dt_probe: build_tree(max_depth=5) on the seed-42 training split of "
                f"the {LARGE_ROWS}-row seed-{SEED} fixture, CPU seconds of {DT_FITS} fits and the "
-               f"tracemalloc peak of one more, per round"),
+               f"tracemalloc peak of one more over the split's matrix, and the tracemalloc peak "
+               f"of one whole seed-42 evaluate_single DT cell over the binary matrix "
+               f"(cell_peak_over_matrix), per round"),
     "forest-fit": (forest_probe, BENCH_ROWS, 4, [()], None,
                    f"bench_pairs.forest_probe: build_forest({TREES} trees, seed 42) on the seed-42 "
                    f"training split of the {BENCH_ROWS}-row seed-{SEED} fixture, CPU seconds of "
