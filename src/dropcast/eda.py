@@ -5,7 +5,9 @@ Rates and the gender breakdown share one count of rows and dropout
 rows per distinct code. Correlations are computed over the raw
 integer-coded feature values, including categorical codes, standardized
 over all rows; the matrix is a descriptive artifact, not an inferential
-claim.
+claim. Row blocks are standardized into one reused buffer and their
+cross-products summed through BLAS, so no standardized copy of the table
+is held; the split of the sum into blocks sets the last bits of each r.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .ingest import Dataset, Outcome, class_counts
-from .preprocess import apply_standardizer, fit_standardizer
+from .preprocess import apply_standardizer, fit_standardizer, row_blocks
 
 GENDER_COLUMN = "Gender"
 
@@ -76,11 +78,16 @@ def correlation_matrix(binary: Dataset) -> CorrelationMatrix:
     constant column and 1 for every other.
     """
     matrix = binary.feature_matrix
-    n = matrix.shape[0]
+    n, p = matrix.shape
     standardizer = fit_standardizer(matrix)
-    normalized = apply_standardizer(standardizer, matrix)
+    blocks = row_blocks(n, p)
+    buf = np.empty((blocks[0][1], p))
+    gram = np.zeros((p, p))
+    for lo, hi in blocks:
+        normalized = apply_standardizer(standardizer, matrix[lo:hi], out=buf[:hi - lo])
+        gram += normalized.T @ normalized
     constant = standardizer.constant
-    values = (normalized.T @ normalized) / n
+    values = gram / n
     values = (values + values.T) / 2.0  # force exact symmetry
     values[constant, :] = 0.0
     values[:, constant] = 0.0

@@ -1,8 +1,11 @@
 """Seeded splitting, train-fitted standardization, group exclusion.
 
 Standard deviations use the population convention (divide by n). The
-split permutation comes from the package's counter-based generator
-(see :mod:`dropcast.rng`), so splits are bit-reproducible everywhere.
+fit sums columns over fixed-size row blocks in the order numpy sums the
+whole C-ordered matrix, so it holds no full-size temporary and gives
+numpy's bits. The split permutation comes from the package's
+counter-based generator (see :mod:`dropcast.rng`), so splits are
+bit-reproducible everywhere.
 """
 
 from __future__ import annotations
@@ -70,20 +73,55 @@ def split(n_rows: int, test_fraction: float, seed: int) -> SplitIndices:
     )
 
 
+BLOCK_VALUES = 1 << 16  # values per row block, 512 KiB of float64
+
+
+def row_blocks(n_rows: int, n_columns: int):
+    """``(lo, hi)`` of successive row blocks of about ``BLOCK_VALUES``
+    values each, at least one row."""
+    step = max(1, BLOCK_VALUES // max(n_columns, 1))
+    return [(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
+
+
+def _column_sums(rows: np.ndarray, fill) -> np.ndarray:
+    """Column sums of what ``fill(rows[lo:hi], out)`` writes into ``out``,
+    block by block, added as numpy adds one C-ordered array: row by row,
+    or for a single column pairwise, halves cut at a multiple of 8."""
+    n, p = rows.shape
+    blocks = row_blocks(n, p)
+    buf = np.empty((blocks[0][1] + 1, p))
+    if p == 1:
+        def pairwise(lo: int, hi: int) -> np.ndarray:
+            if hi - lo > blocks[0][1]:
+                half = (hi - lo) // 16 * 8
+                return pairwise(lo, lo + half) + pairwise(lo + half, hi)
+            fill(rows[lo:hi], buf[:hi - lo])
+            return np.add.reduce(buf[:hi - lo], axis=0)
+        return pairwise(0, n)
+    total = np.zeros(p)
+    for lo, hi in blocks:
+        buf[0] = total  # the running sum, added before the block's first row
+        fill(rows[lo:hi], buf[1:hi - lo + 1])
+        total = np.add.reduce(buf[:hi - lo + 1], axis=0)
+    return total
+
+
 def fit_standardizer(rows: np.ndarray) -> Standardizer:
     """Fit on every row given; pass only the training rows. A column
     whose sum or squared deviations overflow, so that its mean or std is
     not finite, raises ``InvalidArgumentError``; an all-equal column is
-    constant and never does."""
-    # numpy sums a C-ordered column row by row but an F-ordered one
-    # pairwise, so fix the order to keep the fit independent of layout.
-    rows = np.ascontiguousarray(rows)
-    if rows.shape[0] == 0:
+    constant and never does. The layout of ``rows`` does not matter."""
+    rows = np.asarray(rows)
+    n = rows.shape[0]
+    if n == 0:
         raise InvalidArgumentError("cannot fit standardizer on zero training rows")
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = rows.mean(axis=0)
-        std = np.sqrt(((rows - mean) ** 2).mean(axis=0))
-    all_equal = (rows == rows[0]).all(axis=0)
+        mean = _column_sums(rows, lambda block, out: np.copyto(out, block)) / n
+        std = np.sqrt(_column_sums(
+            rows, lambda block, out: np.square(np.subtract(block, mean, out=out), out=out)) / n)
+    all_equal = np.ones(rows.shape[1], dtype=bool)
+    for lo, hi in row_blocks(*rows.shape):
+        all_equal &= (rows[lo:hi] == rows[0]).all(axis=0)
     constant = all_equal | (std == 0.0)
     mean = np.where(all_equal, rows[0], mean)
     std = np.where(constant, 1.0, std)

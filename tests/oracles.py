@@ -434,6 +434,43 @@ def standardize_dataset(dataset: Dataset, standardizer: Standardizer) -> Dataset
     return replace(dataset, feature_matrix=matrix)
 
 
+def reference_fit_standardizer(rows: np.ndarray) -> Standardizer:
+    """``fit_standardizer`` on the whole matrix at once: numpy's own mean
+    over the C-ordered rows and one full-size squared-deviation array."""
+    rows = np.ascontiguousarray(rows)
+    if rows.shape[0] == 0:
+        raise InvalidArgumentError("cannot fit standardizer on zero training rows")
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = rows.mean(axis=0)
+        std = np.sqrt(((rows - mean) ** 2).mean(axis=0))
+    all_equal = (rows == rows[0]).all(axis=0)
+    constant = all_equal | (std == 0.0)
+    mean = np.where(all_equal, rows[0], mean)
+    std = np.where(constant, 1.0, std)
+    bad = ~(np.isfinite(mean) & np.isfinite(std))
+    if bad.any():
+        raise InvalidArgumentError(
+            f"cannot standardize column {int(np.argmax(bad))}: its mean or standard deviation "
+            "is not finite"
+        )
+    return Standardizer(mean=mean, std=std, constant=constant)
+
+
+def reference_correlation(matrix: np.ndarray) -> np.ndarray:
+    """Pearson r of every column pair from one standardized copy of the
+    whole matrix, with ``correlation_matrix``'s symmetrize, constant,
+    diagonal and clip steps."""
+    standardizer = reference_fit_standardizer(matrix)
+    normalized = apply_standardizer(standardizer, matrix)
+    constant = standardizer.constant
+    values = (normalized.T @ normalized) / matrix.shape[0]
+    values = (values + values.T) / 2.0
+    values[constant, :] = 0.0
+    values[:, constant] = 0.0
+    np.fill_diagonal(values, np.where(constant, 0.0, 1.0))
+    return np.clip(values, -1.0, 1.0)
+
+
 def reference_load_dataset(
     csv_path: str | Path, manifest: GroupManifest, delimiter: str = ";"
 ) -> Dataset:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from conftest import REPO_ROOT
-from dropcast.cli import usable_cpus
+from dropcast.cli import main, usable_cpus
 from dropcast.fixture import generate_fixture
 from dropcast.ingest import FeatureGroup
 
@@ -145,6 +145,22 @@ def test_fixture_probe_prints_the_recorded_keys_and_the_fixture_digest(fixture_p
     assert list(result) == list(recorded)
     assert result["sha256"] == hashlib.sha256(Path(fixture_paths[0]).read_bytes()).hexdigest()
     assert result["wall_s"] > 0 and result["peak_rss_mb"] > 0
+
+
+def test_eda_probe_prints_the_recorded_keys_and_the_digest_of_each_output(fixture_paths, tmp_path,
+                                                                         monkeypatch, capsys):
+    monkeypatch.setenv("PYTHONPATH", str(REPO_ROOT / "src"))
+    bench_pairs.eda_probe(*fixture_paths)
+    result = _printed(capsys)
+    assert ["round", *result] == _recorded_keys("BENCH_32.json", "eda")
+    data, manifest = fixture_paths
+    assert main(["eda", "--data", data, "--manifest", manifest, "--out", str(tmp_path)]) == 0
+    assert result["sha256"] == {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                                for p in sorted(tmp_path.iterdir())}
+    assert "eda_correlation.csv" in result["sha256"]
+    assert result["wall_s"] > 0 and result["peak_rss_mb"] > 0
+    assert result["correlation_tracemalloc_peak_mb"] > 0
+    assert result["correlation_peak_over_matrix"] > 0
 
 
 def stub_probe(data, manifest, letter):

@@ -14,12 +14,13 @@ from dropcast.models.serialize import model_to_text
 from dropcast.preprocess import (
     apply_standardizer,
     exclude_group,
+    BLOCK_VALUES,
     fit_standardizer,
     split,
 )
 
 from conftest import make_binary
-from oracles import model_from_text, standardize_dataset
+from oracles import model_from_text, reference_fit_standardizer, standardize_dataset
 
 
 class TestSplit:
@@ -258,3 +259,63 @@ def test_a_standardizer_is_not_fitted_on_zero_rows():
     with pytest.raises(InvalidArgumentError,
                        match=r"^cannot fit standardizer on zero training rows$"):
         fit_standardizer(np.zeros((0, 3)))
+
+
+def _table(n_rows: int, n_columns: int, seed: int = 11) -> np.ndarray:
+    """Columns of mixed scale, so the order of the sums shows in the bits."""
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(n_rows, n_columns)) * 1e3 + rng.normal(size=(n_rows, n_columns)) * 1e-3
+
+
+def _zero_variance(n_rows: int) -> np.ndarray:
+    """Two values whose deviations square to 0: not all equal, std 0."""
+    return np.where(np.arange(n_rows) % 2 == 0, 1e-200, 2e-200)
+
+
+_BLOCK_34 = BLOCK_VALUES // 34  # rows per block of a 34-column table
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("rows", [
+    pytest.param(_table(1, 5), id="one-row"),
+    *(pytest.param(_table(n, 34), id=f"34-columns-{n}-rows")
+      for n in (_BLOCK_34 - 1, _BLOCK_34, _BLOCK_34 + 1, 3 * _BLOCK_34 + 7)),
+    *(pytest.param(_table(n, 1), id=f"1-column-{n}-rows")
+      for n in (1, 5000, BLOCK_VALUES - 1, BLOCK_VALUES, BLOCK_VALUES + 1, 3 * BLOCK_VALUES + 17)),
+    pytest.param(np.column_stack([np.full(3176, 10.8), _table(3176, 2)]), id="3176-copies-of-10.8"),
+    pytest.param(np.column_stack([_table(_BLOCK_34 + 5, 3), np.full(_BLOCK_34 + 5, -4.5),
+                                  _zero_variance(_BLOCK_34 + 5)]), id="all-equal-and-zero-variance"),
+    pytest.param(_zero_variance(BLOCK_VALUES + 3)[:, None], id="zero-variance-one-column"),
+    pytest.param(np.asfortranarray(_table(2 * _BLOCK_34 + 3, 34)), id="F-ordered"),
+    pytest.param(_table(2 * _BLOCK_34 + 9, 68)[::2, ::2], id="strided"),
+    pytest.param(np.column_stack([_table(_BLOCK_34 + 2, 2),
+                                  np.where(np.arange(_BLOCK_34 + 2) % 2, 1e200, -1e200)]),
+                 id="squared-deviations-overflow"),
+    pytest.param(np.column_stack([_table(_BLOCK_34 + 2, 2), np.full(_BLOCK_34 + 2, 1.7e308)]),
+                 id="all-equal-column-whose-sum-overflows"),
+    pytest.param(np.zeros((0, 3)), id="zero-rows"),
+])
+def test_blocked_fit_is_bit_identical_to_the_whole_matrix_fit(rows):
+    try:
+        expected = reference_fit_standardizer(rows)
+    except InvalidArgumentError as exc:
+        with pytest.raises(InvalidArgumentError, match=f"^{re.escape(str(exc))}$"):
+            fit_standardizer(rows)
+        return
+    fit = fit_standardizer(rows)
+    for name in ("mean", "std", "constant"):
+        got, want = getattr(fit, name), getattr(expected, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+
+def test_the_fit_holds_no_full_size_temporary():
+    matrix = _table(40000, 34)
+    tracemalloc.start()
+    try:
+        fit_standardizer(matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Measured 0.05x: one row block and its running sum; 1.00x with the
+    # whole-matrix squared deviations.
+    assert peak < 0.1 * matrix.nbytes

@@ -2,7 +2,7 @@
 
     python3 tools/bench_pairs.py --parent P --change C --out BENCH_20.json \
         ingest-large=10 margin=4 ablate-importance=6 dt-fit forest-fit fixture-gen \
-        ablate-threads
+        ablate-threads eda
 
 For each ``WORKLOAD=N`` it runs N pairs of
 
@@ -295,8 +295,7 @@ def ablate_probe(data: str, manifest: str, threads: str) -> None:
             wall, after = time.perf_counter() - start, os.times()
         finally:
             os.waitpid = waitpid
-        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-                   for p in sorted(Path(out).iterdir())}
+        digests = folder_digests(out)
     cpu = sum(after[:4]) - sum(before[:4])  # user, system, children's user and system
     print(json.dumps({
         "threads": int(threads), "returncode": code, "wall_s": round(wall, 4),
@@ -321,24 +320,55 @@ def fixture_argv(folder: str | Path, rows: str) -> list[str]:
             "--out", str(folder)]
 
 
+def folder_digests(folder: str | Path) -> dict[str, str]:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(Path(folder).iterdir())}
+
+
+def run_child(argv: list[str]) -> dict:
+    """Wall seconds from start to exit and peak RSS (``ru_maxrss`` from
+    ``wait4``) of one child, which must exit 0."""
+    start = time.perf_counter()
+    proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - start
+    returncode = os.waitstatus_to_exitcode(status)
+    if returncode != 0:
+        raise subprocess.CalledProcessError(returncode, argv)
+    return {"wall_s": round(wall, 4), "peak_rss_mb": round(usage.ru_maxrss / 1024.0, 2)}
+
+
 def fixture_probe(data: str, manifest: str) -> None:
-    """Print the wall seconds, the peak RSS (``ru_maxrss`` from ``wait4``)
-    and the sha256 of ``fixture.csv`` of one ``LARGE_ROWS``-row ``dropcast
-    fixture`` child, which writes to a folder of its own: its row builds no
+    """Print the wall seconds, the peak RSS and the sha256 of
+    ``fixture.csv`` of one ``LARGE_ROWS``-row ``dropcast fixture`` child
+    (``run_child``), which writes to a folder of its own: its row builds no
     fixture, so ``data`` and ``manifest`` name none. ``setup_s`` mixes
     fixture time with the warm-up operation, so the fixture's own numbers
     get their own record."""
     with tempfile.TemporaryDirectory() as folder:
-        start = time.perf_counter()
-        proc = subprocess.Popen(fixture_argv(folder, LARGE_ROWS), stdout=subprocess.DEVNULL)
-        _, status, usage = os.wait4(proc.pid, 0)
-        wall = time.perf_counter() - start
-        returncode = os.waitstatus_to_exitcode(status)
-        if returncode != 0:
-            raise subprocess.CalledProcessError(returncode, proc.args)
-        digest = hashlib.sha256((Path(folder) / "fixture.csv").read_bytes()).hexdigest()
-    print(json.dumps({"wall_s": round(wall, 4), "peak_rss_mb": round(usage.ru_maxrss / 1024.0, 2),
-                      "sha256": digest}))
+        child = run_child(fixture_argv(folder, LARGE_ROWS))
+        digest = folder_digests(folder)["fixture.csv"]
+    print(json.dumps({**child, "sha256": digest}))
+
+
+def eda_probe(data: str, manifest: str) -> None:
+    """Print the wall seconds, the peak RSS and the sha256 of each output
+    file of one ``dropcast eda`` child (``run_child``), which writes to a
+    folder of its own, then the tracemalloc peak of ``correlation_matrix``
+    over the loaded binary table, in MB and over the table's bytes."""
+    from dropcast.eda import correlation_matrix
+    from dropcast.ingest import load_binary_dataset, load_manifest
+
+    with tempfile.TemporaryDirectory() as folder:
+        child = run_child([sys.executable, "-m", "dropcast.cli", "eda", "--data", data,
+                           "--manifest", manifest, "--out", folder])
+        digests = folder_digests(folder)
+    binary, _ = load_binary_dataset(data, load_manifest(manifest))
+    peak = traced_peak(lambda: correlation_matrix(binary))
+    print(json.dumps({
+        **child, "sha256": digests, "correlation_tracemalloc_peak_mb": round(peak / 1e6, 2),
+        "correlation_peak_over_matrix": round(peak / binary.feature_matrix.nbytes, 3),
+    }))
 
 
 # Name: (probe, fixture rows or None, rounds, argument lists after the
@@ -364,6 +394,12 @@ PROBES = {
                     f"--planted-group academic --strength 3.0 as a child process: wall seconds "
                     f"from start to exit, its peak RSS (ru_maxrss from wait4) and the sha256 of "
                     f"fixture.csv, per round"),
+    "eda": (eda_probe, LARGE_ROWS, 6, [()], None,
+            f"bench_pairs.eda_probe: dropcast eda on the {LARGE_ROWS}-row seed-{SEED} fixture as "
+            f"a child process: wall seconds from start to exit, its peak RSS (ru_maxrss from "
+            f"wait4) and the sha256 of each output file; then, in the probe's process, the "
+            f"tracemalloc peak of correlation_matrix over the loaded binary table, in MB and "
+            f"over the table's bytes, per round"),
     "ablate-threads": (ablate_probe, BENCH_ROWS, 3, [("1",), ("2",)], threads_summary,
                        f"bench_pairs.ablate_probe: dropcast ablate (default seeds and models) on "
                        f"the {BENCH_ROWS}-row seed-{SEED} fixture with --threads 1 and --threads 2; "
